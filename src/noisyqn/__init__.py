@@ -18,7 +18,6 @@ from .linalg import (
     SymmetricMatrix,
     bfgs_inverse_update,
     eigen_extremes,
-    jacobi_eigen_extremes,
     two_loop_direction,
 )
 from .linesearch import (
@@ -61,7 +60,6 @@ __all__ = [
     "bfgs_inverse_update",
     "two_loop_direction",
     "eigen_extremes",
-    "jacobi_eigen_extremes",
     "EigenConvergenceError",
     # problems
     "Problem",

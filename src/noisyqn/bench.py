@@ -15,7 +15,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .linesearch import LineSearchParams
@@ -83,12 +83,9 @@ class ExperimentConfig:
     out: str = "qn_noise_out"
 
     def validate(self) -> None:
-        if not self.problems:
-            raise ConfigError("no problems given")
-        if not self.methods:
-            raise ConfigError("no methods given")
-        if not self.seeds:
-            raise ConfigError("no seeds given")
+        for name in ("problems", "methods", "seeds", "xi_f", "xi_g", "omega"):
+            if not getattr(self, name):
+                raise ConfigError(f"no {name} given")
         for name in self.problems:
             try:
                 registry_lookup(name)
@@ -106,14 +103,14 @@ class ExperimentConfig:
             raise ConfigError("noise-phase must be 'noisy' or 'clean'")
         try:
             self._line_search_params()
-            NoiseSpec(
-                xi_f=self.xi_f[0],
-                xi_g=self.xi_g[0],
+            spec = NoiseSpec(
                 schedule=self.schedule,
                 n_noise=self.n_noise,
                 start_noisy=self.noise_phase == "noisy",
-                omega=self.omega[0],
             )
+            for name in ("xi_f", "xi_g", "omega"):
+                for value in getattr(self, name):
+                    replace(spec, **{name: value})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

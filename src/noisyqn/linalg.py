@@ -1,14 +1,12 @@
 """Dense symmetric-matrix kernels for quasi-Newton solvers.
 
 Vectors throughout the package are plain 1-D float64 numpy arrays.  The one
-structured type is :class:`SymmetricMatrix`, which stores only the packed
-upper triangle so that symmetry is a property of the representation rather
-than something callers have to maintain.
+structured type is :class:`SymmetricMatrix`, a thin wrapper around a dense
+d-by-d array that checks its entries are finite.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -22,80 +20,49 @@ __all__ = [
     "bfgs_inverse_update",
     "two_loop_direction",
     "eigen_extremes",
-    "jacobi_eigen_extremes",
 ]
-
-# Above this order eigen_extremes switches from cyclic Jacobi sweeps to
-# LAPACK; pure-Python sweeps are too slow for per-iteration diagnostics on
-# 100-dimensional runs.  Both routes are cross-checked in the test suite.
-JACOBI_DISPATCH_ORDER = 32
-
-_PACKED_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _packed_indices(order: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _PACKED_INDEX_CACHE.get(order)
-    if cached is None:
-        cached = np.triu_indices(order)
-        _PACKED_INDEX_CACHE[order] = cached
-    return cached
 
 
 class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps failed to reduce the off-diagonal within the budget."""
+    """LAPACK failed to compute the eigenvalues of a matrix."""
 
 
 class SymmetricMatrix:
-    """A d-by-d symmetric matrix held as its packed upper triangle.
+    """A d-by-d symmetric matrix held as one dense float64 array.
 
     Instances are value-immutable: every operation that changes the matrix
-    returns a new instance.  ``from_dense`` keeps only the upper triangle of
-    its argument, so the stored matrix is symmetric by construction and the
-    lower triangle of the input is never consulted.
+    returns a new instance.  The constructor takes its array as given and
+    only checks that it is finite; ``from_dense`` mirrors the upper triangle
+    of its argument, so the lower triangle of the input is never consulted.
     """
 
-    __slots__ = ("order", "entries", "_dense")
+    __slots__ = ("_dense",)
 
-    def __init__(self, order: int, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=float)
-        expected = order * (order + 1) // 2
-        if order < 1:
-            raise ValueError("order must be positive")
-        if entries.shape != (expected,):
-            raise ValueError(
-                f"packed storage for order {order} needs {expected} entries, "
-                f"got shape {entries.shape}"
-            )
-        if not np.all(np.isfinite(entries)):
+    def __init__(self, dense: np.ndarray):
+        if not np.all(np.isfinite(dense)):
             raise ValueError("symmetric matrix entries must be finite")
-        self.order = order
-        self.entries = entries
-        self._dense: np.ndarray | None = None
+        self._dense = dense
+
+    @property
+    def order(self) -> int:
+        return self._dense.shape[0]
 
     @classmethod
     def identity(cls, order: int) -> "SymmetricMatrix":
-        return cls.from_dense(np.eye(order))
+        return cls(np.eye(order))
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SymmetricMatrix":
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        order = a.shape[0]
-        rows, cols = _packed_indices(order)
-        return cls(order, a[rows, cols].copy())
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+        return cls(np.triu(a) + np.triu(a, 1).T)
 
     def to_dense(self) -> np.ndarray:
-        if self._dense is None:
-            rows, cols = _packed_indices(self.order)
-            full = np.zeros((self.order, self.order))
-            full[rows, cols] = self.entries
-            full[cols, rows] = self.entries
-            self._dense = full
         return self._dense
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.to_dense() @ np.asarray(v, dtype=float)
+        return self._dense @ v
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SymmetricMatrix(order={self.order})"
@@ -164,6 +131,10 @@ def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> SymmetricMat
     Computes (I - rho s y^T) H (I - rho y s^T) + rho s s^T with
     rho = 1 / (s.y).  The pair must satisfy s.y > 0; a non-positive value
     signals a curvature contract violation upstream and raises.
+
+    The result is exactly symmetric when H is: ``cross + cross.T`` and
+    ``np.outer(s, s)`` are symmetric in IEEE arithmetic, and so are their
+    scalings and their sums with H.
     """
     if pair.sy <= 0.0:
         raise ValueError(f"bfgs_inverse_update requires s.y > 0, got {pair.sy}")
@@ -176,7 +147,7 @@ def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> SymmetricMat
     cross = np.outer(s, hy)
     updated = dense - rho * (cross + cross.T)
     updated += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
-    return SymmetricMatrix.from_dense(updated)
+    return SymmetricMatrix(updated)
 
 
 def two_loop_direction(memory: LimitedMemory, g: np.ndarray) -> np.ndarray:
@@ -199,54 +170,13 @@ def two_loop_direction(memory: LimitedMemory, g: np.ndarray) -> np.ndarray:
     return r
 
 
-def _jacobi_sweeps(a: np.ndarray, max_sweeps: int, rel_tol: float) -> np.ndarray:
-    """Run cyclic Jacobi rotations in place until off(A) <= rel_tol * ||A||_F."""
-    d = a.shape[0]
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.diag(a)
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= rel_tol * norm:
-            return np.diag(a)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[p, q] = a[q, p] = 0.0
-    raise EigenConvergenceError(
-        f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-    )
-
-
-def jacobi_eigen_extremes(
-    a: SymmetricMatrix, max_sweeps: int = 60, rel_tol: float = 1e-14
-) -> tuple[float, float]:
-    """Smallest and largest eigenvalue via cyclic Jacobi sweeps."""
-    diag = _jacobi_sweeps(a.to_dense().copy(), max_sweeps, rel_tol)
-    return float(diag.min()), float(diag.max())
-
-
 def eigen_extremes(a: SymmetricMatrix) -> tuple[float, float]:
-    """Return (lambda_min, lambda_max) of a symmetric matrix.
+    """Return (lambda_min, lambda_max) of a symmetric matrix via LAPACK.
 
-    Small orders run cyclic Jacobi sweeps; larger orders go through LAPACK,
-    which the Jacobi path is validated against in the tests.  Raises
-    EigenConvergenceError if the eigen-iteration does not settle; callers
-    using this for diagnostics should treat that as a missing data point.
+    Raises EigenConvergenceError if the eigenvalue iteration does not
+    converge; callers using this for diagnostics should treat that as a
+    missing data point.
     """
-    if a.order <= JACOBI_DISPATCH_ORDER:
-        return jacobi_eigen_extremes(a)
     try:
         values = np.linalg.eigvalsh(a.to_dense())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup

@@ -100,7 +100,6 @@ class NoisyOracle:
         eps = 0.0
         if self.spec.xi_f > 0.0 and self.noise_active():
             eps = float(self._stream(index, _TAG_F).uniform(-self.spec.xi_f, self.spec.xi_f))
-        assert abs(eps) <= self.spec.xi_f
         if abs(eps) > self.max_f_noise:
             self.max_f_noise = abs(eps)
         return value + eps
@@ -114,7 +113,6 @@ class NoisyOracle:
                 -self.spec.xi_g, self.spec.xi_g, size=grad.shape[0]
             )
             norm = float(np.linalg.norm(err))
-            assert norm <= math.sqrt(grad.shape[0]) * self.spec.xi_g * (1.0 + 1e-12)
             if norm > self.max_g_noise_norm:
                 self.max_g_noise_norm = norm
             return grad + err

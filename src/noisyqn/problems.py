@@ -3,8 +3,9 @@
 Each problem records its conventional starting point and the best function
 value ``phi_star`` used for optimality-gap reporting.  Where the minimum is
 known in closed form the exact value is stored; for ENGVAL1 and CRAGGLVY the
-constants were produced by a long noiseless BFGS run to stagnation (see
-``scripts/compute_reference_minima.py``) and frozen here.
+constants come from scipy's L-BFGS-B followed by a Newton polish with a
+finite-difference Hessian (``scripts/compute_reference_minima.py``) and are
+frozen here.
 
 Gradient correctness for every registered problem is anchored by central
 finite differences in the test suite rather than by trusting transcription.
@@ -53,7 +54,6 @@ class UnknownProblemError(KeyError):
 
     def __str__(self) -> str:  # KeyError would repr-quote the message
         return self.args[0]
-        self.name = name
 
 
 # ---------------------------------------------------------------------------

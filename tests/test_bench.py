@@ -60,6 +60,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(tmp_path, xi_g=[-1e-3]).validate()
 
+    def test_every_noise_value_checked(self, tmp_path):
+        for key in ("xi_f", "xi_g"):
+            with pytest.raises(ConfigError):
+                tiny_config(tmp_path, **{key: [1e-3, -1.0]}).validate()
+        with pytest.raises(ConfigError):
+            tiny_config(tmp_path, omega=[1.0, 0.0]).validate()
+
+    def test_empty_noise_list_rejected(self, tmp_path):
+        with pytest.raises(ConfigError):
+            tiny_config(tmp_path, xi_g=[]).validate()
+
     def test_valid_config_passes(self, tmp_path):
         tiny_config(tmp_path).validate()
 
@@ -300,6 +311,14 @@ class TestCli:
             "--seed", "1", "--out", str(tmp_path),
         ])
         assert code == 2
+
+    def test_bad_later_noise_value_is_config_error(self, tmp_path, capsys):
+        code = main([
+            "sweep", "--problem", "TRIDIA", "--method", "bfgs",
+            "--xi-g", "1e-3", "--xi-g", "-1", "--seed", "1", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "xi_g" in capsys.readouterr().err
 
     def test_run_requires_single_values(self, tmp_path, capsys):
         code = main([

@@ -1,17 +1,18 @@
-"""Kernels: packed symmetric matrices, curvature pairs, the inverse update,
+"""Kernels: dense symmetric matrices, curvature pairs, the inverse update,
 the two-loop recursion, and eigenvalue extremes."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from noisyqn.linalg import (
     CurvaturePair,
-    EigenConvergenceError,
     LimitedMemory,
     SymmetricMatrix,
     bfgs_inverse_update,
     eigen_extremes,
-    jacobi_eigen_extremes,
     two_loop_direction,
 )
 
@@ -54,6 +55,11 @@ class TestSymmetricMatrix:
             m = SymmetricMatrix.from_dense(a)
             v = rng.standard_normal(d)
             np.testing.assert_allclose(m.matvec(v), m.to_dense() @ v, rtol=1e-14)
+
+    def test_from_dense_mirrors_upper_triangle(self):
+        a = np.array([[1.0, 2.0], [-7.0, 3.0]])
+        dense = SymmetricMatrix.from_dense(a).to_dense()
+        np.testing.assert_array_equal(dense, np.array([[1.0, 2.0], [2.0, 3.0]]))
 
     def test_rejects_nonfinite(self):
         bad = np.eye(3)
@@ -174,6 +180,54 @@ class TestBfgsInverseUpdate:
             bfgs_inverse_update(h, pair)
 
 
+@st.composite
+def spd_and_pair(draw):
+    """A random SPD H and a pair (s, y) whose angle keeps s.y well above 0."""
+    d = draw(st.integers(1, 12))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    a = draw(arrays(np.float64, (d, d), elements=unit))
+    s = draw(arrays(np.float64, d, elements=unit))
+    y = s + 0.5 * draw(arrays(np.float64, d, elements=unit))
+    assume(np.linalg.norm(s) >= 0.1)
+    assume(float(s @ y) >= 0.1 * np.linalg.norm(s) * np.linalg.norm(y))
+    h = SymmetricMatrix.from_dense(a @ a.T + 0.5 * np.eye(d))
+    return h, CurvaturePair.from_step(s, y)
+
+
+def raw_inverse_update(h, s, y):
+    """The inverse BFGS update, term for term, on plain ndarrays."""
+    rho = 1.0 / float(s @ y)
+    hy = h @ y
+    cross = np.outer(s, hy)
+    updated = h - rho * (cross + cross.T)
+    updated += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
+    return updated
+
+
+class TestDenseUpdateProperties:
+    """Symmetry comes from the arithmetic of the update, not from storage."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spd_and_pair())
+    def test_update_is_exactly_symmetric(self, case):
+        h, pair = case
+        dense = bfgs_inverse_update(h, pair).to_dense()
+        assert np.array_equal(dense, dense.T)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spd_and_pair())
+    def test_update_is_positive_definite(self, case):
+        h, pair = case
+        np.linalg.cholesky(bfgs_inverse_update(h, pair).to_dense())
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spd_and_pair())
+    def test_update_matches_raw_formula_bit_for_bit(self, case):
+        h, pair = case
+        expected = raw_inverse_update(h.to_dense().copy(), pair.s, pair.y)
+        assert np.array_equal(bfgs_inverse_update(h, pair).to_dense(), expected)
+
+
 def orthogonal_complement_pair(rng, d):
     """A pair with s.y = y.y, so the limited-memory gamma is exactly 1."""
     y = rng.standard_normal(d)
@@ -266,28 +320,11 @@ class TestEigenExtremes:
             assert lo == pytest.approx(diag.min(), rel=1e-12)
             assert hi == pytest.approx(diag.max(), rel=1e-12)
 
-    def test_matches_lapack_small(self):
-        """The sweep-based path (small orders) agrees with LAPACK."""
-        rng = np.random.default_rng(31)
-        for d in (2, 5, 16, 32):
-            a = random_spd(rng, d)
-            m = SymmetricMatrix.from_dense(a)
-            lo, hi = jacobi_eigen_extremes(m)
-            ref = np.linalg.eigvalsh(a)
-            assert lo == pytest.approx(ref[0], rel=1e-9)
-            assert hi == pytest.approx(ref[-1], rel=1e-9)
-
     def test_large_orders_dispatch(self):
-        """Orders above the sweep cutoff still return correct extremes."""
+        """A 60 x 60 SPD matrix: the extremes are the ends of its spectrum."""
         rng = np.random.default_rng(37)
         a = random_spd(rng, 60)
         lo, hi = eigen_extremes(SymmetricMatrix.from_dense(a))
         ref = np.linalg.eigvalsh(a)
         assert lo == pytest.approx(ref[0], rel=1e-8)
         assert hi == pytest.approx(ref[-1], rel=1e-8)
-
-    def test_nonconvergence_raises_diagnostic_error(self):
-        rng = np.random.default_rng(41)
-        a = random_spd(rng, 8)
-        with pytest.raises(EigenConvergenceError):
-            jacobi_eigen_extremes(SymmetricMatrix.from_dense(a), max_sweeps=0)
