@@ -16,17 +16,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .bench import ConfigError, ExperimentConfig, morales_profile, run_experiment
 from .solver import Variant
 
 __all__ = ["main", "build_parser", "load_config_file"]
 
-_LIST_FLOAT_KEYS = ("xi_f", "xi_g", "omega")
-_LIST_STR_KEYS = ("problems", "methods")
-_BOOL_KEYS = ("diagnostics", "threshold_termination")
+# Field types of ExperimentConfig: they decide how a flag or a config-file
+# value is parsed.
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+# The experiment flags of `run` and `sweep`: (flag, ExperimentConfig field,
+# extra argparse keywords).  A list field takes a repeatable flag (repeatable
+# even for `run`, so that a repeated flag is caught by its exactly-one check
+# instead of silently keeping the last value); `sweep` also takes --seeds N...
+_FLAGS = (
+    ("--problem", "problems", {"metavar": "NAME"}),
+    ("--method", "methods", {"metavar": "NAME"}),
+    ("--xi-f", "xi_f", {"metavar": "V"}),
+    ("--xi-g", "xi_g", {"metavar": "V"}),
+    ("--omega", "omega", {"metavar": "V"}),
+    ("--seed", "seeds", {"metavar": "N"}),
+    ("--schedule", "schedule", {"choices": ("constant", "intermittent")}),
+    ("--n-noise", "n_noise", {"metavar": "N"}),
+    ("--noise-phase", "noise_phase", {"choices": ("noisy", "clean")}),
+    ("--max-iters", "max_iters", {"metavar": "N"}),
+    ("--g-eval-budget", "g_eval_budget", {"metavar": "N"}),
+    ("--c1", "c1", {}),
+    ("--c2", "c2", {}),
+    ("--c3", "c3", {}),
+    ("--n-split", "n_split", {"metavar": "N"}),
+    ("--max-ls-iters", "max_ls_iters", {"metavar": "N"}),
+    ("--max-lengthening", "max_lengthening", {"metavar": "N"}),
+    ("--memory", "memory", {"metavar": "N"}),
+    ("--history-h", "history", {"metavar": "N"}),
+    ("--diagnostics", "diagnostics", {}),
+    ("--threshold-termination", "threshold_termination", {}),
+    ("--out", "out", {"metavar": "DIR"}),
+)
 
 
 def _parse_bool(text: str) -> bool:
@@ -50,7 +79,6 @@ _KEY_ALIASES = {
 
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat key=value config file into ExperimentConfig kwargs."""
-    valid = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -62,10 +90,10 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         key = _KEY_ALIASES.get(key, key)
         text = text.strip()
-        if key not in valid:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _convert(key, text)
+            values[key] = _convert(_FIELD_TYPES[key], text)
         except ConfigError:
             raise
         except ValueError as exc:
@@ -95,77 +123,39 @@ def _split_names(text: str) -> list[str]:
     return parts
 
 
-def _convert(key: str, text: str):
-    if key in _LIST_STR_KEYS:
-        return _split_names(text)
-    if key in _LIST_FLOAT_KEYS:
-        return [float(part) for part in _split_names(text)]
-    if key == "seeds":
-        return [int(part) for part in _split_names(text)]
-    if key in _BOOL_KEYS:
+def _item_type(field_type):
+    """The type of one value of a field: float for ``list[float]``, int for
+    ``int | None``, the field type itself otherwise."""
+    return next((t for t in get_args(field_type) if t is not type(None)), field_type)
+
+
+def _convert(field_type, text: str):
+    """Parse config-file text into a value of the given field type."""
+    item = _item_type(field_type)
+    if get_origin(field_type) is list:
+        return [item(part) for part in _split_names(text)]
+    if field_type is bool:
         return _parse_bool(text)
-    if key in ("schedule", "noise_phase", "out"):
-        return text
-    if key in ("c1", "c2", "c3"):
-        return float(text)
-    if key in ("n_noise", "g_eval_budget"):
-        return None if text.lower() in ("", "none") else int(text)
-    # remaining integer knobs: max_iters, n_split, max_ls_iters,
-    # max_lengthening, memory, history
-    return int(text)
+    if item is not field_type and text.lower() in ("", "none"):
+        return None
+    return item(text)
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser, single: bool) -> None:
     # Defaults are all None so that "flag was given" is detectable; actual
-    # defaults live on ExperimentConfig.
-    if single:
-        # append-mode even for the single-run command, so that a repeated
-        # flag is caught by the exactly-one validation instead of silently
-        # keeping the last value
-        parser.add_argument("--problem", action="append", metavar="NAME",
-                            help="problem name")
-        parser.add_argument("--method", action="append", metavar="NAME",
-                            help="solver variant")
-        parser.add_argument("--xi-f", type=float, action="append", metavar="V")
-        parser.add_argument("--xi-g", type=float, action="append", metavar="V")
-        parser.add_argument("--omega", type=float, action="append", metavar="V")
-        parser.add_argument("--seed", type=int, action="append", metavar="N")
-    else:
+    # defaults live on ExperimentConfig.  Each flag stores to its field name.
+    for flag, name, extra in _FLAGS:
+        field_type = _FIELD_TYPES[name]
+        if field_type is bool:
+            parser.add_argument(flag, dest=name, action="store_const", const=True, default=None)
+        else:
+            if get_origin(field_type) is list:
+                extra = {"action": "append", "help": "repeatable (run takes one)", **extra}
+            parser.add_argument(flag, dest=name, type=_item_type(field_type), **extra)
+    if not single:
         parser.add_argument(
-            "--problem", action="append", metavar="NAME", help="repeatable"
+            "--seeds", dest="seed_list", type=int, nargs="+", metavar="N", help="seed list"
         )
-        parser.add_argument(
-            "--method", action="append", metavar="NAME", help="repeatable"
-        )
-        parser.add_argument("--xi-f", type=float, action="append", metavar="V")
-        parser.add_argument("--xi-g", type=float, action="append", metavar="V")
-        parser.add_argument("--omega", type=float, action="append", metavar="V")
-        parser.add_argument(
-            "--seeds", type=int, nargs="+", metavar="N", help="seed list"
-        )
-        parser.add_argument(
-            "--seed", type=int, action="append", metavar="N", help="repeatable"
-        )
-    parser.add_argument("--schedule", choices=("constant", "intermittent"))
-    parser.add_argument("--n-noise", type=int, metavar="N")
-    parser.add_argument("--noise-phase", choices=("noisy", "clean"))
-    parser.add_argument("--max-iters", type=int, metavar="N")
-    parser.add_argument("--g-eval-budget", type=int, metavar="N")
-    parser.add_argument("--c1", type=float)
-    parser.add_argument("--c2", type=float)
-    parser.add_argument("--c3", type=float)
-    parser.add_argument("--n-split", type=int, metavar="N")
-    parser.add_argument("--max-ls-iters", type=int, metavar="N")
-    parser.add_argument("--max-lengthening", type=int, metavar="N")
-    parser.add_argument("--memory", type=int, metavar="N")
-    parser.add_argument("--history-h", type=int, metavar="N", dest="history_h")
-    parser.add_argument(
-        "--diagnostics", action="store_const", const=True, default=None
-    )
-    parser.add_argument(
-        "--threshold-termination", action="store_const", const=True, default=None
-    )
-    parser.add_argument("--out", metavar="DIR")
     parser.add_argument("--config", metavar="FILE", help="key = value config file")
 
 
@@ -202,42 +192,11 @@ def _collect_config(args: argparse.Namespace, single: bool) -> ExperimentConfig:
     values: dict = {}
     if args.config is not None:
         values.update(load_config_file(args.config))
-
-    def override(key: str, value) -> None:
-        if value is not None:
-            values[key] = value
-
-    if single:
-        override("problems", args.problem)
-        override("methods", args.method)
-        override("xi_f", args.xi_f)
-        override("xi_g", args.xi_g)
-        override("omega", args.omega)
-        override("seeds", args.seed)
-    else:
-        override("problems", args.problem)
-        override("methods", args.method)
-        override("xi_f", args.xi_f)
-        override("xi_g", args.xi_g)
-        override("omega", args.omega)
-        seeds = list(args.seeds or []) + list(args.seed or [])
-        override("seeds", seeds or None)
-    override("schedule", args.schedule)
-    override("n_noise", args.n_noise)
-    override("noise_phase", args.noise_phase)
-    override("max_iters", args.max_iters)
-    override("g_eval_budget", args.g_eval_budget)
-    override("c1", args.c1)
-    override("c2", args.c2)
-    override("c3", args.c3)
-    override("n_split", args.n_split)
-    override("max_ls_iters", args.max_ls_iters)
-    override("max_lengthening", args.max_lengthening)
-    override("memory", args.memory)
-    override("history", args.history_h)
-    override("diagnostics", args.diagnostics)
-    override("threshold_termination", args.threshold_termination)
-    override("out", args.out)
+    for _, name, _ in _FLAGS:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    if not single and args.seed_list is not None:
+        values["seeds"] = args.seed_list + (args.seeds or [])
     try:
         return ExperimentConfig(**values)
     except (TypeError, ValueError) as exc:

@@ -15,8 +15,12 @@ one exists) while a separate lengthening parameter beta >= alpha is grown
 until the noise-control condition holds, so the curvature pair fed to the
 quasi-Newton update stays informative despite the noise.
 
-A plain bisection Armijo-Wolfe search for the standard method variants
-lives here as well, sharing the bracketing logic.
+With eps_g = 0 the noise machinery is off: relaxed Armijo is the classical
+test (plus the 2 eps_f slack) whatever the sign of g.p, and the bisection
+skips the noise-control test, whose threshold is then zero.  The plain
+bisection Armijo-Wolfe search of the standard method variants is therefore
+the same bisection at eps_f = eps_g = 0, capped at ``max_ls_iters`` trials
+and never split.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,9 +102,6 @@ class CurvatureTracker:
             raise ValueError("curvature estimates must be positive")
         self._values.append(mu)
 
-    def __len__(self) -> int:
-        return len(self._values)
-
 
 class Phase(enum.Enum):
     INITIAL_ACCEPTED = "initial_accepted"
@@ -135,26 +136,57 @@ class LineSearchOutcome:
 
 @dataclass
 class InitialResult:
-    """What the initial phase hands to the caller.
+    """State of one bisection along x + alpha p, handed on to the split phase.
 
-    On acceptance alpha doubles as the lengthening parameter (beta = alpha).
-    Otherwise the fields describe the split trigger: the last trial's
-    steplength (the split phase starts both loops there), its gradient when
-    one was evaluated, and the best relaxed-Armijo-satisfying trial seen.
+    Holds the search's inputs with g.p and ||p|| computed once; the last
+    trial (``alpha``, ``f_alpha``, and ``g_alpha`` when evaluated), which is
+    the accepted step or the split trigger; the best relaxed-Armijo trial;
+    and the trial counts so far.
     """
 
-    accepted: bool
-    alpha: float | None = None
+    x: np.ndarray
+    p: np.ndarray
+    f_x: float
+    g_x: np.ndarray
+    eps_f: float
+    eps_g: float
+    g_dot_p: float = field(init=False)
+    p_norm: float = field(init=False)
+    accepted: bool = False
+    alpha: float = 1.0
     f_alpha: float | None = None
     g_alpha: np.ndarray | None = None
-    last_alpha: float | None = None
-    g_last: np.ndarray | None = None
     alpha_best: float | None = None
     f_best: float | None = None
     g_best: np.ndarray | None = None
-    trial_count: int = 0
     f_trials: int = 0
     g_trials: int = 0
+
+    def __post_init__(self):
+        self.g_dot_p = float(self.g_x @ self.p)
+        self.p_norm = float(np.linalg.norm(self.p))
+
+    def outcome(self) -> LineSearchOutcome:
+        """The search's result when it ends here: the accepted step with
+        beta = alpha, or no step at all."""
+        if not self.accepted:
+            return LineSearchOutcome(
+                alpha=0.0,
+                beta=None,
+                phase=Phase.ALPHA_FAILED,
+                f_trials=self.f_trials,
+                g_trials=self.g_trials,
+            )
+        return LineSearchOutcome(
+            alpha=self.alpha,
+            beta=self.alpha,
+            phase=Phase.INITIAL_ACCEPTED,
+            f_trials=self.f_trials,
+            g_trials=self.g_trials,
+            f_alpha=self.f_alpha,
+            g_alpha=self.g_alpha,
+            g_beta=self.g_alpha,
+        )
 
 
 def relaxed_armijo(
@@ -170,12 +202,14 @@ def relaxed_armijo(
 ) -> bool:
     """Sufficient-decrease test tolerant of bounded noise.
 
-    The direction is treated as reliable only when the observed slope clears
-    the worst-case noise contribution (g.p < -eps_g ||p||); otherwise plain
-    decrease is required.  From the second trial on (i >= 1), 2*eps_f of
-    slack absorbs the worst-case error in comparing two noisy f values.
+    The direction is treated as reliable when the observed slope clears the
+    worst-case noise contribution (g.p < -eps_g ||p||), or when eps_g = 0:
+    without gradient noise the classical test f_new <= f_old + c1 alpha g.p
+    applies whatever the sign of g.p.  Otherwise plain decrease is required.
+    From the second trial on (i >= 1), 2*eps_f of slack absorbs the
+    worst-case error in comparing two noisy f values.
     """
-    reliable = g_dot_p < -eps_g * p_norm
+    reliable = eps_g == 0.0 or g_dot_p < -eps_g * p_norm
     slack = 2.0 * eps_f if i >= 1 else 0.0
     if reliable:
         return f_new <= f_old + c1 * alpha * g_dot_p + slack
@@ -186,19 +220,20 @@ def noise_control_holds(
     g_new: np.ndarray,
     g_old: np.ndarray,
     p: np.ndarray,
+    p_norm: float,
     eps_g: float,
     c3: float,
     symmetric: bool,
 ) -> bool:
     """Does the observed curvature clear the gradient-noise floor?
 
-    Tests (g_new - g_old).p >= 2 (1 + c3) eps_g ||p||; the symmetric form
-    compares |.| instead and is what the initial phase checks (a sign flip
-    there just means the trial step is too short, which the bisection can
-    still fix).
+    Tests (g_new - g_old).p >= 2 (1 + c3) eps_g ||p||, with ``p_norm`` the
+    caller's ||p||; the symmetric form compares |.| instead and is what the
+    initial phase checks (a sign flip there just means the trial step is too
+    short, which the bisection can still fix).
     """
     change = float((g_new - g_old) @ p)
-    threshold = 2.0 * (1.0 + c3) * eps_g * float(np.linalg.norm(p))
+    threshold = 2.0 * (1.0 + c3) * eps_g * p_norm
     if symmetric:
         return abs(change) >= threshold
     return change >= threshold
@@ -211,12 +246,13 @@ def tracker_update(
     g_new: np.ndarray,
     g_old: np.ndarray,
     wolfe_held: bool,
-    noise_held: bool,
 ) -> None:
-    """Push the step's curvature estimate when both gates held."""
-    if not (wolfe_held and noise_held):
+    """Push the step's curvature estimate when the Wolfe condition held and
+    beta ||p||^2 > 0 (it is 0 for p = 0 or an underflowing p.p)."""
+    scale = beta * float(p @ p)
+    if not (wolfe_held and scale > 0.0):
         return
-    mu = float((g_new - g_old) @ p) / (beta * float(p @ p))
+    mu = float((g_new - g_old) @ p) / scale
     if mu > 0.0:
         tracker.push(mu)
 
@@ -230,129 +266,101 @@ def initial_phase(
     g_x: np.ndarray,
     eps_f: float,
     eps_g: float,
-    start_alpha: float = 1.0,
+    max_trials: int | None = None,
 ) -> InitialResult:
-    """Bisection phase testing relaxed Armijo, noise control, then Wolfe.
+    """The one bisection loop: from alpha = 1, test relaxed Armijo, noise
+    control, then Wolfe.
 
     Accepts the first trial passing all three (beta = alpha).  A failed
-    noise-control test, or exhausting ``n_split`` trials, hands off to the
-    split phase.  Gradients are only evaluated at trials that already passed
-    the Armijo test, so a trial costs one function value and at most one
-    gradient.
+    noise-control test, or ``max_trials`` trials (default ``n_split``), ends
+    it unaccepted, and the two-phase search splits.  At eps_f = eps_g = 0 it
+    is the plain Armijo-Wolfe bisection (see the module docstring).  A trial
+    costs one function value, plus a gradient once it passes Armijo.
     """
-    g_dot_p = float(g_x @ p)
-    p_norm = float(np.linalg.norm(p))
+    state = InitialResult(x, p, f_x, g_x, eps_f, eps_g)
     low, high = 0.0, math.inf
-    alpha = start_alpha
-    result = InitialResult(accepted=False, last_alpha=start_alpha)
-    for i in range(params.n_split):
+    alpha = 1.0
+    for i in range(params.n_split if max_trials is None else max_trials):
         f_trial = oracle.noisy_f(x + alpha * p)
-        result.f_trials += 1
-        result.trial_count = i + 1
-        result.last_alpha = alpha
-        result.g_last = None
+        state.f_trials += 1
+        state.alpha, state.f_alpha, state.g_alpha = alpha, f_trial, None
         armijo_ok = math.isfinite(f_trial) and relaxed_armijo(
-            i, f_trial, f_x, g_dot_p, alpha, eps_f, eps_g, p_norm, params.c1
+            i, f_trial, f_x, state.g_dot_p, alpha, eps_f, eps_g, state.p_norm, params.c1
         )
         if not armijo_ok:
             high = alpha
             alpha = 0.5 * (low + high)
             continue
         g_trial = oracle.noisy_g(x + alpha * p)
-        result.g_trials += 1
-        result.g_last = g_trial
-        if result.f_best is None or f_trial < result.f_best:
-            result.alpha_best, result.f_best, result.g_best = alpha, f_trial, g_trial
-        if not noise_control_holds(g_trial, g_x, p, eps_g, params.c3, symmetric=True):
-            return result
-        if float(g_trial @ p) < params.c2 * g_dot_p:
+        state.g_trials += 1
+        state.g_alpha = g_trial
+        if state.f_best is None or f_trial < state.f_best:
+            state.alpha_best, state.f_best, state.g_best = alpha, f_trial, g_trial
+        if eps_g != 0.0 and not noise_control_holds(
+            g_trial, g_x, p, state.p_norm, eps_g, params.c3, symmetric=True
+        ):
+            return state
+        if float(g_trial @ p) < params.c2 * state.g_dot_p:
             low = alpha
             alpha = 2.0 * alpha if math.isinf(high) else 0.5 * (low + high)
             continue
-        result.accepted = True
-        result.alpha, result.f_alpha, result.g_alpha = alpha, f_trial, g_trial
-        return result
-    return result
+        state.accepted = True
+        return state
+    return state
 
 
 def split_phase(
     oracle: NoisyOracle,
-    x: np.ndarray,
-    p: np.ndarray,
     params: LineSearchParams,
     tracker: CurvatureTracker | None,
-    start_alpha: float,
-    start_beta: float,
-    alpha_best: float | None = None,
-    *,
-    eps_f: float,
-    eps_g: float,
-    f_x: float,
-    g_x: np.ndarray,
-    f_best: float | None = None,
-    g_best: np.ndarray | None = None,
-    g_start: np.ndarray | None = None,
-    trial_index: int = 0,
-    f_budget_used: int = 0,
+    init: InitialResult,
 ) -> LineSearchOutcome:
-    """Decoupled steplength / lengthening search for the noisy regime.
+    """Decoupled steplength / lengthening search for the noisy regime,
+    continuing the unaccepted bisection ``init``.
 
-    The alpha loop reuses ``alpha_best`` outright when the initial phase
-    found a relaxed-Armijo-satisfying trial; otherwise it backtracks from
-    ``start_alpha`` by factors of ten until one passes or the shared
-    function-trial budget runs out (alpha = 0 then; the beta loop still
-    runs so the update can proceed without a step).
+    The alpha loop reuses the best relaxed-Armijo trial when there is one;
+    otherwise it backtracks from the last trial's steplength by factors of
+    ten until one passes or the shared budget of ``max_ls_iters`` function
+    trials runs out (alpha = 0 then; the beta loop still runs so the update
+    can proceed without a step).
 
-    The beta loop grows beta from ``start_beta`` until the signed
-    noise-control condition holds.  With a curvature estimate mu from the
-    tracker the first candidate jumps to max(2 beta, beta_bar) where
-    beta_bar = 2 (1 + c3) eps_g / (mu ||p||); without one, ``start_beta``
-    itself is tested first (``g_start`` serves as its cached gradient when
-    the caller already evaluated there) and beta doubles on failure.
-
-    Trial counts on the outcome are this call's own oracle deltas.
+    The beta loop grows beta from the last trial's steplength until the
+    signed noise-control condition holds.  With a curvature estimate mu from
+    the tracker the first candidate jumps to max(2 beta, beta_bar) where
+    beta_bar = 2 (1 + c3) eps_g / (mu ||p||); without one, the start itself
+    is tested first (with the bisection's gradient there, if any) and beta
+    doubles on failure.  Trial counts cover the whole search.
     """
-    g_dot_p = float(g_x @ p)
-    p_norm = float(np.linalg.norm(p))
-    f_trials = 0
-    g_trials = 0
+    x, p, f_x, g_x = init.x, init.p, init.f_x, init.g_x
+    f_trials = init.f_trials
+    g_trials = init.g_trials
 
     # --- alpha loop: pick the steplength by relaxed-Armijo backtracking ---
-    reuse = False
-    alpha_ok = False
-    alpha = start_alpha
-    f_alpha: float | None = None
-    g_alpha: np.ndarray | None = None
-    if alpha_best is not None:
-        alpha, f_alpha, g_alpha = alpha_best, f_best, g_best
-        alpha_ok = True
-        reuse = True
-    else:
-        i = trial_index
-        used = f_budget_used
-        while used < params.max_ls_iters:
-            f_trial = oracle.noisy_f(x + alpha * p)
-            f_trials += 1
-            used += 1
-            ok = math.isfinite(f_trial) and relaxed_armijo(
-                i, f_trial, f_x, g_dot_p, alpha, eps_f, eps_g, p_norm, params.c1
-            )
-            i += 1
-            if ok:
-                alpha_ok = True
-                f_alpha = f_trial
-                break
+    reuse = alpha_ok = init.alpha_best is not None
+    alpha, f_alpha, g_alpha = init.alpha, None, None
+    if reuse:
+        alpha, f_alpha, g_alpha = init.alpha_best, init.f_best, init.g_best
+    while not alpha_ok and f_trials < params.max_ls_iters:
+        f_trial = oracle.noisy_f(x + alpha * p)
+        alpha_ok = math.isfinite(f_trial) and relaxed_armijo(
+            f_trials, f_trial, f_x, init.g_dot_p, alpha,
+            init.eps_f, init.eps_g, init.p_norm, params.c1,
+        )
+        f_trials += 1
+        if alpha_ok:
+            f_alpha = f_trial
+        else:
             alpha = 0.1 * alpha
-        if not alpha_ok:
-            alpha = 0.0
+    if not alpha_ok:
+        alpha = 0.0
 
     # --- beta loop: lengthen until the signed noise-control test holds ---
-    beta = start_beta
+    beta = init.alpha
     estimate = tracker.estimate if tracker is not None else None
     beta_bar = None
-    g_beta = g_start
-    if estimate is not None and p_norm > 0.0:
-        beta_bar = 2.0 * (1.0 + params.c3) * eps_g / (estimate * p_norm)
+    g_beta = init.g_alpha
+    if estimate is not None and init.p_norm > 0.0:
+        beta_bar = 2.0 * (1.0 + params.c3) * init.eps_g / (estimate * init.p_norm)
         beta = max(2.0 * beta, beta_bar)
         g_beta = None
     beta_ok = False
@@ -364,7 +372,9 @@ def split_phase(
             g_beta = oracle.noisy_g(x + beta * p)
             g_trials += 1
             lengthenings += 1
-        if noise_control_holds(g_beta, g_x, p, eps_g, params.c3, symmetric=False):
+        if noise_control_holds(
+            g_beta, g_x, p, init.p_norm, init.eps_g, params.c3, symmetric=False
+        ):
             beta_ok = True
             break
         beta = max(2.0 * beta, beta_bar) if beta_bar is not None else 2.0 * beta
@@ -403,48 +413,18 @@ def two_phase_search(
     """Run the initial phase and, if it hands off, the split phase.
 
     Whatever lengthening step gets accepted feeds the curvature tracker,
-    gated on the Wolfe and noise-control conditions holding there.
+    gated on the Wolfe condition holding there (noise control always holds
+    at an accepted lengthening step).
     """
     init = initial_phase(oracle, x, p, params, f_x, g_x, eps_f, eps_g)
     if init.accepted:
-        tracker_update(tracker, init.alpha, p, init.g_alpha, g_x, True, True)
-        return LineSearchOutcome(
-            alpha=init.alpha,
-            beta=init.alpha,
-            phase=Phase.INITIAL_ACCEPTED,
-            f_trials=init.f_trials,
-            g_trials=init.g_trials,
-            f_alpha=init.f_alpha,
-            g_alpha=init.g_alpha,
-            g_beta=init.g_alpha,
-        )
-    out = split_phase(
-        oracle,
-        x,
-        p,
-        params,
-        tracker,
-        start_alpha=init.last_alpha,
-        start_beta=init.last_alpha,
-        alpha_best=init.alpha_best,
-        eps_f=eps_f,
-        eps_g=eps_g,
-        f_x=f_x,
-        g_x=g_x,
-        f_best=init.f_best,
-        g_best=init.g_best,
-        g_start=init.g_last,
-        trial_index=init.trial_count,
-        f_budget_used=init.f_trials,
-    )
+        tracker_update(tracker, init.alpha, p, init.g_alpha, g_x, True)
+        return init.outcome()
+    out = split_phase(oracle, params, tracker, init)
     if out.beta is not None:
-        wolfe = float(out.g_beta @ p) >= params.c2 * float(g_x @ p)
-        tracker_update(tracker, out.beta, p, out.g_beta, g_x, wolfe, True)
-    return replace(
-        out,
-        f_trials=out.f_trials + init.f_trials,
-        g_trials=out.g_trials + init.g_trials,
-    )
+        wolfe = float(out.g_beta @ p) >= params.c2 * init.g_dot_p
+        tracker_update(tracker, out.beta, p, out.g_beta, g_x, wolfe)
+    return out
 
 
 def armijo_wolfe_search(
@@ -454,47 +434,14 @@ def armijo_wolfe_search(
     params: LineSearchParams,
     f_x: float,
     g_x: np.ndarray,
-    start_alpha: float = 1.0,
 ) -> LineSearchOutcome:
     """Plain bisection Armijo-Wolfe search on the (possibly noisy) oracle.
 
-    This is the classical search used by the standard method variants: no
-    noise awareness, pairs built at beta = alpha.  Fails (alpha = 0) when
-    ``max_ls_iters`` trials pass without a point satisfying both conditions.
+    This is the classical search used by the standard method variants: the
+    initial phase at zero noise bounds, capped at ``max_ls_iters`` trials,
+    with no split and pairs built at beta = alpha.  Fails (alpha = 0) when
+    no trial satisfies both conditions.
     """
-    g_dot_p = float(g_x @ p)
-    low, high = 0.0, math.inf
-    alpha = start_alpha
-    f_trials = 0
-    g_trials = 0
-    for _ in range(params.max_ls_iters):
-        f_trial = oracle.noisy_f(x + alpha * p)
-        f_trials += 1
-        armijo_ok = math.isfinite(f_trial) and f_trial <= f_x + params.c1 * alpha * g_dot_p
-        if not armijo_ok:
-            high = alpha
-            alpha = 0.5 * (low + high)
-            continue
-        g_trial = oracle.noisy_g(x + alpha * p)
-        g_trials += 1
-        if float(g_trial @ p) < params.c2 * g_dot_p:
-            low = alpha
-            alpha = 2.0 * alpha if math.isinf(high) else 0.5 * (low + high)
-            continue
-        return LineSearchOutcome(
-            alpha=alpha,
-            beta=alpha,
-            phase=Phase.INITIAL_ACCEPTED,
-            f_trials=f_trials,
-            g_trials=g_trials,
-            f_alpha=f_trial,
-            g_alpha=g_trial,
-            g_beta=g_trial,
-        )
-    return LineSearchOutcome(
-        alpha=0.0,
-        beta=None,
-        phase=Phase.ALPHA_FAILED,
-        f_trials=f_trials,
-        g_trials=g_trials,
-    )
+    return initial_phase(
+        oracle, x, p, params, f_x, g_x, 0.0, 0.0, max_trials=params.max_ls_iters
+    ).outcome()

@@ -9,6 +9,7 @@ import pytest
 
 from noisyqn.linesearch import (
     CurvatureTracker,
+    InitialResult,
     LineSearchParams,
     Phase,
     armijo_wolfe_search,
@@ -34,6 +35,12 @@ def scalar_problem(f, g, name="SCALAR"):
     )
 
 
+def flat_problem(slope=1e-17):
+    """A constant objective whose reported gradient is the tiny constant
+    ``slope``: along p = +1 the direction is (barely) uphill, g.p > 0."""
+    return scalar_problem(lambda v: 0.0, lambda v: slope, name="FLAT")
+
+
 def half_square_oracle(**noise_kwargs):
     """phi(x) = x^2/2 wrapped in an oracle (noiseless unless told otherwise)."""
     prob = scalar_problem(lambda v: 0.5 * v * v, lambda v: v)
@@ -46,20 +53,20 @@ class TestNoiseControl:
         g_old = np.array([0.0])
         g_new = np.array([5.0])
         p = np.array([1.0])
-        assert noise_control_holds(g_new, g_old, p, eps_g=1.0, c3=0.5, symmetric=True)
-        assert noise_control_holds(g_new, g_old, p, eps_g=1.0, c3=0.5, symmetric=False)
+        assert noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=True)
+        assert noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=False)
 
     def test_just_below_threshold_fails(self):
         g_old = np.array([0.0])
         g_new = np.array([2.999999])
         p = np.array([1.0])
-        assert not noise_control_holds(g_new, g_old, p, eps_g=1.0, c3=0.5, symmetric=True)
+        assert not noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=True)
 
     def test_zero_eps_g_always_holds(self):
         g_old = np.array([1.0, 2.0])
         g_new = np.array([1.0, 2.0 + 1e-300])
         p = np.array([0.0, 1.0])
-        assert noise_control_holds(g_new, g_old, p, eps_g=0.0, c3=0.5, symmetric=True)
+        assert noise_control_holds(g_new, g_old, p, 1.0, eps_g=0.0, c3=0.5, symmetric=True)
 
     def test_sign_sensitivity(self):
         """A difference of -5: the absolute-value form passes, the signed
@@ -67,8 +74,8 @@ class TestNoiseControl:
         g_old = np.array([0.0])
         g_new = np.array([-5.0])
         p = np.array([1.0])
-        assert noise_control_holds(g_new, g_old, p, eps_g=1.0, c3=0.5, symmetric=True)
-        assert not noise_control_holds(g_new, g_old, p, eps_g=1.0, c3=0.5, symmetric=False)
+        assert noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=True)
+        assert not noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=False)
 
 
 class TestRelaxedArmijo:
@@ -100,6 +107,18 @@ class TestRelaxedArmijo:
             eps_f=0.0, eps_g=0.5, p_norm=1.0, c1=1e-4,
         )
 
+    def test_zero_eps_g_applies_classical_test_uphill(self):
+        """With eps_g = 0 and g.p > 0 the classical bound f_old + c1 alpha g.p
+        applies, not strict decrease: no change in f passes, a rise past the
+        bound fails."""
+        kwargs = dict(
+            f_old=0.5, g_dot_p=1e-3, alpha=1.0,
+            eps_f=0.0, eps_g=0.0, p_norm=1.0, c1=1e-4,
+        )
+        assert relaxed_armijo(0, f_new=0.5, **kwargs)
+        assert relaxed_armijo(0, f_new=0.5 + 1e-7, **kwargs)
+        assert not relaxed_armijo(0, f_new=0.5 + 2e-7, **kwargs)
+
 
 class TestTrackerUpdate:
     def test_push_arithmetic(self):
@@ -109,19 +128,31 @@ class TestTrackerUpdate:
         tracker_update(
             tracker, beta=1.0, p=p,
             g_new=np.array([1.0, 0.0]), g_old=np.array([0.0, 0.0]),
-            wolfe_held=True, noise_held=True,
+            wolfe_held=True,
         )
         assert tracker.estimate == pytest.approx(0.5, rel=1e-15)
 
     def test_gating(self):
         tracker = CurvatureTracker(10)
-        p = np.array([1.0])
-        for wolfe, noise in ((False, True), (True, False), (False, False)):
-            tracker_update(
-                tracker, beta=1.0, p=p,
-                g_new=np.array([1.0]), g_old=np.array([0.0]),
-                wolfe_held=wolfe, noise_held=noise,
-            )
+        tracker_update(
+            tracker, beta=1.0, p=np.array([1.0]),
+            g_new=np.array([1.0]), g_old=np.array([0.0]),
+            wolfe_held=False,
+        )
+        assert tracker.estimate is None
+
+    @pytest.mark.parametrize(
+        "p", [0.0, math.sqrt(5e-324)], ids=["zero", "underflow"]
+    )
+    def test_zero_scale_pushes_nothing(self, p):
+        """beta ||p||^2 = 0 (p = 0, or 0.5 * p.p with p.p = 5e-324 rounding
+        to 0) gives no estimate instead of dividing by zero."""
+        tracker = CurvatureTracker(10)
+        tracker_update(
+            tracker, beta=0.5, p=np.array([p]),
+            g_new=np.array([1.0]), g_old=np.array([0.0]),
+            wolfe_held=True,
+        )
         assert tracker.estimate is None
 
     def test_min_over_ring(self):
@@ -131,7 +162,7 @@ class TestTrackerUpdate:
             tracker_update(
                 tracker, beta=1.0, p=p,
                 g_new=np.array([mu]), g_old=np.array([0.0]),
-                wolfe_held=True, noise_held=True,
+                wolfe_held=True,
             )
         assert tracker.estimate == pytest.approx(0.2, rel=1e-15)
 
@@ -142,7 +173,7 @@ class TestTrackerUpdate:
             tracker_update(
                 tracker, beta=1.0, p=p,
                 g_new=np.array([mu]), g_old=np.array([0.0]),
-                wolfe_held=True, noise_held=True,
+                wolfe_held=True,
             )
         # 0.1 has been evicted; min of {0.5, 0.9}
         assert tracker.estimate == pytest.approx(0.5, rel=1e-15)
@@ -153,7 +184,7 @@ class TestTrackerUpdate:
         tracker_update(
             tracker, beta=1.0, p=p,
             g_new=np.array([-1.0]), g_old=np.array([0.0]),
-            wolfe_held=True, noise_held=True,
+            wolfe_held=True,
         )
         assert tracker.estimate is None
 
@@ -174,16 +205,17 @@ class TestInitialPhase:
         assert res.g_trials == 1
 
     def test_bisection_from_large_start(self):
-        """Forcing the first trial to alpha = 4 walks 4 -> 2 -> 1 with the
-        upper bracket shrinking, three function trials in all."""
+        """With p = -4 the first trial overshoots to x = -3: the steps walk
+        4 -> 2 -> 1 (alpha 1 -> 0.5 -> 0.25) with the upper bracket
+        shrinking, three function trials in all."""
         oracle = half_square_oracle()
         res = initial_phase(
-            oracle, np.array([1.0]), np.array([-1.0]),
+            oracle, np.array([1.0]), np.array([-4.0]),
             LineSearchParams(), f_x=0.5, g_x=np.array([1.0]),
-            eps_f=0.0, eps_g=0.0, start_alpha=4.0,
+            eps_f=0.0, eps_g=0.0,
         )
         assert res.accepted
-        assert res.alpha == 1.0
+        assert res.alpha == 0.25
         assert res.f_trials == 3
 
     def test_alpha_doubles_without_upper_bracket(self):
@@ -223,23 +255,24 @@ class TestInitialPhase:
         assert res.f_best == pytest.approx(0.0)
 
 
-class TestSplitPhase:
-    def kwargs(self, oracle, x=0.0):
-        xv = np.array([x])
-        return dict(
-            eps_f=0.0,
-            f_x=oracle.problem.eval_f(xv),
-            g_x=oracle.problem.eval_g(xv),
-        )
+def handoff(oracle, x, p, eps_g, alpha, alpha_best=None):
+    """What an unaccepted bisection hands to the split phase: the line
+    through ``x`` along ``p`` and a last trial at steplength ``alpha``."""
+    xv = np.array([x])
+    return InitialResult(
+        xv, np.array([p]), oracle.problem.eval_f(xv), oracle.problem.eval_g(xv),
+        eps_f=0.0, eps_g=eps_g, alpha=alpha, alpha_best=alpha_best,
+    )
 
+
+class TestSplitPhase:
     def test_doubling_without_tracker(self):
         """Signed control needs beta >= 0.3 on phi = x^2/2 with eps_g = 0.1,
         c3 = 0.5; doubling from 0.25 lands on 0.5 after two trials."""
         oracle = half_square_oracle()
         out = split_phase(
-            oracle, np.array([0.0]), np.array([1.0]), LineSearchParams(),
-            tracker=None, start_alpha=0.25, start_beta=0.25,
-            alpha_best=0.25, eps_g=0.1, **self.kwargs(oracle),
+            oracle, LineSearchParams(), None,
+            handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.25, alpha_best=0.25),
         )
         assert out.beta == pytest.approx(0.5)
         assert out.g_trials == 2
@@ -251,9 +284,8 @@ class TestSplitPhase:
         tracker = CurvatureTracker(10)
         tracker.push(1.0)
         out = split_phase(
-            oracle, np.array([0.0]), np.array([1.0]), LineSearchParams(),
-            tracker=tracker, start_alpha=0.25, start_beta=0.25,
-            alpha_best=0.25, eps_g=0.1, **self.kwargs(oracle),
+            oracle, LineSearchParams(), tracker,
+            handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.25, alpha_best=0.25),
         )
         assert out.beta == pytest.approx(0.5)
         assert out.g_trials == 1
@@ -262,9 +294,8 @@ class TestSplitPhase:
         oracle = half_square_oracle()
         before = oracle.f_evals
         out = split_phase(
-            oracle, np.array([0.0]), np.array([1.0]), LineSearchParams(),
-            tracker=None, start_alpha=0.5, start_beta=0.5,
-            alpha_best=0.5, eps_g=0.1, **self.kwargs(oracle),
+            oracle, LineSearchParams(), None,
+            handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.5, alpha_best=0.5),
         )
         assert out.alpha == 0.5
         assert out.alpha_was_best_reuse
@@ -274,13 +305,10 @@ class TestSplitPhase:
     def test_alpha_backtracks_by_tens(self):
         """No alpha_best: the alpha loop divides by 10 until the relaxed
         Armijo test passes."""
-        prob = scalar_problem(lambda v: 0.5 * v * v, lambda v: v)
-        oracle = NoisyOracle(prob, NoiseSpec())
+        oracle = half_square_oracle()
         out = split_phase(
-            oracle, np.array([1.0]), np.array([-1.0]), LineSearchParams(),
-            tracker=None, start_alpha=40.0, start_beta=40.0,
-            alpha_best=None, eps_g=1e-6,
-            eps_f=0.0, f_x=0.5, g_x=np.array([1.0]),
+            oracle, LineSearchParams(), None,
+            handoff(oracle, 1.0, -1.0, eps_g=1e-6, alpha=40.0),
         )
         assert out.phase in (Phase.SPLIT_COMPLETED, Phase.BETA_FAILED)
         assert out.alpha in (4.0, 0.4)
@@ -291,14 +319,23 @@ class TestSplitPhase:
         prob = scalar_problem(lambda v: v, lambda v: 1.0, name="RAMP")
         oracle = NoisyOracle(prob, NoiseSpec())
         out = split_phase(
-            oracle, np.array([0.0]), np.array([1.0]),
-            LineSearchParams(max_ls_iters=8),
-            tracker=None, start_alpha=1.0, start_beta=1.0,
-            alpha_best=None, eps_g=0.5,
-            eps_f=0.0, f_x=0.0, g_x=np.array([1.0]),
+            oracle, LineSearchParams(max_ls_iters=8), None,
+            handoff(oracle, 0.0, 1.0, eps_g=0.5, alpha=1.0),
         )
         assert out.phase == Phase.ALPHA_FAILED
         assert out.alpha == 0.0
+
+    def test_budget_shared_with_bisection(self):
+        """The alpha loop spends only what the bisection left of
+        ``max_ls_iters``, and the outcome counts the whole search."""
+        prob = scalar_problem(lambda v: v, lambda v: 1.0, name="RAMP")
+        oracle = NoisyOracle(prob, NoiseSpec())
+        init = handoff(oracle, 0.0, 1.0, eps_g=0.5, alpha=1.0)
+        init.f_trials, init.g_trials = 5, 2
+        out = split_phase(oracle, LineSearchParams(max_ls_iters=8), None, init)
+        assert oracle.f_evals == 3
+        assert out.f_trials == 8
+        assert out.g_trials == 2 + oracle.g_evals
 
     def test_beta_failure_returns_no_beta(self):
         """A gradient that never moves cannot satisfy the signed control:
@@ -306,23 +343,52 @@ class TestSplitPhase:
         prob = scalar_problem(lambda v: -v, lambda v: -1.0, name="LINE")
         oracle = NoisyOracle(prob, NoiseSpec())
         out = split_phase(
-            oracle, np.array([0.0]), np.array([1.0]),
-            LineSearchParams(max_lengthening=6),
-            tracker=None, start_alpha=1.0, start_beta=1.0,
-            alpha_best=1.0, eps_g=0.5,
-            eps_f=0.0, f_x=0.0, g_x=np.array([-1.0]),
+            oracle, LineSearchParams(max_lengthening=6), None,
+            handoff(oracle, 0.0, 1.0, eps_g=0.5, alpha=1.0, alpha_best=1.0),
         )
         assert out.phase == Phase.BETA_FAILED
         assert out.beta is None
         assert out.g_beta is None
 
 
+class TestPlainSearch:
+    def test_uphill_flat_direction_accepts_unit_step(self):
+        """g.p = +1e-17 on a constant objective: the classical test
+        f_new <= f_x + c1 alpha g.p holds at alpha = 1, and so does Wolfe,
+        so one trial suffices (strict decrease would never be met)."""
+        oracle = NoisyOracle(flat_problem(), NoiseSpec())
+        out = armijo_wolfe_search(
+            oracle, np.zeros(1), np.ones(1), LineSearchParams(),
+            f_x=0.0, g_x=np.array([1e-17]),
+        )
+        assert out.phase == Phase.INITIAL_ACCEPTED
+        assert out.alpha == 1.0
+        assert out.beta == 1.0
+        assert (out.f_trials, out.g_trials) == (1, 1)
+
+    def test_exhausted_budget_fails_without_step(self):
+        """An objective rising along p passes no Armijo test: after
+        ``max_ls_iters`` function trials the search reports ALPHA_FAILED."""
+        prob = scalar_problem(lambda v: v, lambda v: -1.0, name="RISE")
+        oracle = NoisyOracle(prob, NoiseSpec())
+        out = armijo_wolfe_search(
+            oracle, np.zeros(1), np.ones(1), LineSearchParams(max_ls_iters=7),
+            f_x=0.0, g_x=np.array([-1.0]),
+        )
+        assert out.phase == Phase.ALPHA_FAILED
+        assert (out.alpha, out.beta, out.f_alpha, out.g_alpha) == (0.0, None, None, None)
+        assert (out.f_trials, out.g_trials) == (7, 0)
+        assert oracle.f_evals == 7
+
+
 class TestTwoPhaseSearch:
-    @pytest.mark.parametrize("name", ["ARWHEAD", "TRIDIA", "ENGVAL1"])
+    @pytest.mark.parametrize("name", ["ARWHEAD", "TRIDIA", "ENGVAL1", "FLAT"])
     def test_noiseless_reduction_to_plain_bisection(self, name):
         """With both noise bounds at zero the two-phase search returns the
-        plain Armijo-Wolfe steplength, trial for trial."""
-        prob = registry_lookup(name)
+        plain Armijo-Wolfe steplength, trial for trial.  FLAT searches
+        uphill (g.p > 0) on a constant objective: both searches apply the
+        classical Armijo test there and take the unit step."""
+        prob = flat_problem() if name == "FLAT" else registry_lookup(name)
         params = LineSearchParams()
         x = prob.x0.copy()
         for _ in range(12):
@@ -330,7 +396,7 @@ class TestTwoPhaseSearch:
             oracle_b = NoisyOracle(prob, NoiseSpec())
             f_x = prob.eval_f(x)
             g_x = prob.eval_g(x)
-            p = -g_x
+            p = np.ones(1) if name == "FLAT" else -g_x
             if np.linalg.norm(p) < 1e-12:
                 break
             two = two_phase_search(

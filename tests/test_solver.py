@@ -322,6 +322,18 @@ class TestTermination:
         trace = run(zero_start, NOISELESS, quick_config(Variant.BFGS_E))
         assert trace.termination_reason in ("stationary_point", "line_search_stagnation")
 
+    @pytest.mark.parametrize("xi_f", [0.0, 1e-3])
+    def test_underflowing_direction_ends_cleanly(self, xi_f):
+        """Near DQDRTIC's minimizer the lbfgs-e direction underflows: beta
+        p.p is 0 at k=125 without noise (p.p = 0) and at k=155 with f noise
+        (0.5 * 5e-324).  No curvature estimate is pushed there, and the run
+        reaches the minimizer instead of dividing by zero."""
+        prob = registry_lookup("DQDRTIC")
+        spec = NoiseSpec(xi_f=xi_f, seed=7)
+        trace = run(prob, spec, quick_config(Variant.LBFGS_E, max_iters=200))
+        assert trace.termination_reason == "stationary_point"
+        assert trace.final_gap == 0.0
+
 
 class TestTraceShape:
     def test_record_count_and_indices(self):
