@@ -3,8 +3,9 @@ persist per-run CSV traces and a JSON summary, and build comparison
 profiles between two method families.
 
 Determinism contract: given identical configs, reruns produce byte-identical
-CSVs and summaries, independent of worker-pool size (each run owns its own
-seeded oracle; files and summaries are keyed and emitted in sorted order).
+CSVs and summaries, independent of the number of worker processes (each run
+owns its own seeded oracle; files and summaries are keyed and emitted in
+sorted order).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 from .linesearch import LineSearchParams
@@ -266,45 +267,75 @@ def _execute_cell(cell: dict, config: ExperimentConfig, out_dir: Path) -> dict:
     }
 
 
+def _run_cell(
+    cell: dict, config: ExperimentConfig, out_dir: Path
+) -> tuple[str, dict | None, str | None]:
+    """(key, summary entry, None), or (key, None, "Type: message") when the
+    run raised.  Module-level so that worker processes can unpickle it."""
+    key = _run_key(cell)
+    try:
+        return key, _execute_cell(cell, config, out_dir), None
+    except Exception as exc:  # noqa: BLE001 - reported per run
+        return key, None, f"{type(exc).__name__}: {exc}"
+
+
 def _worker_count() -> int:
+    """Worker processes for a sweep: ``QN_NOISE_THREADS``, default 1.
+
+    The solver holds the GIL, so only processes run cells in parallel; each
+    one costs about as much memory as the parent, which is why the default
+    runs every cell in the calling process.
+    """
     value = os.environ.get(THREADS_ENV_VAR)
-    if value is not None:
-        try:
-            count = int(value)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {value!r}") from exc
-        if count < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1")
-        return count
-    return min(4, os.cpu_count() or 1)
+    if value is None:
+        return 1
+    try:
+        count = int(value)
+    except ValueError as exc:
+        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {value!r}") from exc
+    if count < 1:
+        raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1")
+    return count
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute every run in the matrix; write CSVs and summary.json.
 
+    Cells run one after another in this process unless ``QN_NOISE_THREADS``
+    asks for more than one worker and there is more than one cell; then they
+    run in that many worker processes (at most one per cell).  Workers are
+    spawned: they import ``noisyqn`` afresh and re-import the main script,
+    so a script that starts a sweep needs the ``__main__`` guard, and a
+    problem added with ``register`` is seen by workers only when the
+    registration runs on import of the main script or a module it imports.
+
     Returns the summary dict.  Individual run failures are captured per-run
     (key -> error) rather than aborting the sweep.
     """
     config.validate()
+    cells = config.run_matrix()
+    workers = min(_worker_count(), len(cells))
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = config.run_matrix()
+    if workers == 1:
+        outcomes = [_run_cell(cell, config, out_dir) for cell in cells]
+    else:
+        # Imported here: the process pool's import costs the serial
+        # default about 40 ms of start-up.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        # spawn, not fork: numpy's BLAS threads make fork unsafe.
+        context = get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            outcomes = list(pool.map(_run_cell, cells, repeat(config), repeat(out_dir)))
     results: dict[str, dict] = {}
     errors: dict[str, str] = {}
-
-    def task(cell: dict) -> tuple[str, dict | None, str | None]:
-        key = _run_key(cell)
-        try:
-            return key, _execute_cell(cell, config, out_dir), None
-        except Exception as exc:  # noqa: BLE001 - reported per run
-            return key, None, f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        for key, entry, error in pool.map(task, cells):
-            if error is None:
-                results[key] = entry
-            else:
-                errors[key] = error
+    for key, entry, error in outcomes:
+        if error is None:
+            results[key] = entry
+        else:
+            errors[key] = error
 
     medians = _group_medians(results)
     summary = {

@@ -77,7 +77,13 @@ class NoisyOracle:
         self.g_evals = 0
         self.max_f_noise = 0.0
         self.max_g_noise_norm = 0.0
-        self._key = spec.seed & _KEY_MASK
+        # One generator, rewound for every draw: the fresh state of a Philox
+        # built with counter [index, tag, 0, 0] is this state with that
+        # counter (an empty buffer, no half-used 32-bit word).
+        self._bits = np.random.Philox(key=spec.seed & _KEY_MASK)
+        self._rng = np.random.Generator(self._bits)
+        self._fresh = self._bits.state
+        self._counter = self._fresh["state"]["counter"]
 
     def set_iteration(self, k: int) -> None:
         self.iteration = k
@@ -90,8 +96,10 @@ class NoisyOracle:
         return (block % 2 == 0) == spec.start_noisy
 
     def _stream(self, index: int, tag: int) -> np.random.Generator:
-        bits = np.random.Philox(key=self._key, counter=[index, tag, 0, 0])
-        return np.random.Generator(bits)
+        self._counter[0] = index
+        self._counter[1] = tag
+        self._bits.state = self._fresh
+        return self._rng
 
     def noisy_f(self, x: np.ndarray) -> float:
         value = self.problem.eval_f(x)

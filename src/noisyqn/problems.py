@@ -63,20 +63,20 @@ class UnknownProblemError(KeyError):
 
 def _arwhead_f(x):
     t = x[:-1] ** 2 + x[-1] ** 2
-    return float(np.sum(t**2 - 4.0 * x[:-1] + 3.0))
+    return float((t**2 - 4.0 * x[:-1] + 3.0).sum())
 
 
 def _arwhead_g(x):
     t = x[:-1] ** 2 + x[-1] ** 2
     g = np.zeros_like(x)
     g[:-1] = 4.0 * x[:-1] * t - 4.0
-    g[-1] = 4.0 * x[-1] * np.sum(t)
+    g[-1] = 4.0 * x[-1] * t.sum()
     return g
 
 
 def _engval1_f(x):
     t = x[:-1] ** 2 + x[1:] ** 2
-    return float(np.sum(t**2) - 4.0 * np.sum(x[:-1]) + 3.0 * (x.size - 1))
+    return float((t**2).sum() - 4.0 * x[:-1].sum() + 3.0 * (x.size - 1))
 
 
 def _engval1_g(x):
@@ -101,13 +101,13 @@ def _cragglvy_f(x):
     # caller treats as an ordinary rejected value
     with np.errstate(over="ignore"):
         return float(
-            np.sum(
+            (
                 (np.exp(a) - b) ** 4
                 + 100.0 * (b - c) ** 6
                 + np.tan(w) ** 4
                 + a**8
                 + (e - 1.0) ** 2
-            )
+            ).sum()
         )
 
 
@@ -129,7 +129,7 @@ def _cragglvy_g(x):
 def _tridia_f(x):
     w = np.arange(2, x.size + 1, dtype=float)
     t = 2.0 * x[1:] - x[:-1]
-    return float((x[0] - 1.0) ** 2 + np.sum(w * t**2))
+    return float((x[0] - 1.0) ** 2 + (w * t**2).sum())
 
 
 def _tridia_g(x):
@@ -143,7 +143,7 @@ def _tridia_g(x):
 
 
 def _dqdrtic_f(x):
-    return float(np.sum(x[:-2] ** 2 + 100.0 * x[1:-1] ** 2 + 100.0 * x[2:] ** 2))
+    return float((x[:-2] ** 2 + 100.0 * x[1:-1] ** 2 + 100.0 * x[2:] ** 2).sum())
 
 
 def _dqdrtic_g(x):
@@ -162,14 +162,14 @@ def _woods_views(x):
 def _woods_f(x):
     a, b, c, e = _woods_views(x)
     return float(
-        np.sum(
+        (
             100.0 * (b - a**2) ** 2
             + (1.0 - a) ** 2
             + 90.0 * (e - c**2) ** 2
             + (1.0 - c) ** 2
             + 10.0 * (b + e - 2.0) ** 2
             + 0.1 * (b - e) ** 2
-        )
+        ).sum()
     )
 
 
@@ -185,20 +185,20 @@ def _woods_g(x):
 
 def _nondia_f(x):
     t = x[0] - x[:-1] ** 2
-    return float((x[0] - 1.0) ** 2 + 100.0 * np.sum(t**2))
+    return float((x[0] - 1.0) ** 2 + 100.0 * (t**2).sum())
 
 
 def _nondia_g(x):
     t = x[0] - x[:-1] ** 2
     g = np.zeros_like(x)
-    g[0] = 2.0 * (x[0] - 1.0) + 200.0 * np.sum(t)
+    g[0] = 2.0 * (x[0] - 1.0) + 200.0 * t.sum()
     g[:-1] -= 400.0 * x[:-1] * t
     return g
 
 
 def _genrose_f(x):
     t = x[1:] - x[:-1] ** 2
-    return float(1.0 + 100.0 * np.sum(t**2) + np.sum((x[1:] - 1.0) ** 2))
+    return float(1.0 + 100.0 * (t**2).sum() + ((x[1:] - 1.0) ** 2).sum())
 
 
 def _genrose_g(x):

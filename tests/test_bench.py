@@ -14,6 +14,7 @@ from noisyqn.bench import (
     ConfigError,
     ExperimentConfig,
     TRACE_HEADER,
+    _worker_count,
     morales_profile,
     read_trace_csv,
     run_experiment,
@@ -172,6 +173,54 @@ class TestRunExperiment:
         run_experiment(tiny_config(out2, seeds=[1, 2, 3, 4]))
         for p1 in sorted(out1.glob("*.csv")):
             assert p1.read_bytes() == (out2 / p1.name).read_bytes()
+
+    def test_process_pool_matches_serial_with_failing_cell(self, tmp_path, monkeypatch):
+        """A run that raises inside a worker process is reported exactly as
+        in the serial path: same CSVs, same summary.json bytes."""
+
+        def sweep(threads: str):
+            monkeypatch.setenv("QN_NOISE_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            config = ExperimentConfig(
+                problems=["QUAD(32,1,1e3)"],
+                methods=["bfgs"],
+                xi_g=[0.0, 1e-1],
+                seeds=[1],
+                max_iters=80,
+                out=str(out),
+            )
+            summary = run_experiment(config)
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            return summary, files
+
+        serial, serial_files = sweep("1")
+        pooled, pooled_files = sweep("2")
+        assert serial["errors"] == {
+            "QUAD(32,1,1e3)_bfgs_xif0_xig0_om1_seed1":
+                "ValueError: symmetric matrix entries must be finite"
+        }
+        assert len(serial["runs"]) == 1
+        assert pooled_files == serial_files
+        assert pooled == serial
+
+    def test_worker_count_defaults_to_one(self, monkeypatch):
+        monkeypatch.delenv("QN_NOISE_THREADS", raising=False)
+        assert _worker_count() == 1
+        monkeypatch.setenv("QN_NOISE_THREADS", "3")
+        assert _worker_count() == 3
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0", "QN_NOISE_THREADS must be >= 1"),
+            ("x", "QN_NOISE_THREADS must be an integer, got 'x'"),
+        ],
+    )
+    def test_worker_count_rejects_bad_values(self, monkeypatch, value, message):
+        monkeypatch.setenv("QN_NOISE_THREADS", value)
+        with pytest.raises(ConfigError) as info:
+            _worker_count()
+        assert str(info.value) == message
 
     def test_medians_grouped_without_seed(self, tmp_path):
         summary = run_experiment(tiny_config(tmp_path, seeds=[1, 2, 3]))

@@ -122,6 +122,38 @@ class TestDeterminism:
         f2 = fresh.noisy_f(x)
         assert f1 == f2
 
+    def test_draws_match_fresh_philox_streams(self):
+        """Each draw equals one from a Philox built fresh at counter
+        [evaluation index, tag, 0, 0] (tag 0 for f, 1 for g), whatever the
+        order of f and g calls and the clean blocks between them."""
+        seed, xi = 21, 1e-3
+        oracle = make_oracle(
+            xi_f=xi, xi_g=xi, schedule="intermittent", n_noise=3, seed=seed
+        )
+        x = np.array([0.5, -1.0, 2.0, 0.0])
+        f_true, g_true = oracle.problem.eval_f(x), oracle.problem.eval_g(x)
+
+        def fresh(index, tag, size=None):
+            bits = np.random.Philox(key=seed, counter=[index, tag, 0, 0])
+            return np.random.Generator(bits).uniform(-xi, xi, size=size)
+
+        f_index = g_index = 0
+        seen = set()
+        for k in range(12):
+            oracle.set_iteration(k)
+            active = oracle.noise_active()
+            seen.add(active)
+            for kind in "fgg" if k % 2 else "gff":
+                if kind == "f":
+                    eps = float(fresh(f_index, 0)) if active else 0.0
+                    assert oracle.noisy_f(x) == f_true + eps
+                    f_index += 1
+                else:
+                    expected = g_true + fresh(g_index, 1, x.size) if active else g_true
+                    np.testing.assert_array_equal(oracle.noisy_g(x), expected)
+                    g_index += 1
+        assert seen == {True, False}
+
 
 class TestSchedules:
     def test_constant_schedule_always_noisy(self):
