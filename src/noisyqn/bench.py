@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 
+from .linalg import blas_threads_for
 from .linesearch import LineSearchParams
 from .noise import NoiseSpec
 from .problems import Problem, UnknownProblemError, registry_lookup
@@ -245,7 +246,8 @@ def _execute_cell(cell: dict, config: ExperimentConfig, out_dir: Path) -> dict:
         omega=cell["omega"],
     )
     solver_config = config.solver_config(cell["method"])
-    trace = run(problem, spec, solver_config)
+    with blas_threads_for(problem.dim):
+        trace = run(problem, spec, solver_config)
     key = _run_key(cell)
     write_trace_csv(out_dir / f"{key}.csv", trace)
     # Threshold bookkeeping measures against the actual noise levels, not

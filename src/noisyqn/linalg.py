@@ -7,8 +7,12 @@ d-by-d array that checks its entries are finite.
 
 from __future__ import annotations
 
+import ctypes
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +24,7 @@ __all__ = [
     "bfgs_inverse_update",
     "two_loop_direction",
     "eigen_extremes",
+    "blas_threads_for",
 ]
 
 
@@ -182,3 +187,67 @@ def eigen_extremes(a: SymmetricMatrix) -> tuple[float, float]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
         raise EigenConvergenceError(str(exc)) from exc
     return float(values[0]), float(values[-1])
+
+
+# Below this order OpenBLAS's helper threads make the solver's matrix-vector
+# products and eigvalsh no faster on a 2-core machine (order 300: equal within
+# timing noise; order 500: eigvalsh 1.2x faster with two threads, order 1000:
+# 1.7x).
+SERIAL_BLAS_MAX_ORDER = 400
+
+# Spellings of OpenBLAS's thread-count functions: plain builds export
+# openblas_*, the scipy-openblas builds in numpy's wheels add a prefix and,
+# with 64-bit integers, a suffix.
+_OPENBLAS_NAMES = (
+    ("scipy_openblas_", "64_"),
+    ("scipy_openblas_", ""),
+    ("openblas_", "64_"),
+    ("openblas_", ""),
+)
+
+
+@cache
+def _openblas_thread_controls():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    or None when numpy carries no OpenBLAS of its own."""
+    package = Path(np.__file__).parent
+    found = [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]
+    for path in sorted(found):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(library, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(library, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def blas_threads_for(order: int):
+    """Run numpy's OpenBLAS on the calling thread only while matrices of
+    this order are in use, if the order is below ``SERIAL_BLAS_MAX_ORDER``;
+    restore its thread count afterwards.
+
+    At such orders the helper threads buy no speed, but they spin between
+    calls on a second core, and every call waits for them: when something
+    else runs on that core, the solver slows down with it.  Larger orders,
+    and a BLAS other than numpy's bundled OpenBLAS, are left as they are.
+    The thread count belongs to the process, so two threads of one process
+    must not be inside this at once.
+    """
+    controls = _openblas_thread_controls()
+    if order >= SERIAL_BLAS_MAX_ORDER or controls is None:
+        yield
+        return
+    get, set_ = controls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

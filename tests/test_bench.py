@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from noisyqn import bench
 from noisyqn.bench import (
     ConfigError,
     ExperimentConfig,
@@ -21,6 +22,7 @@ from noisyqn.bench import (
     write_trace_csv,
 )
 from noisyqn.cli import build_parser, load_config_file, main
+from noisyqn.linalg import SERIAL_BLAS_MAX_ORDER, _openblas_thread_controls
 from noisyqn.noise import NoiseSpec
 from noisyqn.problems import registry_lookup
 from noisyqn.solver import SolverConfig, Variant, run
@@ -202,6 +204,26 @@ class TestRunExperiment:
         assert len(serial["runs"]) == 1
         assert pooled_files == serial_files
         assert pooled == serial
+
+    def test_small_problems_run_on_one_blas_thread(self, tmp_path, monkeypatch):
+        controls = _openblas_thread_controls()
+        if controls is None:
+            pytest.skip("numpy carries no OpenBLAS of its own")
+        get_threads = controls[0]
+        before = get_threads()
+        seen = {}
+        solve = bench.run
+
+        def recording(problem, spec, config):
+            seen[problem.dim] = get_threads()
+            return solve(problem, spec, config)
+
+        monkeypatch.setattr(bench, "run", recording)
+        monkeypatch.delenv("QN_NOISE_THREADS", raising=False)
+        big = f"QUAD({SERIAL_BLAS_MAX_ORDER},1,10)"
+        run_experiment(tiny_config(tmp_path, problems=["TRIDIA", big], seeds=[1], max_iters=2))
+        assert seen == {100: 1, SERIAL_BLAS_MAX_ORDER: before}
+        assert get_threads() == before
 
     def test_worker_count_defaults_to_one(self, monkeypatch):
         monkeypatch.delenv("QN_NOISE_THREADS", raising=False)

@@ -12,6 +12,9 @@ from noisyqn.linalg import (
     LimitedMemory,
     SymmetricMatrix,
     bfgs_inverse_update,
+    SERIAL_BLAS_MAX_ORDER,
+    _openblas_thread_controls,
+    blas_threads_for,
     eigen_extremes,
     two_loop_direction,
 )
@@ -328,3 +331,31 @@ class TestEigenExtremes:
         ref = np.linalg.eigvalsh(a)
         assert lo == pytest.approx(ref[0], rel=1e-8)
         assert hi == pytest.approx(ref[-1], rel=1e-8)
+
+
+class TestBlasThreadsFor:
+    @pytest.fixture
+    def blas_threads(self):
+        controls = _openblas_thread_controls()
+        if controls is None:
+            pytest.skip("numpy carries no OpenBLAS of its own")
+        return controls[0]
+
+    def test_one_thread_below_the_order_limit(self, blas_threads):
+        before = blas_threads()
+        with blas_threads_for(SERIAL_BLAS_MAX_ORDER - 1):
+            assert blas_threads() == 1
+        assert blas_threads() == before
+
+    def test_large_orders_keep_the_thread_count(self, blas_threads):
+        before = blas_threads()
+        with blas_threads_for(SERIAL_BLAS_MAX_ORDER):
+            assert blas_threads() == before
+        assert blas_threads() == before
+
+    def test_restored_after_error(self, blas_threads):
+        before = blas_threads()
+        with pytest.raises(ZeroDivisionError):
+            with blas_threads_for(100):
+                1 / 0
+        assert blas_threads() == before
