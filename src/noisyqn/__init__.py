@@ -13,7 +13,6 @@ from .bench import (
 )
 from .linalg import (
     CurvaturePair,
-    EigenConvergenceError,
     LimitedMemory,
     SymmetricMatrix,
     bfgs_inverse_update,
@@ -60,7 +59,6 @@ __all__ = [
     "bfgs_inverse_update",
     "two_loop_direction",
     "eigen_extremes",
-    "EigenConvergenceError",
     # problems
     "Problem",
     "UnknownProblemError",

@@ -14,16 +14,19 @@ import csv
 import json
 import math
 import os
+import statistics
 import warnings
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+from dataclasses import dataclass, field, fields, replace
+from itertools import product, repeat
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from .linalg import blas_threads_for
 from .linesearch import LineSearchParams
 from .noise import NoiseSpec
 from .problems import Problem, UnknownProblemError, registry_lookup
-from .solver import RunTrace, SolverConfig, Variant, run
+from .solver import IterationRecord, RunTrace, SolverConfig, Variant, run
 
 __all__ = [
     "ExperimentConfig",
@@ -36,10 +39,29 @@ __all__ = [
     "TRACE_HEADER",
 ]
 
-TRACE_HEADER = (
-    "k,phi_true,gap,grad_norm_true,f_noisy,alpha,beta,split_active,"
-    "cum_f_evals,cum_g_evals,kappa_H,lambda_min_B,lambda_max_B,pair_action"
-)
+# Seventeen significant digits give back every bit of a float.
+_format_float = "{:.17g}".format
+
+# How a trace cell of each IterationRecord field type is written and read:
+# (format, parse), None being the empty cell.  The writer makes one call per
+# cell, so a builtin is used wherever one does the job.
+_CELL_CODECS = {
+    int: (str, int),
+    bool: ({False: "0", True: "1"}.__getitem__, lambda text: bool(int(text))),
+    str: (str, str),
+    float: (_format_float, float),
+    float | None: (
+        lambda value: "" if value is None else _format_float(value),
+        lambda text: float(text) if text else None,
+    ),
+}
+
+# The trace columns are IterationRecord's fields, in order.
+_RECORD_TYPES = get_type_hints(IterationRecord)
+_COLUMNS = {f.name: _CELL_CODECS[_RECORD_TYPES[f.name]] for f in fields(IterationRecord)}
+TRACE_HEADER = ",".join(_COLUMNS)
+_ROW_VALUES = attrgetter(*_COLUMNS)
+_FORMATTERS = tuple(fmt for fmt, _ in _COLUMNS.values())
 
 THREADS_ENV_VAR = "QN_NOISE_THREADS"
 
@@ -104,7 +126,8 @@ class ExperimentConfig:
         if self.noise_phase not in ("noisy", "clean"):
             raise ConfigError("noise-phase must be 'noisy' or 'clean'")
         try:
-            self._line_search_params()
+            # Every method shares the solver settings, so one build checks them.
+            self.solver_config(self.methods[0])
             spec = NoiseSpec(
                 schedule=self.schedule,
                 n_noise=self.n_noise,
@@ -116,108 +139,61 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def _line_search_params(self) -> LineSearchParams:
-        return LineSearchParams(
-            c1=self.c1,
-            c2=self.c2,
-            c3=self.c3,
-            n_split=self.n_split,
-            max_ls_iters=self.max_ls_iters,
-            max_lengthening=self.max_lengthening,
-            history=self.history,
-        )
-
     def solver_config(self, method: str) -> SolverConfig:
         return SolverConfig(
             variant=Variant(method),
             memory=self.memory,
-            ls=self._line_search_params(),
+            ls=LineSearchParams(
+                c1=self.c1,
+                c2=self.c2,
+                c3=self.c3,
+                n_split=self.n_split,
+                max_ls_iters=self.max_ls_iters,
+                max_lengthening=self.max_lengthening,
+                history=self.history,
+            ),
             max_iters=self.max_iters,
             g_eval_budget=self.g_eval_budget,
             threshold_termination=self.threshold_termination,
-            track_condition=self.diagnostics,
-            track_eigenvalues=self.diagnostics,
+            diagnostics=self.diagnostics,
         )
 
     def run_matrix(self) -> list[dict]:
         """All run descriptors in deterministic (sorted-key) order."""
-        cells = []
-        for problem in self.problems:
-            for method in self.methods:
-                for xi_f in self.xi_f:
-                    for xi_g in self.xi_g:
-                        for omega in self.omega:
-                            for seed in self.seeds:
-                                cells.append(
-                                    {
-                                        "problem": problem,
-                                        "method": method,
-                                        "xi_f": xi_f,
-                                        "xi_g": xi_g,
-                                        "omega": omega,
-                                        "seed": seed,
-                                    }
-                                )
+        names = ("problem", "method", "xi_f", "xi_g", "omega", "seed")
+        axes = (self.problems, self.methods, self.xi_f, self.xi_g, self.omega, self.seeds)
+        cells = [dict(zip(names, values)) for values in product(*axes)]
         cells.sort(key=_run_key)
         return cells
 
 
-def _run_key(cell: dict) -> str:
+def _group_key(cell: dict) -> str:
+    """A cell's key without its seed: the cells that one median spans."""
     return (
         f"{cell['problem']}_{cell['method']}_xif{cell['xi_f']:g}"
-        f"_xig{cell['xi_g']:g}_om{cell['omega']:g}_seed{cell['seed']}"
+        f"_xig{cell['xi_g']:g}_om{cell['omega']:g}"
     )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return format(float(value), ".17g")
+def _run_key(cell: dict) -> str:
+    return f"{_group_key(cell)}_seed{cell['seed']}"
 
 
 def write_trace_csv(path: str | Path, trace: RunTrace) -> None:
-    lines = [TRACE_HEADER]
-    for r in trace.records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.k),
-                    _fmt(r.phi_true),
-                    _fmt(r.gap),
-                    _fmt(r.grad_norm_true),
-                    _fmt(r.f_noisy),
-                    _fmt(r.alpha),
-                    _fmt(r.beta),
-                    str(int(r.split_active)),
-                    str(r.cum_f_evals),
-                    str(r.cum_g_evals),
-                    _fmt(r.kappa_H),
-                    _fmt(r.lambda_min_B),
-                    _fmt(r.lambda_max_B),
-                    r.pair_action,
-                ]
-            )
-        )
+    # Column by column, so that each formatter is mapped over a whole column.
+    columns = zip(*map(_ROW_VALUES, trace.records))
+    cells = [map(fmt, column) for fmt, column in zip(_FORMATTERS, columns)]
+    lines = [TRACE_HEADER, *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trace_csv(path: str | Path) -> list[dict]:
-    """Parse a trace CSV back into row dicts (None for empty fields)."""
-    rows = []
+    """Parse a trace CSV back into row dicts (None for empty optional fields)."""
     with open(path, newline="") as fh:
-        for raw in csv.DictReader(fh):
-            row: dict = {}
-            for key, text in raw.items():
-                if key in ("k", "cum_f_evals", "cum_g_evals"):
-                    row[key] = int(text)
-                elif key == "split_active":
-                    row[key] = bool(int(text))
-                elif key == "pair_action":
-                    row[key] = text
-                else:
-                    row[key] = float(text) if text != "" else None
-            rows.append(row)
-    return rows
+        return [
+            {key: _COLUMNS[key][1](text) for key, text in raw.items()}
+            for raw in csv.DictReader(fh)
+        ]
 
 
 def _evals_to_threshold(trace: RunTrace, eps_f: float, eps_g: float) -> int | None:
@@ -364,33 +340,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return summary
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2 == 1:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def _group_medians(results: dict[str, dict]) -> dict[str, dict]:
     groups: dict[str, list[dict]] = {}
     for entry in results.values():
-        gkey = (
-            f"{entry['problem']}_{entry['method']}_xif{entry['xi_f']:g}"
-            f"_xig{entry['xi_g']:g}_om{entry['omega']:g}"
-        )
-        groups.setdefault(gkey, []).append(entry)
+        groups.setdefault(_group_key(entry), []).append(entry)
     medians = {}
     for gkey in sorted(groups):
         entries = groups[gkey]
         medians[gkey] = {
             "seeds": sorted(e["seed"] for e in entries),
-            "final_gap_median": _median([e["final_gap"] for e in entries]),
-            "final_grad_norm_median": _median(
-                [e["final_grad_norm_true"] for e in entries]
+            "final_gap_median": statistics.median(e["final_gap"] for e in entries),
+            "final_grad_norm_median": statistics.median(
+                e["final_grad_norm_true"] for e in entries
             ),
-            "g_evals_median": _median([float(e["g_evals"]) for e in entries]),
+            "g_evals_median": statistics.median(float(e["g_evals"]) for e in entries),
         }
     return medians
 

@@ -20,16 +20,11 @@ __all__ = [
     "SymmetricMatrix",
     "CurvaturePair",
     "LimitedMemory",
-    "EigenConvergenceError",
     "bfgs_inverse_update",
     "two_loop_direction",
     "eigen_extremes",
     "blas_threads_for",
 ]
-
-
-class EigenConvergenceError(RuntimeError):
-    """LAPACK failed to compute the eigenvalues of a matrix."""
 
 
 class SymmetricMatrix:
@@ -178,14 +173,11 @@ def two_loop_direction(memory: LimitedMemory, g: np.ndarray) -> np.ndarray:
 def eigen_extremes(a: SymmetricMatrix) -> tuple[float, float]:
     """Return (lambda_min, lambda_max) of a symmetric matrix via LAPACK.
 
-    Raises EigenConvergenceError if the eigenvalue iteration does not
+    Raises ``np.linalg.LinAlgError`` if the eigenvalue iteration does not
     converge; callers using this for diagnostics should treat that as a
     missing data point.
     """
-    try:
-        values = np.linalg.eigvalsh(a.to_dense())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
-        raise EigenConvergenceError(str(exc)) from exc
+    values = np.linalg.eigvalsh(a.to_dense())
     return float(values[0]), float(values[-1])
 
 

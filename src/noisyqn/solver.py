@@ -20,7 +20,6 @@ import numpy as np
 
 from .linalg import (
     CurvaturePair,
-    EigenConvergenceError,
     LimitedMemory,
     SymmetricMatrix,
     bfgs_inverse_update,
@@ -89,8 +88,7 @@ class SolverConfig:
     max_iters: int = 1000
     g_eval_budget: int | None = None
     threshold_termination: bool = False
-    track_condition: bool = False
-    track_eigenvalues: bool = False
+    diagnostics: bool = False
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
@@ -120,7 +118,11 @@ class SolverState:
 @dataclass
 class IterationRecord:
     """One trace row; values describe the iterate at the iteration's start,
-    the action taken, and the cumulative oracle counters after it."""
+    the action taken, and the cumulative oracle counters after it.
+
+    The fields, in order, are the columns of the CSV trace, and their types
+    decide how ``bench`` writes and reads each cell.
+    """
 
     k: int
     phi_true: float
@@ -140,20 +142,16 @@ class IterationRecord:
 
 @dataclass
 class IterationContext:
-    """Extra per-iteration detail handed to an observer callback (analysis
-    hooks in tests; not part of the CSV trace)."""
+    """An iteration's trace record plus the vectors behind it, handed to an
+    observer callback (analysis hooks in tests; not part of the CSV trace)."""
 
-    k: int
+    record: IterationRecord
     x: np.ndarray
     p: np.ndarray
-    alpha: float
-    beta: float | None
     g_x: np.ndarray
     g_beta: np.ndarray | None
     pair: CurvaturePair | None
-    pair_action: str
     phase: Phase
-    split_active: bool
     skip_rule_held: bool | None
     x_new: np.ndarray
 
@@ -206,27 +204,31 @@ def iterate(
     config: SolverConfig,
     observer: Callable[[IterationContext], None] | None = None,
 ) -> IterationRecord:
-    """Advance the state by one iteration and return its trace record."""
+    """Advance the state by one iteration and return its trace record.
+
+    With ``config.diagnostics`` on, a dense run records the extreme
+    eigenvalues of H; when LAPACK raises ``np.linalg.LinAlgError`` for
+    them, those fields stay empty and the run goes on.
+    """
     problem = oracle.problem
     oracle.set_iteration(state.k)
     x = state.x
     phi_true = float(problem.eval_f(x))
-    gap = phi_true - problem.phi_star
     grad_norm_true = float(np.linalg.norm(problem.eval_g(x)))
 
     kappa = lambda_min_b = lambda_max_b = None
-    if state.hessian is not None and (config.track_condition or config.track_eigenvalues):
+    if state.hessian is not None and config.diagnostics:
         try:
             lo, hi = eigen_extremes(state.hessian)
-        except EigenConvergenceError:
+        except np.linalg.LinAlgError:
             pass  # leave the diagnostic fields empty, keep running
         else:
-            if config.track_eigenvalues and lo != 0.0 and hi != 0.0:
+            if lo != 0.0 and hi != 0.0:
                 lambda_min_b, lambda_max_b = 1.0 / hi, 1.0 / lo
-            if config.track_condition and lo > 0.0:
+            if lo > 0.0:
                 kappa = hi / lo
 
-    g_at_x = state.g_x
+    f_at_x, g_at_x = state.f_x, state.g_x
     p = search_direction(state, g_at_x)
     if not np.all(np.isfinite(p)):
         raise NumericalFailureError(f"non-finite search direction at iteration {state.k}")
@@ -235,10 +237,10 @@ def iterate(
     eps_f, eps_g = oracle.reported_bounds()
     if variant.noise_tolerant:
         outcome = two_phase_search(
-            oracle, x, p, config.ls, state.tracker, state.f_x, g_at_x, eps_f, eps_g
+            oracle, x, p, config.ls, state.tracker, f_at_x, g_at_x, eps_f, eps_g
         )
     else:
-        outcome = armijo_wolfe_search(oracle, x, p, config.ls, state.f_x, g_at_x)
+        outcome = armijo_wolfe_search(oracle, x, p, config.ls, f_at_x, g_at_x)
 
     split_active = variant.noise_tolerant and outcome.phase != Phase.INITIAL_ACCEPTED
     if split_active and state.first_split_iteration is None:
@@ -249,50 +251,29 @@ def iterate(
     if stepped and not np.all(np.isfinite(x_new)):
         raise NumericalFailureError(f"non-finite iterate at iteration {state.k}")
 
+    # Both searches report the pair's step as beta (= alpha on an accepted
+    # step) with its gradient; the variants differ only in which pairs
+    # they drop.  The comparisons are written so that a NaN s.y is dropped
+    # by the noise-tolerant variants and kept by the others.
     pair: CurvaturePair | None = None
     pair_action = "skipped"
     skip_held: bool | None = None
-    if variant.noise_tolerant:
-        if outcome.beta is not None:
-            candidate = CurvaturePair.from_step(
-                outcome.beta * p, outcome.g_beta - g_at_x
+    if outcome.beta is not None:
+        candidate = CurvaturePair.from_step(outcome.beta * p, outcome.g_beta - g_at_x)
+        if variant.noise_tolerant:
+            drop = not candidate.sy > 0.0
+        else:
+            if variant.update_skipping:
+                skip_held = skip_condition(outcome.g_beta, g_at_x, p, eps_g)
+            drop = skip_held or candidate.sy <= _CURVATURE_GUARD * float(
+                np.linalg.norm(candidate.s) * np.linalg.norm(candidate.y)
             )
-            if candidate.sy > 0.0:
-                _apply_update(state, candidate)
-                pair = candidate
-                pair_action = (
-                    "updated" if outcome.phase == Phase.INITIAL_ACCEPTED else "lengthened"
-                )
-    elif stepped:
-        candidate = CurvaturePair.from_step(
-            outcome.alpha * p, outcome.g_alpha - g_at_x
-        )
-        if variant.update_skipping:
-            skip_held = skip_condition(outcome.g_alpha, g_at_x, p, eps_g)
-        guard = candidate.sy <= _CURVATURE_GUARD * float(
-            np.linalg.norm(candidate.s) * np.linalg.norm(candidate.y)
-        )
-        if not skip_held and not guard:
+        if not drop:
             _apply_update(state, candidate)
             pair = candidate
-            pair_action = "updated"
-
-    record = IterationRecord(
-        k=state.k,
-        phi_true=phi_true,
-        gap=gap,
-        grad_norm_true=grad_norm_true,
-        f_noisy=state.f_x,
-        alpha=outcome.alpha,
-        beta=outcome.beta,
-        split_active=split_active,
-        cum_f_evals=0,  # filled in below, after any reuse fallback evals
-        cum_g_evals=0,
-        kappa_H=kappa,
-        lambda_min_B=lambda_min_b,
-        lambda_max_B=lambda_max_b,
-        pair_action=pair_action,
-    )
+            pair_action = (
+                "updated" if outcome.phase == Phase.INITIAL_ACCEPTED else "lengthened"
+            )
 
     if stepped:
         state.consecutive_failures = 0
@@ -308,23 +289,32 @@ def iterate(
         state.f_x = oracle.noisy_f(x)
         state.g_x = oracle.noisy_g(x)
 
-    record.cum_f_evals = oracle.f_evals
-    record.cum_g_evals = oracle.g_evals
-
+    record = IterationRecord(
+        k=state.k,
+        phi_true=phi_true,
+        gap=phi_true - problem.phi_star,
+        grad_norm_true=grad_norm_true,
+        f_noisy=f_at_x,
+        alpha=outcome.alpha,
+        beta=outcome.beta,
+        split_active=split_active,
+        cum_f_evals=oracle.f_evals,
+        cum_g_evals=oracle.g_evals,
+        kappa_H=kappa,
+        lambda_min_B=lambda_min_b,
+        lambda_max_B=lambda_max_b,
+        pair_action=pair_action,
+    )
     if observer is not None:
         observer(
             IterationContext(
-                k=state.k,
+                record=record,
                 x=x,
                 p=p,
-                alpha=outcome.alpha,
-                beta=outcome.beta,
                 g_x=g_at_x,
                 g_beta=outcome.g_beta,
                 pair=pair,
-                pair_action=pair_action,
                 phase=outcome.phase,
-                split_active=split_active,
                 skip_rule_held=skip_held,
                 x_new=x_new,
             )
@@ -339,7 +329,13 @@ def run(
     config: SolverConfig,
     observer: Callable[[IterationContext], None] | None = None,
 ) -> RunTrace:
-    """Minimize the problem under the given noise model and return the trace."""
+    """Minimize the problem under the given noise model and return the trace.
+
+    A non-finite direction or iterate ends the run with termination reason
+    ``numerical_failure``.  With ``config.diagnostics`` on, an
+    ``np.linalg.LinAlgError`` from the eigenvalue diagnostics leaves that
+    record's diagnostic fields empty and does not end the run.
+    """
     oracle = NoisyOracle(problem, noise_spec)
     oracle.set_iteration(0)
     x0 = np.array(problem.x0, dtype=float, copy=True)

@@ -111,11 +111,11 @@ def quad_pair_data():
                 gp = float(ctx.g_x @ ctx.p)
                 denom = float(np.linalg.norm(ctx.g_x) * np.linalg.norm(ctx.p))
                 if denom > 0.0:
-                    run_cos.append((ctx.k, -gp / denom))
+                    run_cos.append((ctx.record.k, -gp / denom))
                 if ctx.pair is not None:
-                    y_true = problem.eval_g(ctx.x + ctx.beta * ctx.p) - problem.eval_g(
-                        ctx.x
-                    )
+                    y_true = problem.eval_g(
+                        ctx.x + ctx.record.beta * ctx.p
+                    ) - problem.eval_g(ctx.x)
                     pair_rows.append(
                         (
                             ctx.pair.sy,
@@ -125,7 +125,7 @@ def quad_pair_data():
                         )
                     )
                     if first_pair_k[0] is None:
-                        first_pair_k[0] = ctx.k
+                        first_pair_k[0] = ctx.record.k
 
             tracked_run(
                 problem,
@@ -149,7 +149,7 @@ def kappa_maxima():
             trace = tracked_run(
                 problem,
                 NoiseSpec(xi_f=0.0, xi_g=1e-3, seed=seed),
-                SolverConfig(variant=variant, max_iters=1000, track_condition=True),
+                SolverConfig(variant=variant, max_iters=1000, diagnostics=True),
             )
             per_seed.append(max(r.kappa_H for r in trace.records if r.kappa_H))
         maxima[variant.value] = per_seed
@@ -419,7 +419,7 @@ def test_criterion_10_update_skipping(report):
         nonlocal held, updated_while_held
         if ctx.skip_rule_held:
             held += 1
-            if ctx.pair_action != "skipped" or ctx.pair is not None:
+            if ctx.record.pair_action != "skipped" or ctx.pair is not None:
                 updated_while_held += 1
 
     tracked_run(

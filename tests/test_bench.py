@@ -6,9 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
+from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisyqn import bench
 from noisyqn.bench import (
@@ -25,7 +30,29 @@ from noisyqn.cli import build_parser, load_config_file, main
 from noisyqn.linalg import SERIAL_BLAS_MAX_ORDER, _openblas_thread_controls
 from noisyqn.noise import NoiseSpec
 from noisyqn.problems import registry_lookup
-from noisyqn.solver import SolverConfig, Variant, run
+from noisyqn.solver import IterationRecord, SolverConfig, Variant, run
+
+# The trace columns as documented in the README.
+README_TRACE_HEADER = (
+    "k,phi_true,gap,grad_norm_true,f_noisy,alpha,beta,split_active,"
+    "cum_f_evals,cum_g_evals,kappa_H,lambda_min_B,lambda_max_B,pair_action"
+)
+
+# Every float a trace cell must give back: +-0.0, +-inf and subnormals
+# included (NaN has no single bit pattern to compare).
+_ANY_FLOAT = st.floats(allow_nan=False)
+_FIELD_VALUES = {
+    int: st.integers(),
+    bool: st.booleans(),
+    str: st.sampled_from(["updated", "lengthened", "skipped"]),
+    float: _ANY_FLOAT,
+    float | None: st.none() | _ANY_FLOAT,
+}
+_RECORD_TYPES = get_type_hints(IterationRecord)
+_RECORDS = st.builds(
+    IterationRecord,
+    **{f.name: _FIELD_VALUES[_RECORD_TYPES[f.name]] for f in fields(IterationRecord)},
+)
 
 
 def tiny_config(out, **kwargs):
@@ -84,8 +111,7 @@ class TestTraceCsv:
         return run(
             prob,
             NoiseSpec(xi_f=1e-3, xi_g=1e-3, seed=3),
-            SolverConfig(variant=Variant.BFGS_E, max_iters=10, track_condition=True,
-                         track_eigenvalues=True),
+            SolverConfig(variant=Variant.BFGS_E, max_iters=10, diagnostics=True),
         )
 
     def test_header_and_row_count(self, tmp_path):
@@ -93,8 +119,25 @@ class TestTraceCsv:
         path = tmp_path / "t.csv"
         write_trace_csv(path, trace)
         lines = path.read_text().splitlines()
-        assert lines[0] == TRACE_HEADER
+        assert lines[0] == README_TRACE_HEADER == TRACE_HEADER
         assert len(lines) == len(trace.records) + 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_RECORDS, min_size=1, max_size=5))
+    @example([
+        IterationRecord(
+            k=0, phi_true=-0.0, gap=math.inf, grad_norm_true=5e-324, f_noisy=-math.inf,
+            alpha=2.2250738585072009e-308, beta=None, split_active=False,
+            cum_f_evals=1, cum_g_evals=1, kappa_H=None, lambda_min_B=None,
+            lambda_max_B=None, pair_action="skipped",
+        )
+    ])
+    def test_any_record_reads_back_exactly(self, tmp_path_factory, records):
+        """Every value of every column, None included, reads back with its
+        type and all its bits (repr tells -0.0 from 0.0)."""
+        path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+        write_trace_csv(path, SimpleNamespace(records=records))
+        assert repr(read_trace_csv(path)) == repr([asdict(r) for r in records])
 
     def test_roundtrip_is_exact(self, tmp_path):
         """17-significant-digit serialization reproduces every float bit."""
@@ -390,6 +433,18 @@ class TestCli:
         ])
         assert code == 2
         assert "xi_g" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--memory", "--max-iters", "--g-eval-budget", "--history-h"]
+    )
+    def test_bad_solver_setting_is_config_error(self, tmp_path, flag):
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--problem", "TRIDIA", "--method", "bfgs",
+            "--seed", "1", flag, "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
 
     def test_run_requires_single_values(self, tmp_path, capsys):
         code = main([

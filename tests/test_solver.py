@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from noisyqn import solver
 from noisyqn.linalg import (
     CurvaturePair,
     LimitedMemory,
@@ -166,7 +167,7 @@ class TestSkippingVariant:
         seen = []
 
         def observer(ctx):
-            seen.append(ctx.pair_action)
+            seen.append(ctx.record.pair_action)
 
         trace = run(prob, spec, quick_config(Variant.BFGS_SKIP, max_iters=5), observer)
         assert "skipped" in seen
@@ -179,7 +180,7 @@ class TestSkippingVariant:
         records = []
 
         def observer(ctx):
-            records.append((ctx.skip_rule_held, ctx.pair_action))
+            records.append((ctx.skip_rule_held, ctx.record.pair_action))
 
         run(prob, spec, quick_config(Variant.BFGS_SKIP, max_iters=80), observer)
         held = [action for held, action in records if held]
@@ -195,7 +196,7 @@ class TestSkippingVariant:
         would_skip = []
 
         def observer(ctx):
-            if ctx.pair is not None and ctx.pair_action == "updated":
+            if ctx.pair is not None and ctx.record.pair_action == "updated":
                 dg_p = float(ctx.pair.y @ ctx.p)
                 threshold = 2.0 * eps_g * float(np.linalg.norm(ctx.p))
                 would_skip.append(dg_p < threshold)
@@ -208,9 +209,7 @@ class TestDiagnostics:
     def test_dense_hessian_stays_spd(self):
         prob = make_quadratic(8, 1.0, 20.0, seed=6)
         spec = NoiseSpec(xi_f=1e-4, xi_g=1e-4, seed=7)
-        config = quick_config(
-            Variant.BFGS_E, max_iters=50, track_condition=True, track_eigenvalues=True
-        )
+        config = quick_config(Variant.BFGS_E, max_iters=50, diagnostics=True)
         trace = run(prob, spec, config)
         checked = 0
         for record in trace.records:
@@ -229,11 +228,23 @@ class TestDiagnostics:
             assert record.kappa_H is None
             assert record.lambda_min_B is None
 
+    def test_lapack_failure_leaves_fields_empty(self, monkeypatch):
+        """A LinAlgError from the eigenvalue diagnostics costs the record its
+        diagnostic fields, not the run."""
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(solver, "eigen_extremes", fail)
+        prob = make_quadratic(4, 1.0, 5.0, seed=8)
+        config = quick_config(Variant.BFGS, max_iters=5, diagnostics=True)
+        trace = run(prob, NOISELESS, config)
+        assert len(trace.records) == 5
+        assert all(r.kappa_H is None and r.lambda_max_B is None for r in trace.records)
+
     def test_limited_memory_has_no_dense_diagnostics(self):
         prob = make_quadratic(4, 1.0, 5.0, seed=8)
-        config = quick_config(
-            Variant.LBFGS, max_iters=10, track_condition=True, track_eigenvalues=True
-        )
+        config = quick_config(Variant.LBFGS, max_iters=10, diagnostics=True)
         trace = run(prob, NOISELESS, config)
         assert all(r.kappa_H is None for r in trace.records)
 
