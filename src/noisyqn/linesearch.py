@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,6 +258,52 @@ def tracker_update(
         tracker.push(mu)
 
 
+# Rows in a trial run's first block evaluation; each later block doubles,
+# capped at the trials left in the run's budget.
+_FIRST_BLOCK = 8
+
+
+def _trial_run(
+    oracle: NoisyOracle,
+    x: np.ndarray,
+    p: np.ndarray,
+    alpha: float,
+    factor: float,
+    budget: int,
+) -> Iterator[tuple[float, float]]:
+    """Yield (alpha, noisy f at x + alpha p) for the fixed steplengths
+    alpha, factor * alpha, factor * (factor * alpha), ..., at most ``budget``
+    of them.
+
+    A loop takes trials from the run only while its sequence is fixed in
+    advance, and drops the run once a trial changes its course.  On a
+    problem with ``f_rows`` the points are evaluated ahead, a block of rows
+    per ``eval_f`` call; each row reaches ``noisy_f`` as its own counted
+    evaluation only when the loop takes it, so counts and noise draws are
+    those of one trial at a time.  Rows evaluated but never taken add to
+    ``oracle.unused_f_rows``.
+    """
+    if not oracle.problem.f_rows:
+        for _ in range(budget):
+            yield alpha, oracle.noisy_f(x + alpha * p)
+            alpha = factor * alpha
+        return
+    size = _FIRST_BLOCK
+    while budget > 0:
+        alphas = [alpha]
+        for _ in range(min(size, budget) - 1):
+            alphas.append(factor * alphas[-1])
+        points = x + np.array(alphas)[:, None] * p
+        values = oracle.problem.eval_f(points).tolist()
+        oracle.unused_f_rows += len(alphas)
+        for alpha, point, value in zip(alphas, points, values):
+            oracle.unused_f_rows -= 1
+            yield alpha, oracle.noisy_f(point, value)
+        alpha = factor * alpha
+        budget -= len(alphas)
+        size *= 2
+
+
 def initial_phase(
     oracle: NoisyOracle,
     x: np.ndarray,
@@ -276,12 +323,22 @@ def initial_phase(
     it unaccepted, and the two-phase search splits.  At eps_f = eps_g = 0 it
     is the plain Armijo-Wolfe bisection (see the module docstring).  A trial
     costs one function value, plus a gradient once it passes Armijo.
+
+    Until a trial passes relaxed Armijo the steplengths halve from 1, a
+    sequence fixed in advance, so those trials come from a trial run: on a
+    problem with ``f_rows`` it evaluates a block of them in one kernel call.
+    After the first pass the bisection goes one trial at a time.
     """
     state = InitialResult(x, p, f_x, g_x, eps_f, eps_g)
     low, high = 0.0, math.inf
     alpha = 1.0
-    for i in range(params.n_split if max_trials is None else max_trials):
-        f_trial = oracle.noisy_f(x + alpha * p)
+    trials = params.n_split if max_trials is None else max_trials
+    halving = _trial_run(oracle, x, p, alpha, 0.5, trials)
+    for i in range(trials):
+        if halving is not None:
+            alpha, f_trial = next(halving)
+        else:
+            f_trial = oracle.noisy_f(x + alpha * p)
         state.f_trials += 1
         state.alpha, state.f_alpha, state.g_alpha = alpha, f_trial, None
         armijo_ok = math.isfinite(f_trial) and relaxed_armijo(
@@ -291,6 +348,7 @@ def initial_phase(
             high = alpha
             alpha = 0.5 * (low + high)
             continue
+        halving = None  # from here each steplength depends on the trials
         g_trial = oracle.noisy_g(x + alpha * p)
         state.g_trials += 1
         state.g_alpha = g_trial
@@ -322,7 +380,10 @@ def split_phase(
     otherwise it backtracks from the last trial's steplength by factors of
     ten until one passes or the shared budget of ``max_ls_iters`` function
     trials runs out (alpha = 0 then; the beta loop still runs so the update
-    can proceed without a step).
+    can proceed without a step).  The backtracking steplengths are fixed in
+    advance, so they come from a trial run, which on a problem with
+    ``f_rows`` evaluates a block of them in one kernel call; only the trials
+    up to the first pass are counted.
 
     The beta loop grows beta from the last trial's steplength until the
     signed noise-control condition holds.  With a curvature estimate mu from
@@ -340,17 +401,17 @@ def split_phase(
     alpha, f_alpha, g_alpha = init.alpha, None, None
     if reuse:
         alpha, f_alpha, g_alpha = init.alpha_best, init.f_best, init.g_best
-    while not alpha_ok and f_trials < params.max_ls_iters:
-        f_trial = oracle.noisy_f(x + alpha * p)
-        alpha_ok = math.isfinite(f_trial) and relaxed_armijo(
-            f_trials, f_trial, f_x, init.g_dot_p, alpha,
-            init.eps_f, init.eps_g, init.p_norm, params.c1,
-        )
-        f_trials += 1
-        if alpha_ok:
-            f_alpha = f_trial
-        else:
-            alpha = 0.1 * alpha
+    else:
+        budget = params.max_ls_iters - f_trials
+        for alpha, f_trial in _trial_run(oracle, x, p, init.alpha, 0.1, budget):
+            alpha_ok = math.isfinite(f_trial) and relaxed_armijo(
+                f_trials, f_trial, f_x, init.g_dot_p, alpha,
+                init.eps_f, init.eps_g, init.p_norm, params.c1,
+            )
+            f_trials += 1
+            if alpha_ok:
+                f_alpha = f_trial
+                break
     if not alpha_ok:
         alpha = 0.0
 

@@ -65,8 +65,10 @@ class NoisyOracle:
 
     The solver advances ``set_iteration`` so the intermittent schedule can
     resolve whether noise is active.  ``f_evals`` / ``g_evals`` each grow by
-    exactly one per call.  ``max_f_noise`` and ``max_g_noise_norm`` track the
-    largest injected errors actually seen, for bound auditing.
+    exactly one per call.  ``unused_f_rows`` counts the rows of the line
+    search's block evaluations that no trial consumed; they never enter
+    ``f_evals``.  ``max_f_noise`` and ``max_g_noise_norm`` track the largest
+    injected errors actually seen, for bound auditing.
     """
 
     def __init__(self, problem: Problem, spec: NoiseSpec):
@@ -75,6 +77,7 @@ class NoisyOracle:
         self.iteration = 0
         self.f_evals = 0
         self.g_evals = 0
+        self.unused_f_rows = 0
         self.max_f_noise = 0.0
         self.max_g_noise_norm = 0.0
         # One generator, rewound for every draw: the fresh state of a Philox
@@ -101,8 +104,17 @@ class NoisyOracle:
         self._bits.state = self._fresh
         return self._rng
 
-    def noisy_f(self, x: np.ndarray) -> float:
-        value = self.problem.eval_f(x)
+    def noisy_f(self, x: np.ndarray, value: float | None = None) -> float:
+        """One counted function evaluation at x, with its own noise draw.
+
+        ``value`` is x's ``eval_f`` value when the caller already has it:
+        the line search passes each row of a block evaluation this way, one
+        call per trial it consumes, so the problem is not called again.
+        Rows it never consumes never come here: they get no noise and no
+        count (they are tallied in ``unused_f_rows``).
+        """
+        if value is None:
+            value = self.problem.eval_f(x)
         index = self.f_evals
         self.f_evals += 1
         eps = 0.0

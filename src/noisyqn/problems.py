@@ -14,7 +14,7 @@ finite differences in the test suite rather than by trusting transcription.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +35,13 @@ class Problem:
 
     ``m_M`` carries (strong convexity, smoothness) constants when they are
     known exactly, as for generated quadratics; otherwise None.
+
+    ``f_rows`` declares that ``eval_f`` also takes a (k, d) stack of points
+    and returns their k values as an array, each bit-identical to
+    ``eval_f`` of that row alone.  The line search then evaluates a block of
+    trial points in one call.  Leave it False unless the bits match exactly:
+    a matrix product over the stack, for one, is not bit-identical to the
+    matrix-vector products of its rows.
     """
 
     name: str
@@ -44,6 +51,7 @@ class Problem:
     x0: np.ndarray
     phi_star: float
     m_M: tuple[float, float] | None = None
+    f_rows: bool = False
 
 
 class UnknownProblemError(KeyError):
@@ -62,8 +70,14 @@ class UnknownProblemError(KeyError):
 
 
 def _arwhead_f(x):
-    t = x[:-1] ** 2 + x[-1] ** 2
-    return float((t**2 - 4.0 * x[:-1] + 3.0).sum())
+    # Written over the last axis, so a (k, d) stack gives its k values.  The
+    # last coordinate's square must go through libm pow, as the scalar
+    # x[-1] ** 2 does; float_power calls it, array squaring differs from it.
+    head = x[..., :-1]
+    last_sq = x[-1] ** 2 if x.ndim == 1 else np.float_power(x[:, -1:], 2.0)
+    t = head**2 + last_sq
+    s = (t**2 - 4.0 * head + 3.0).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def _arwhead_g(x):
@@ -209,68 +223,55 @@ def _genrose_g(x):
     return g
 
 
-# Reference best values.  Zeros and GENROSE's 1.0 are exact minima; the two
-# non-trivial constants come from scripts/compute_reference_minima.py.
-_PHI_STAR = {
-    "ARWHEAD": 0.0,
-    "ENGVAL1": 109.08813614309216,
-    "CRAGGLVY": 25.206129463129866,
-    "TRIDIA": 0.0,
-    "DQDRTIC": 0.0,
-    "WOODS": 0.0,
-    "NONDIA": 0.0,
-    "GENROSE": 1.0,
-}
+def _cragglvy_start(dim):
+    x0 = np.full(dim, 2.0)
+    x0[0] = 1.0
+    return x0
 
 
-def _start_point(name: str, dim: int) -> np.ndarray:
-    if name == "ARWHEAD" or name == "TRIDIA":
-        return np.ones(dim)
-    if name == "ENGVAL1":
-        return np.full(dim, 2.0)
-    if name == "CRAGGLVY":
-        x0 = np.full(dim, 2.0)
-        x0[0] = 1.0
-        return x0
-    if name == "DQDRTIC":
-        return np.full(dim, 3.0)
-    if name == "WOODS":
-        return np.tile([-3.0, -1.0], dim // 2)
-    if name == "NONDIA":
-        return np.full(dim, -1.0)
-    if name == "GENROSE":
-        return np.arange(1, dim + 1, dtype=float) / (dim + 1)
-    raise AssertionError(name)
+class _Standard(NamedTuple):
+    eval_f: Callable[[np.ndarray], float]
+    eval_g: Callable[[np.ndarray], np.ndarray]
+    start: Callable[[int], np.ndarray]
+    phi_star: float
+    f_rows: bool = False
 
 
-_KERNELS = {
-    "ARWHEAD": (_arwhead_f, _arwhead_g),
-    "ENGVAL1": (_engval1_f, _engval1_g),
-    "CRAGGLVY": (_cragglvy_f, _cragglvy_g),
-    "TRIDIA": (_tridia_f, _tridia_g),
-    "DQDRTIC": (_dqdrtic_f, _dqdrtic_g),
-    "WOODS": (_woods_f, _woods_g),
-    "NONDIA": (_nondia_f, _nondia_g),
-    "GENROSE": (_genrose_f, _genrose_g),
+# One entry per registry name.  Zeros and GENROSE's 1.0 are exact minima; the
+# ENGVAL1 and CRAGGLVY constants come from scripts/compute_reference_minima.py.
+_STANDARD = {
+    "ARWHEAD": _Standard(_arwhead_f, _arwhead_g, np.ones, 0.0, f_rows=True),
+    "ENGVAL1": _Standard(
+        _engval1_f, _engval1_g, lambda d: np.full(d, 2.0), 109.08813614309216
+    ),
+    "CRAGGLVY": _Standard(_cragglvy_f, _cragglvy_g, _cragglvy_start, 25.206129463129866),
+    "TRIDIA": _Standard(_tridia_f, _tridia_g, np.ones, 0.0),
+    "DQDRTIC": _Standard(_dqdrtic_f, _dqdrtic_g, lambda d: np.full(d, 3.0), 0.0),
+    "WOODS": _Standard(_woods_f, _woods_g, lambda d: np.tile([-3.0, -1.0], d // 2), 0.0),
+    "NONDIA": _Standard(_nondia_f, _nondia_g, lambda d: np.full(d, -1.0), 0.0),
+    "GENROSE": _Standard(
+        _genrose_f, _genrose_g, lambda d: np.arange(1, d + 1, dtype=float) / (d + 1), 1.0
+    ),
 }
 
 _STANDARD_DIM = 100
 
 
 def _make_standard(name: str, dim: int = _STANDARD_DIM) -> Problem:
-    f, g = _KERNELS[name]
+    entry = _STANDARD[name]
     return Problem(
         name=name,
         dim=dim,
-        eval_f=f,
-        eval_g=g,
-        x0=_start_point(name, dim),
-        phi_star=_PHI_STAR[name],
+        eval_f=entry.eval_f,
+        eval_g=entry.eval_g,
+        x0=entry.start(dim),
+        phi_star=entry.phi_star,
+        f_rows=entry.f_rows,
     )
 
 
 _REGISTRY: dict[str, Callable[[], Problem]] = {
-    name: (lambda n=name: _make_standard(n)) for name in _KERNELS
+    name: (lambda n=name: _make_standard(n)) for name in _STANDARD
 }
 
 

@@ -2,10 +2,13 @@
 gates, bisection initial phase, split-phase lengthening, and the curvature
 tracker feeding the lengthening floor."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisyqn.linesearch import (
     CurvatureTracker,
@@ -481,6 +484,107 @@ class TestTwoPhaseSearch:
             assert out.g_trials == oracle.g_evals - g0
             if out.alpha > 0.0:
                 x = x + out.alpha * p
+
+
+def arwhead_search(search, x, p, xi_f, xi_g, f_rows, count_calls=None):
+    """One ``search`` along p from x on ARWHEAD with block evaluation of the
+    fixed trial runs on or off; returns (outcome, oracle)."""
+    prob = dataclasses.replace(registry_lookup("ARWHEAD"), f_rows=f_rows)
+    if count_calls is not None:
+        kernel = prob.eval_f
+
+        def counted(points):
+            count_calls.append(points.ndim)
+            return kernel(points)
+
+        prob = dataclasses.replace(prob, eval_f=counted)
+    oracle = NoisyOracle(prob, NoiseSpec(xi_f=xi_f, xi_g=xi_g, seed=4))
+    f_x, g_x = oracle.noisy_f(x), oracle.noisy_g(x)
+    params = LineSearchParams()
+    if search == "two_phase":
+        eps_f, eps_g = oracle.reported_bounds()
+        tracker = CurvatureTracker(10)
+        out = two_phase_search(oracle, x, p, params, tracker, f_x, g_x, eps_f, eps_g)
+    else:
+        out = armijo_wolfe_search(oracle, x, p, params, f_x, g_x)
+    return out, oracle
+
+
+def search_bits(out, oracle):
+    """Everything a search leaves behind, floats and arrays as exact bits."""
+
+    def bits(value):
+        if value is None:
+            return None
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        return float(value).hex()
+
+    return (
+        bits(out.alpha), bits(out.beta), out.phase, out.f_trials, out.g_trials,
+        out.alpha_was_best_reuse, bits(out.f_alpha), bits(out.g_alpha), bits(out.g_beta),
+        oracle.f_evals, oracle.g_evals, bits(oracle.max_f_noise),
+        bits(oracle.max_g_noise_norm),
+    )
+
+
+class TestBlockTrialsInvisible:
+    """Evaluating the halving and backtracking runs ahead in blocks changes
+    nothing a search returns or leaves in its oracle."""
+
+    @pytest.mark.parametrize("search", ["two_phase", "armijo_wolfe"])
+    @pytest.mark.parametrize("xi_f", [0.0, 1e-3])
+    @pytest.mark.parametrize("xi_g", [0.0, 1e-3])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        near_minimizer=st.booleans(),
+        offset=st.integers(1, 8),
+        scale=st.integers(-2, 8),
+        uphill=st.booleans(),
+    )
+    def test_same_outcome_with_rows_on_and_off(
+        self, search, xi_f, xi_g, seed, near_minimizer, offset, scale, uphill
+    ):
+        rng = np.random.default_rng(seed)
+        x = np.ones(100)
+        if near_minimizer:
+            x[-1] = 0.0
+        x = x + 10.0**-offset * rng.standard_normal(100)
+        p = 10.0**scale * registry_lookup("ARWHEAD").eval_g(x) * (1.0 if uphill else -1.0)
+        rows_on = arwhead_search(search, x, p, xi_f, xi_g, f_rows=True)
+        rows_off = arwhead_search(search, x, p, xi_f, xi_g, f_rows=False)
+        assert search_bits(*rows_on) == search_bits(*rows_off)
+        assert rows_off[1].unused_f_rows == 0
+
+    @pytest.mark.parametrize("search", ["two_phase", "armijo_wolfe"])
+    def test_exhausted_budget_takes_few_kernel_calls(self, search):
+        """Uphill from ARWHEAD's start, both searches spend the whole
+        60-trial budget.  With rows on, the f-trials cost a handful of block
+        calls and leave no row unused: the runs end exactly at the budget."""
+        x = registry_lookup("ARWHEAD").x0.copy()
+        p = registry_lookup("ARWHEAD").eval_g(x)
+        calls_on, calls_off = [], []
+        out, oracle = arwhead_search(search, x, p, 0.0, 1e-3, True, calls_on)
+        assert search_bits(out, oracle) == search_bits(
+            *arwhead_search(search, x, p, 0.0, 1e-3, False, calls_off)
+        )
+        assert out.phase == Phase.ALPHA_FAILED and out.f_trials == 60
+        assert calls_off == [1] * 61  # f at x, then one call per trial
+        assert calls_on.count(1) == 1 and calls_on.count(2) <= 6
+        assert oracle.unused_f_rows == 0
+
+    def test_rows_after_an_accepted_trial_are_unused(self):
+        """From ARWHEAD's start, steepest descent is accepted after 10
+        halvings: the blocks of 8 and 16 rows leave 14 rows unused, which
+        get neither a count nor a noise draw."""
+        prob = registry_lookup("ARWHEAD")
+        x = prob.x0.copy()
+        p = -prob.eval_g(x)
+        out, oracle = arwhead_search("two_phase", x, p, 1e-3, 0.0, True)
+        assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
+        assert oracle.unused_f_rows == 14
+        assert oracle.f_evals == 1 + out.f_trials
 
 
 class TestParamsValidation:

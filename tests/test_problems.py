@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisyqn.problems import (
     Problem,
@@ -26,6 +28,24 @@ ALL_NAMES = (
     "NONDIA",
     "GENROSE",
 )
+
+
+ROW_NAMES = tuple(name for name in ALL_NAMES if registry_lookup(name).f_rows)
+
+# A last coordinate whose square differs in the last bit between libm pow
+# (the scalar ``v ** 2``) and array squaring (``np.square``, ``x * x``), by
+# enough to change ARWHEAD's value at x0 with this last coordinate.
+POW_SQUARE_SPLIT = float.fromhex("-0x1.12748e19cc7a0p+1")
+
+
+def assert_rows_match(prob, points):
+    """``eval_f`` of the (k, d) stack equals ``eval_f`` of each row, bit for
+    bit (NaN and infinities included)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = prob.eval_f(points)
+        one_by_one = np.array([prob.eval_f(row.copy()) for row in points])
+    assert stacked.shape == (len(points),)
+    assert stacked.tobytes() == one_by_one.tobytes()
 
 
 def seeded_points(problem, count=5, scale=0.1, seed=99):
@@ -129,6 +149,52 @@ class TestGradients:
             phi_star=7.0,
         )
         assert check_gradient(flat, np.array([0.3, -0.2, 1.0])) == 0.0
+
+
+class TestRowKernels:
+    """Problems with ``f_rows`` evaluate a stack of trial points in one call;
+    the line search relies on each row's value having the bits of a lone
+    evaluation."""
+
+    def test_arwhead_is_row_capable(self):
+        assert ROW_NAMES == ("ARWHEAD",)
+        assert not make_quadratic(4, 1.0, 2.0, seed=0).f_rows
+
+    @pytest.mark.parametrize("name", ROW_NAMES)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 40),
+        smallest=st.integers(0, 30),
+        scale=st.sampled_from([1e-3, 1.0, 1e3, 1e80, 1e160]),
+    )
+    def test_stack_equals_rows(self, name, seed, k, smallest, scale):
+        """Trial points x + alpha p with steplengths from 1 down to
+        10^-smallest (1e-30 at most); a large scale makes rows overflow."""
+        prob = registry_lookup(name)
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(prob.dim)
+        p = rng.standard_normal(prob.dim)
+        alphas = np.logspace(0.0, -smallest, k)
+        assert_rows_match(prob, x + alphas[:, None] * p)
+
+    @pytest.mark.parametrize("name", ROW_NAMES)
+    def test_pow_and_array_square_split(self, name):
+        last = np.array([POW_SQUARE_SPLIT])
+        assert POW_SQUARE_SPLIT**2 != np.square(last)[0]
+        prob = registry_lookup(name)
+        points = np.tile(prob.x0, (3, 1))
+        points[:, -1] = [POW_SQUARE_SPLIT, 0.5, -POW_SQUARE_SPLIT]
+        assert_rows_match(prob, points)
+        assert_rows_match(prob, points[:1])
+
+    @pytest.mark.parametrize("name", ROW_NAMES)
+    def test_overflowing_rows(self, name):
+        prob = registry_lookup(name)
+        points = np.array([prob.x0 * 1e200, prob.x0, -prob.x0 * 1e155])
+        assert_rows_match(prob, points)
+        with np.errstate(over="ignore"):
+            assert np.isinf(prob.eval_f(points)[0])
 
 
 class TestQuadratic:

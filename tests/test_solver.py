@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisyqn import solver
 from noisyqn.linalg import (
@@ -13,7 +15,7 @@ from noisyqn.linalg import (
     SymmetricMatrix,
     bfgs_inverse_update,
 )
-from noisyqn.linesearch import CurvatureTracker, LineSearchParams
+from noisyqn.linesearch import CurvatureTracker, LineSearchParams, Phase
 from noisyqn.noise import NoiseSpec, NoisyOracle
 from noisyqn.problems import Problem, make_quadratic, registry_lookup
 from noisyqn.solver import (
@@ -385,6 +387,58 @@ class TestTraceShape:
         trace = run(prob, spec, quick_config(Variant.BFGS_E))
         assert 0.0 < trace.max_f_noise <= 1e-3
         assert 0.0 < trace.max_g_noise_norm <= math.sqrt(100) * 1e-3 + 1e-15
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(["ARWHEAD", "TRIDIA"]),
+        variant=st.sampled_from(list(Variant)),
+        xi_f=st.sampled_from([0.0, 1e-3]),
+        xi_g=st.sampled_from([0.0, 1e-3, 1e-1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_trial_counts_equal_counter_deltas(self, name, variant, xi_f, xi_g, seed):
+        """Seen by an observer, each iteration's line-search trial counts
+        equal the oracle-counter deltas across the search, and the record's
+        cumulative counters add to them only the re-observations at the new
+        (or unchanged) iterate."""
+        searches = []
+
+        def counted(search):
+            def wrapped(oracle, *args, **kwargs):
+                f0, g0 = oracle.f_evals, oracle.g_evals
+                out = search(oracle, *args, **kwargs)
+                searches.append((out, oracle.f_evals - f0, oracle.g_evals - g0))
+                return out
+
+            return wrapped
+
+        previous = [(1, 1)]  # run() observes f and g at x0 first
+
+        def observer(ctx):
+            out, f_delta, g_delta = searches[-1]
+            assert (out.f_trials, out.g_trials) == (f_delta, g_delta)
+            assert out.phase == ctx.phase
+            stepped = out.phase != Phase.ALPHA_FAILED and out.alpha > 0.0
+            f_after = int(not stepped or out.f_alpha is None)
+            g_after = int(not stepped or out.g_alpha is None)
+            f_before, g_before = previous[-1]
+            record = ctx.record
+            assert record.cum_f_evals - f_before == out.f_trials + f_after
+            assert record.cum_g_evals - g_before == out.g_trials + g_after
+            previous.append((record.cum_f_evals, record.cum_g_evals))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "two_phase_search", counted(solver.two_phase_search))
+            patch.setattr(solver, "armijo_wolfe_search", counted(solver.armijo_wolfe_search))
+            trace = run(
+                registry_lookup(name),
+                NoiseSpec(xi_f=xi_f, xi_g=xi_g, seed=seed),
+                quick_config(variant, max_iters=25),
+                observer,
+            )
+        assert len(searches) == len(trace.records) == len(previous) - 1
+        assert previous[-1] == (trace.f_evals, trace.g_evals)
 
 
 class TestConfigValidation:
