@@ -69,6 +69,13 @@ class NoisyOracle:
     search's block evaluations that no trial consumed; they never enter
     ``f_evals``.  ``max_f_noise`` and ``max_g_noise_norm`` track the largest
     injected errors actually seen, for bound auditing.
+
+    ``true_f`` and ``true_g`` give the noiseless values at a point for the
+    solver's trace.  The oracle remembers the point and noiseless value of
+    its latest ``noisy_f`` and of its latest ``noisy_g`` call, and answers
+    from them when the point has exactly the bits asked for.  It keeps
+    references, not copies, to the arrays it is handed and returns: neither
+    the caller nor the problem may change them in place afterwards.
     """
 
     def __init__(self, problem: Problem, spec: NoiseSpec):
@@ -80,6 +87,8 @@ class NoisyOracle:
         self.unused_f_rows = 0
         self.max_f_noise = 0.0
         self.max_g_noise_norm = 0.0
+        self._last_f: tuple[np.ndarray, float] | None = None
+        self._last_g: tuple[np.ndarray, np.ndarray] | None = None
         # One generator, rewound for every draw: the fresh state of a Philox
         # built with counter [index, tag, 0, 0] is this state with that
         # counter (an empty buffer, no half-used 32-bit word).
@@ -115,6 +124,7 @@ class NoisyOracle:
         """
         if value is None:
             value = self.problem.eval_f(x)
+        self._last_f = (x, value)
         index = self.f_evals
         self.f_evals += 1
         eps = 0.0
@@ -126,6 +136,7 @@ class NoisyOracle:
 
     def noisy_g(self, x: np.ndarray) -> np.ndarray:
         grad = self.problem.eval_g(x)
+        self._last_g = (x, grad)
         index = self.g_evals
         self.g_evals += 1
         if self.spec.xi_g > 0.0 and self.noise_active():
@@ -137,6 +148,23 @@ class NoisyOracle:
                 self.max_g_noise_norm = norm
             return grad + err
         return grad
+
+    def true_f(self, x: np.ndarray) -> float:
+        """The noiseless f at x, uncounted: the latest ``noisy_f`` call's
+        value when its point has x's bits (a zero's sign included), else
+        the problem's ``eval_f``."""
+        last = self._last_f
+        if last is not None and last[0].tobytes() == x.tobytes():
+            return last[1]
+        return self.problem.eval_f(x)
+
+    def true_g(self, x: np.ndarray) -> np.ndarray:
+        """The noiseless gradient at x, uncounted, looked up like
+        ``true_f``."""
+        last = self._last_g
+        if last is not None and last[0].tobytes() == x.tobytes():
+            return last[1]
+        return self.problem.eval_g(x)
 
     def reported_bounds(self) -> tuple[float, float]:
         """(eps_f, eps_g) bounds handed to noise-aware methods.

@@ -39,9 +39,15 @@ class Problem:
     ``f_rows`` declares that ``eval_f`` also takes a (k, d) stack of points
     and returns their k values as an array, each bit-identical to
     ``eval_f`` of that row alone.  The line search then evaluates a block of
-    trial points in one call.  Leave it False unless the bits match exactly:
-    a matrix product over the stack, for one, is not bit-identical to the
+    trial points in one call (ARWHEAD and CRAGGLVY in the registry), and a
+    row's value also becomes the trace's true value when the run steps to
+    that row's point.  Leave it False unless the bits match exactly: a
+    matrix product over the stack, for one, is not bit-identical to the
     matrix-vector products of its rows.
+
+    The noisy oracle keeps references to the points it evaluates and to the
+    values ``eval_f``/``eval_g`` return, so neither may be changed in place
+    afterwards.
     """
 
     name: str
@@ -102,41 +108,50 @@ def _engval1_g(x):
 
 
 def _cragglvy_terms(x):
-    m = (x.size - 2) // 2
-    ia = 2 * np.arange(m)
-    a, b, c, e = x[ia], x[ia + 1], x[ia + 2], x[ia + 3]
-    return ia, a, b, c, e
+    # Contiguous copies of the four interleaved slices: numpy picks its SIMD
+    # loops by memory layout, and the golden traces come from contiguous
+    # input.  A (k, d) stack then sums C-contiguous rows, bit for bit as
+    # each row alone.
+    n = 2 * ((x.shape[-1] - 2) // 2)
+    a = x[..., 0:n:2].copy()
+    b = x[..., 1 : n + 1 : 2].copy()
+    c = x[..., 2 : n + 2 : 2].copy()
+    e = x[..., 3 : n + 3 : 2].copy()
+    return n, a, b, c, e
 
 
 def _cragglvy_f(x):
+    # Written over the last axis, so a (k, d) stack gives its k values.
     _, a, b, c, e = _cragglvy_terms(x)
     w = c - e
     # wild line-search trial points overflow the quartic to inf, which the
     # caller treats as an ordinary rejected value
     with np.errstate(over="ignore"):
-        return float(
-            (
-                (np.exp(a) - b) ** 4
-                + 100.0 * (b - c) ** 6
-                + np.tan(w) ** 4
-                + a**8
-                + (e - 1.0) ** 2
-            ).sum()
-        )
+        s = (
+            (np.exp(a) - b) ** 4
+            + 100.0 * (b - c) ** 6
+            + np.tan(w) ** 4
+            + a**8
+            + (e - 1.0) ** 2
+        ).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def _cragglvy_g(x):
-    ia, a, b, c, e = _cragglvy_terms(x)
+    n, a, b, c, e = _cragglvy_terms(x)
     g = np.zeros_like(x)
-    d1 = np.exp(a) - b
+    exp_a = np.exp(a)
+    d1 = exp_a - b
     d2 = b - c
     w = c - e
-    u = np.tan(w)
     du = 1.0 / np.cos(w) ** 2
-    np.add.at(g, ia, 4.0 * d1**3 * np.exp(a) + 8.0 * a**7)
-    np.add.at(g, ia + 1, -4.0 * d1**3 + 600.0 * d2**5)
-    np.add.at(g, ia + 2, -600.0 * d2**5 + 4.0 * u**3 * du)
-    np.add.at(g, ia + 3, -4.0 * u**3 * du + 2.0 * (e - 1.0))
+    # Each power once (an array power calls pow per element, the kernel's
+    # main cost); each coordinate gets its terms in the order j = 0, 1, 2, 3.
+    d1_3, d2_5, u_3 = d1**3, d2**5, np.tan(w) ** 3
+    g[0:n:2] += 4.0 * d1_3 * exp_a + 8.0 * a**7
+    g[1 : n + 1 : 2] += -4.0 * d1_3 + 600.0 * d2_5
+    g[2 : n + 2 : 2] += -600.0 * d2_5 + 4.0 * u_3 * du
+    g[3 : n + 3 : 2] += -4.0 * u_3 * du + 2.0 * (e - 1.0)
     return g
 
 
@@ -244,7 +259,9 @@ _STANDARD = {
     "ENGVAL1": _Standard(
         _engval1_f, _engval1_g, lambda d: np.full(d, 2.0), 109.08813614309216
     ),
-    "CRAGGLVY": _Standard(_cragglvy_f, _cragglvy_g, _cragglvy_start, 25.206129463129866),
+    "CRAGGLVY": _Standard(
+        _cragglvy_f, _cragglvy_g, _cragglvy_start, 25.206129463129866, f_rows=True
+    ),
     "TRIDIA": _Standard(_tridia_f, _tridia_g, np.ones, 0.0),
     "DQDRTIC": _Standard(_dqdrtic_f, _dqdrtic_g, lambda d: np.full(d, 3.0), 0.0),
     "WOODS": _Standard(_woods_f, _woods_g, lambda d: np.tile([-3.0, -1.0], d // 2), 0.0),

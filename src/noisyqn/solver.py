@@ -5,9 +5,11 @@ standard (always update), update-skipping (drop pairs whose observed
 curvature is below the noise floor), and noise-tolerant (two-phase line
 search with curvature-pair lengthening).
 
-The per-iteration trace records true objective values for benchmarking;
-those are computed directly on the problem and are never visible to the
-method itself.
+The per-iteration trace records true objective values for benchmarking,
+never visible to the method itself.  They are the noiseless values behind
+the oracle's latest evaluation at the iterate when there is one
+(``NoisyOracle.true_f``/``true_g``), else computed on the problem; both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -213,8 +215,8 @@ def iterate(
     problem = oracle.problem
     oracle.set_iteration(state.k)
     x = state.x
-    phi_true = float(problem.eval_f(x))
-    grad_norm_true = float(np.linalg.norm(problem.eval_g(x)))
+    phi_true = float(oracle.true_f(x))
+    grad_norm_true = float(np.linalg.norm(oracle.true_g(x)))
 
     kappa = lambda_min_b = lambda_max_b = None
     if state.hessian is not None and config.diagnostics:
@@ -364,8 +366,8 @@ def run(
             break
         if config.threshold_termination:
             if (
-                problem.eval_f(state.x) - problem.phi_star <= eps_f
-                or float(np.linalg.norm(problem.eval_g(state.x))) <= eps_g
+                oracle.true_f(state.x) - problem.phi_star <= eps_f
+                or float(np.linalg.norm(oracle.true_g(state.x))) <= eps_g
             ):
                 reason = "threshold"
                 break
@@ -386,7 +388,7 @@ def run(
         ):
             reason = "line_search_stagnation"
             break
-    final_phi = float(problem.eval_f(state.x))
+    final_phi = float(oracle.true_f(state.x))
     return RunTrace(
         problem=problem.name,
         variant=variant.value,
@@ -396,7 +398,7 @@ def run(
         final_x=state.x,
         final_phi_true=final_phi,
         final_gap=final_phi - problem.phi_star,
-        final_grad_norm_true=float(np.linalg.norm(problem.eval_g(state.x))),
+        final_grad_norm_true=float(np.linalg.norm(oracle.true_g(state.x))),
         f_evals=oracle.f_evals,
         g_evals=oracle.g_evals,
         max_f_noise=oracle.max_f_noise,

@@ -3,6 +3,7 @@ gates, bisection initial phase, split-phase lengthening, and the curvature
 tracker feeding the lengthening floor."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from noisyqn.linesearch import (
     two_phase_search,
 )
 from noisyqn.noise import NoiseSpec, NoisyOracle
-from noisyqn.problems import Problem, make_quadratic, registry_lookup
+from noisyqn.problems import Problem, make_quadratic, registered_names, registry_lookup
+from noisyqn.solver import SolverConfig, Variant, run
 
 
 def scalar_problem(f, g, name="SCALAR"):
@@ -486,10 +488,26 @@ class TestTwoPhaseSearch:
                 x = x + out.alpha * p
 
 
-def arwhead_search(search, x, p, xi_f, xi_g, f_rows, count_calls=None):
-    """One ``search`` along p from x on ARWHEAD with block evaluation of the
-    fixed trial runs on or off; returns (outcome, oracle)."""
-    prob = dataclasses.replace(registry_lookup("ARWHEAD"), f_rows=f_rows)
+# Registry problems whose kernels evaluate a stack of trial points.
+ROW_NAMES = tuple(
+    name
+    for name in registered_names()
+    if not name.startswith("QUAD(") and registry_lookup(name).f_rows
+)
+
+
+@functools.cache
+def minimizer_estimate(name):
+    """A point close to the problem's minimizer: a noiseless L-BFGS run from
+    the standard start."""
+    config = SolverConfig(variant=Variant.LBFGS, max_iters=300)
+    return run(registry_lookup(name), NoiseSpec(), config).final_x
+
+
+def row_search(name, search, x, p, xi_f, xi_g, f_rows, count_calls=None):
+    """One ``search`` along p from x on a registry problem with block
+    evaluation of the fixed trial runs on or off; returns (outcome, oracle)."""
+    prob = dataclasses.replace(registry_lookup(name), f_rows=f_rows)
     if count_calls is not None:
         kernel = prob.eval_f
 
@@ -532,6 +550,7 @@ class TestBlockTrialsInvisible:
     """Evaluating the halving and backtracking runs ahead in blocks changes
     nothing a search returns or leaves in its oracle."""
 
+    @pytest.mark.parametrize("name", ROW_NAMES)
     @pytest.mark.parametrize("search", ["two_phase", "armijo_wolfe"])
     @pytest.mark.parametrize("xi_f", [0.0, 1e-3])
     @pytest.mark.parametrize("xi_g", [0.0, 1e-3])
@@ -544,16 +563,15 @@ class TestBlockTrialsInvisible:
         uphill=st.booleans(),
     )
     def test_same_outcome_with_rows_on_and_off(
-        self, search, xi_f, xi_g, seed, near_minimizer, offset, scale, uphill
+        self, name, search, xi_f, xi_g, seed, near_minimizer, offset, scale, uphill
     ):
         rng = np.random.default_rng(seed)
-        x = np.ones(100)
-        if near_minimizer:
-            x[-1] = 0.0
-        x = x + 10.0**-offset * rng.standard_normal(100)
-        p = 10.0**scale * registry_lookup("ARWHEAD").eval_g(x) * (1.0 if uphill else -1.0)
-        rows_on = arwhead_search(search, x, p, xi_f, xi_g, f_rows=True)
-        rows_off = arwhead_search(search, x, p, xi_f, xi_g, f_rows=False)
+        prob = registry_lookup(name)
+        x = minimizer_estimate(name) if near_minimizer else prob.x0
+        x = x + 10.0**-offset * rng.standard_normal(prob.dim)
+        p = 10.0**scale * prob.eval_g(x) * (1.0 if uphill else -1.0)
+        rows_on = row_search(name, search, x, p, xi_f, xi_g, f_rows=True)
+        rows_off = row_search(name, search, x, p, xi_f, xi_g, f_rows=False)
         assert search_bits(*rows_on) == search_bits(*rows_off)
         assert rows_off[1].unused_f_rows == 0
 
@@ -565,9 +583,9 @@ class TestBlockTrialsInvisible:
         x = registry_lookup("ARWHEAD").x0.copy()
         p = registry_lookup("ARWHEAD").eval_g(x)
         calls_on, calls_off = [], []
-        out, oracle = arwhead_search(search, x, p, 0.0, 1e-3, True, calls_on)
+        out, oracle = row_search("ARWHEAD", search, x, p, 0.0, 1e-3, True, calls_on)
         assert search_bits(out, oracle) == search_bits(
-            *arwhead_search(search, x, p, 0.0, 1e-3, False, calls_off)
+            *row_search("ARWHEAD", search, x, p, 0.0, 1e-3, False, calls_off)
         )
         assert out.phase == Phase.ALPHA_FAILED and out.f_trials == 60
         assert calls_off == [1] * 61  # f at x, then one call per trial
@@ -581,7 +599,7 @@ class TestBlockTrialsInvisible:
         prob = registry_lookup("ARWHEAD")
         x = prob.x0.copy()
         p = -prob.eval_g(x)
-        out, oracle = arwhead_search("two_phase", x, p, 1e-3, 0.0, True)
+        out, oracle = row_search("ARWHEAD", "two_phase", x, p, 1e-3, 0.0, True)
         assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
         assert oracle.unused_f_rows == 14
         assert oracle.f_evals == 1 + out.f_trials

@@ -1,6 +1,7 @@
 """Noisy oracle wrapper: bound enforcement, counter-based determinism,
 intermittent schedules, and evaluation accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -237,3 +238,76 @@ class TestEvalAccounting:
         oracle.noisy_g(x)
         assert oracle.f_evals == 3
         assert oracle.g_evals == 1
+
+
+def counted_problem(problem, calls):
+    """``problem`` with every ``eval_f``/``eval_g`` call appended to
+    ``calls`` as "f" or "g"."""
+
+    def eval_f(x):
+        calls.append("f")
+        return problem.eval_f(x)
+
+    def eval_g(x):
+        calls.append("g")
+        return problem.eval_g(x)
+
+    return dataclasses.replace(problem, eval_f=eval_f, eval_g=eval_g)
+
+
+class TestTrueValues:
+    """``true_f``/``true_g`` answer from the latest noisy call when its point
+    has exactly the bits asked for, and from the problem otherwise."""
+
+    def test_same_bits_reuse_the_latest_evaluation(self):
+        calls = []
+        oracle = make_oracle(counted_problem(registry_lookup("CRAGGLVY"), calls),
+                             xi_f=1e-3, xi_g=1e-3, seed=2)
+        x = oracle.problem.x0 + 0.25
+        f_noisy, g_noisy = oracle.noisy_f(x), oracle.noisy_g(x)
+        assert calls == ["f", "g"]
+        f_true, g_true = oracle.true_f(x.copy()), oracle.true_g(x.copy())
+        assert calls == ["f", "g"]
+        assert f_true == registry_lookup("CRAGGLVY").eval_f(x) != f_noisy
+        assert g_true.tobytes() == registry_lookup("CRAGGLVY").eval_g(x).tobytes()
+        assert g_true.tobytes() != g_noisy.tobytes()
+        assert (oracle.f_evals, oracle.g_evals) == (1, 1)
+
+    def test_value_handed_to_noisy_f_is_remembered(self):
+        calls = []
+        oracle = make_oracle(counted_problem(registry_lookup("ARWHEAD"), calls))
+        x = oracle.problem.x0.copy()
+        oracle.noisy_f(x, 297.0)
+        assert oracle.true_f(x) == 297.0 and calls == []
+
+    def test_other_points_go_to_the_problem(self):
+        calls = []
+        oracle = make_oracle(counted_problem(registry_lookup("ARWHEAD"), calls))
+        x = oracle.problem.x0.copy()
+        assert oracle.true_f(x) == 297.0 and calls == ["f"]
+        oracle.true_g(x)
+        assert calls == ["f", "g"]
+        oracle.noisy_f(x)
+        oracle.noisy_g(x)
+        y = x.copy()
+        y[3] = np.nextafter(1.0, 2.0)
+        oracle.true_f(y)
+        oracle.true_g(y)
+        assert calls == ["f", "g", "f", "g", "f", "g"]
+
+    def test_zero_of_the_other_sign_misses(self):
+        """0.0 and -0.0 compare equal but are different bits, so a point
+        that differs from the remembered one only there is evaluated."""
+        calls = []
+        oracle = make_oracle(counted_problem(registry_lookup("ARWHEAD"), calls))
+        x = oracle.problem.x0.copy()
+        x[-1] = 0.0
+        oracle.noisy_f(x)
+        oracle.noisy_g(x)
+        y = x.copy()
+        y[-1] = -0.0
+        assert np.array_equal(x, y)
+        del calls[:]
+        oracle.true_f(y)
+        oracle.true_g(y)
+        assert calls == ["f", "g"]

@@ -156,8 +156,8 @@ class TestRowKernels:
     the line search relies on each row's value having the bits of a lone
     evaluation."""
 
-    def test_arwhead_is_row_capable(self):
-        assert ROW_NAMES == ("ARWHEAD",)
+    def test_row_capable_problems(self):
+        assert ROW_NAMES == ("ARWHEAD", "CRAGGLVY")
         assert not make_quadratic(4, 1.0, 2.0, seed=0).f_rows
 
     @pytest.mark.parametrize("name", ROW_NAMES)
@@ -195,6 +195,72 @@ class TestRowKernels:
         assert_rows_match(prob, points)
         with np.errstate(over="ignore"):
             assert np.isinf(prob.eval_f(points)[0])
+
+
+def reference_cragglvy_terms(x):
+    m = (x.size - 2) // 2
+    ia = 2 * np.arange(m)
+    return ia, x[ia], x[ia + 1], x[ia + 2], x[ia + 3]
+
+
+def reference_cragglvy_f(x):
+    """CRAGGLVY's f as first written: fancy-indexed interleaves."""
+    _, a, b, c, e = reference_cragglvy_terms(x)
+    w = c - e
+    return float(
+        (
+            (np.exp(a) - b) ** 4
+            + 100.0 * (b - c) ** 6
+            + np.tan(w) ** 4
+            + a**8
+            + (e - 1.0) ** 2
+        ).sum()
+    )
+
+
+def reference_cragglvy_g(x):
+    """CRAGGLVY's gradient as first written: every term recomputed and
+    scattered with ``np.add.at``."""
+    ia, a, b, c, e = reference_cragglvy_terms(x)
+    g = np.zeros_like(x)
+    d1 = np.exp(a) - b
+    d2 = b - c
+    w = c - e
+    u = np.tan(w)
+    du = 1.0 / np.cos(w) ** 2
+    np.add.at(g, ia, 4.0 * d1**3 * np.exp(a) + 8.0 * a**7)
+    np.add.at(g, ia + 1, -4.0 * d1**3 + 600.0 * d2**5)
+    np.add.at(g, ia + 2, -600.0 * d2**5 + 4.0 * u**3 * du)
+    np.add.at(g, ia + 3, -4.0 * u**3 * du + 2.0 * (e - 1.0))
+    return g
+
+
+class TestCragglvyKernels:
+    """The slice kernels give the bits of the fancy-index reference, NaN and
+    infinities included, in even and odd dimensions."""
+
+    @pytest.mark.parametrize("dim", [4, 5, 10, 100, 101])
+    @settings(max_examples=210, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 0.1, 1.0, 3.0, 10.0, 1e2, 1e3, 1e10, 1e160]),
+        near_start=st.booleans(),
+    )
+    def test_matches_reference(self, dim, seed, scale, near_start):
+        """Ten points a draw: scaled normals, or normals around the standard
+        start; 1e3 and up make exp, the powers and tan overflow or go NaN."""
+        prob = registry_lookup("CRAGGLVY")
+        rng = np.random.default_rng(seed)
+        start = np.full(dim, 2.0)
+        start[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(10):
+                x = scale * rng.standard_normal(dim)
+                if near_start:
+                    x += start
+                f = np.array([prob.eval_f(x)])
+                assert f.tobytes() == np.array([reference_cragglvy_f(x)]).tobytes()
+                assert prob.eval_g(x).tobytes() == reference_cragglvy_g(x).tobytes()
 
 
 class TestQuadratic:

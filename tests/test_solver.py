@@ -441,6 +441,58 @@ class TestTraceShape:
         assert previous[-1] == (trace.f_evals, trace.g_evals)
 
 
+def bits(value):
+    return float(value).hex()
+
+
+class TestTraceValues:
+    """The trace's true values come from the oracle's latest evaluation when
+    it was made at the iterate, with the bits of evaluating the problem."""
+
+    @pytest.mark.parametrize("name", ["ARWHEAD", "CRAGGLVY"])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_true_values_have_the_problem_bits(self, name, variant):
+        prob = registry_lookup(name)
+        seen = []
+
+        def observer(ctx):
+            record = ctx.record
+            assert bits(record.phi_true) == bits(prob.eval_f(ctx.x))
+            assert bits(record.gap) == bits(prob.eval_f(ctx.x) - prob.phi_star)
+            norm = np.linalg.norm(prob.eval_g(ctx.x))
+            assert bits(record.grad_norm_true) == bits(norm)
+            seen.append(record.k)
+
+        spec = NoiseSpec(xi_f=1e-3, xi_g=1e-1, schedule="intermittent", n_noise=10, seed=6)
+        trace = run(prob, spec, quick_config(variant, max_iters=40), observer)
+        assert seen == list(range(len(trace.records))) and seen
+        assert bits(trace.final_phi_true) == bits(prob.eval_f(trace.final_x))
+        final_norm = np.linalg.norm(prob.eval_g(trace.final_x))
+        assert bits(trace.final_grad_norm_true) == bits(final_norm)
+
+    @pytest.mark.parametrize("variant", [v for v in Variant if not v.noise_tolerant])
+    def test_standard_variants_evaluate_nothing_for_the_trace(self, variant):
+        """Their iterate is the point of the latest f and g evaluation, so a
+        run calls the problem exactly once per counted evaluation."""
+        calls = []
+        base = registry_lookup("TRIDIA")
+
+        def eval_f(x):
+            calls.append("f")
+            return base.eval_f(x)
+
+        def eval_g(x):
+            calls.append("g")
+            return base.eval_g(x)
+
+        prob = Problem(base.name, base.dim, eval_f, eval_g, base.x0, base.phi_star)
+        spec = NoiseSpec(xi_f=1e-3, xi_g=1e-3, seed=8)
+        trace = run(prob, spec, quick_config(variant, max_iters=30, threshold_termination=True))
+        assert len(trace.records) > 0
+        assert calls.count("f") == trace.f_evals
+        assert calls.count("g") == trace.g_evals
+
+
 class TestConfigValidation:
     def test_bad_memory(self):
         with pytest.raises(ValueError):
