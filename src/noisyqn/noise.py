@@ -1,15 +1,23 @@
 """Bounded uniform noise injection for function and gradient oracles.
 
-Every evaluation draws fresh noise from a counter-based stream keyed by
+Every evaluation draws its noise from a counter-based stream keyed by
 (seed, evaluation index), with coordinates consumed in order from that
 stream.  Replaying the same seed and call sequence therefore reproduces the
 exact same values regardless of wall clock, thread, or process — which is
 what makes parallel sweeps bit-identical to serial ones.
+
+The gradient streams of consecutive evaluations overlap, a known defect: a
+draw starts at Philox counter [index, 1, 0, 0] and each 4 coordinates take
+the next counter value, so draw k + 1 repeats draw k's coordinates 4, 5, ...
+in positions 0, 1, ...  At d = 100 the gradient noise of up to 25
+consecutive evaluations is correlated this way.  Function draws take one
+counter value each and do not overlap.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,10 @@ _TAG_F = 0
 _TAG_G = 1
 
 _KEY_MASK = (1 << 128) - 1
+
+# Gradient evaluations remembered for ``true_g``: the tolerant variants'
+# beta loop evaluates g after the accepted point, which four cover.
+_G_HISTORY = 4
 
 
 @dataclass(frozen=True)
@@ -72,8 +84,8 @@ class NoisyOracle:
 
     ``true_f`` and ``true_g`` give the noiseless values at a point for the
     solver's trace.  The oracle remembers the point and noiseless value of
-    its latest ``noisy_f`` and of its latest ``noisy_g`` call, and answers
-    from them when the point has exactly the bits asked for.  It keeps
+    its latest ``noisy_f`` call and of its last four ``noisy_g`` calls, and
+    answers from them when a point has exactly the bits asked for.  It keeps
     references, not copies, to the arrays it is handed and returns: neither
     the caller nor the problem may change them in place afterwards.
     """
@@ -88,7 +100,7 @@ class NoisyOracle:
         self.max_f_noise = 0.0
         self.max_g_noise_norm = 0.0
         self._last_f: tuple[np.ndarray, float] | None = None
-        self._last_g: tuple[np.ndarray, np.ndarray] | None = None
+        self._recent_g: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=_G_HISTORY)
         # One generator, rewound for every draw: the fresh state of a Philox
         # built with counter [index, tag, 0, 0] is this state with that
         # counter (an empty buffer, no half-used 32-bit word).
@@ -136,7 +148,7 @@ class NoisyOracle:
 
     def noisy_g(self, x: np.ndarray) -> np.ndarray:
         grad = self.problem.eval_g(x)
-        self._last_g = (x, grad)
+        self._recent_g.append((x, grad))
         index = self.g_evals
         self.g_evals += 1
         if self.spec.xi_g > 0.0 and self.noise_active():
@@ -159,11 +171,13 @@ class NoisyOracle:
         return self.problem.eval_f(x)
 
     def true_g(self, x: np.ndarray) -> np.ndarray:
-        """The noiseless gradient at x, uncounted, looked up like
-        ``true_f``."""
-        last = self._last_g
-        if last is not None and last[0].tobytes() == x.tobytes():
-            return last[1]
+        """The noiseless gradient at x, uncounted: that of the newest of the
+        last four ``noisy_g`` calls whose point has x's bits, else the
+        problem's ``eval_g``."""
+        key = x.tobytes()
+        for point, grad in reversed(self._recent_g):
+            if point.tobytes() == key:
+                return grad
         return self.problem.eval_g(x)
 
     def reported_bounds(self) -> tuple[float, float]:

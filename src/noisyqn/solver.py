@@ -7,7 +7,7 @@ search with curvature-pair lengthening).
 
 The per-iteration trace records true objective values for benchmarking,
 never visible to the method itself.  They are the noiseless values behind
-the oracle's latest evaluation at the iterate when there is one
+the oracle's recent evaluations at the iterate when there is one
 (``NoisyOracle.true_f``/``true_g``), else computed on the problem; both
 give the same bits.
 """

@@ -87,6 +87,21 @@ class TestGradientNoise:
 
 
 class TestDeterminism:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: draw k's Philox counter blocks index+1 ... "
+        "index+d/4 overlap draw k+1's, so consecutive gradient draws repeat "
+        "the same numbers shifted by 4 coordinates",
+    )
+    def test_consecutive_gradient_draws_share_no_window(self):
+        """Two consecutive gradient draws at d = 100 share no run of
+        numbers: no shift s makes draw 1 equal draw 0 moved by s."""
+        flat = dataclasses.replace(registry_lookup("ARWHEAD"), eval_g=np.zeros_like)
+        oracle = NoisyOracle(flat, NoiseSpec(xi_g=1e-3, seed=5))
+        first, second = oracle.noisy_g(flat.x0), oracle.noisy_g(flat.x0)
+        shared = [s for s in range(1, flat.dim) if np.array_equal(first[s:], second[:-s])]
+        assert shared == []
+
     def test_same_seed_same_sequence(self):
         x = np.array([0.5, -1.0, 2.0, 0.0])
         a = make_oracle(xi_f=1e-3, xi_g=1e-3, seed=11)
@@ -311,3 +326,20 @@ class TestTrueValues:
         oracle.true_f(y)
         oracle.true_g(y)
         assert calls == ["f", "g"]
+
+    def test_gradient_lookup_keeps_the_last_four_points(self):
+        """``true_g`` answers from any of the last four ``noisy_g`` points
+        and forgets the fifth-newest."""
+        calls = []
+        oracle = make_oracle(counted_problem(registry_lookup("ARWHEAD"), calls), xi_g=1e-3)
+        points = [oracle.problem.x0 + 0.1 * i for i in range(5)]
+        for point in points:
+            oracle.noisy_g(point)
+        del calls[:]
+        for point in points[1:]:
+            assert oracle.true_g(point.copy()).tobytes() == (
+                oracle.problem.eval_g(point).tobytes()
+            )
+        assert calls == ["g"] * 4  # the reference evaluations only
+        oracle.true_g(points[0])
+        assert calls == ["g"] * 5

@@ -2,6 +2,7 @@
 quadratics, and the finite-difference gradient audit."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from noisyqn.problems import (
     Problem,
+    _power,
     UnknownProblemError,
     check_gradient,
     make_quadratic,
@@ -204,15 +206,20 @@ def reference_cragglvy_terms(x):
 
 
 def reference_cragglvy_f(x):
-    """CRAGGLVY's f as first written: fancy-indexed interleaves."""
+    """CRAGGLVY's f as first written, with fancy-indexed interleaves; its
+    powers are the kernel's product chains, written out."""
     _, a, b, c, e = reference_cragglvy_terms(x)
-    w = c - e
+    d1 = np.exp(a) - b
+    d2 = b - c
+    u = np.tan(c - e)
+    d1_2, d2_2, u_2, a_2 = d1 * d1, d2 * d2, u * u, a * a
+    a_4 = a_2 * a_2
     return float(
         (
-            (np.exp(a) - b) ** 4
-            + 100.0 * (b - c) ** 6
-            + np.tan(w) ** 4
-            + a**8
+            d1_2 * d1_2
+            + 100.0 * ((d2_2 * d2_2) * d2_2)
+            + u_2 * u_2
+            + a_4 * a_4
             + (e - 1.0) ** 2
         ).sum()
     )
@@ -220,7 +227,7 @@ def reference_cragglvy_f(x):
 
 def reference_cragglvy_g(x):
     """CRAGGLVY's gradient as first written: every term recomputed and
-    scattered with ``np.add.at``."""
+    scattered with ``np.add.at``, the powers as written-out chains."""
     ia, a, b, c, e = reference_cragglvy_terms(x)
     g = np.zeros_like(x)
     d1 = np.exp(a) - b
@@ -228,11 +235,42 @@ def reference_cragglvy_g(x):
     w = c - e
     u = np.tan(w)
     du = 1.0 / np.cos(w) ** 2
-    np.add.at(g, ia, 4.0 * d1**3 * np.exp(a) + 8.0 * a**7)
-    np.add.at(g, ia + 1, -4.0 * d1**3 + 600.0 * d2**5)
-    np.add.at(g, ia + 2, -600.0 * d2**5 + 4.0 * u**3 * du)
-    np.add.at(g, ia + 3, -4.0 * u**3 * du + 2.0 * (e - 1.0))
+    a_2, d2_2 = a * a, d2 * d2
+    d1_3 = (d1 * d1) * d1
+    d2_5 = (d2_2 * d2_2) * d2
+    u_3 = (u * u) * u
+    a_7 = ((a_2 * a_2) * a_2) * a
+    np.add.at(g, ia, 4.0 * d1_3 * np.exp(a) + 8.0 * a_7)
+    np.add.at(g, ia + 1, -4.0 * d1_3 + 600.0 * d2_5)
+    np.add.at(g, ia + 2, -600.0 * d2_5 + 4.0 * u_3 * du)
+    np.add.at(g, ia + 3, -4.0 * u_3 * du + 2.0 * (e - 1.0))
     return g
+
+
+def float_power_cragglvy(x):
+    """CRAGGLVY's f, its gradient and, per coordinate, the sum of the
+    gradient terms' absolute values, with numpy's power for every power."""
+    n = 2 * ((x.size - 2) // 2)
+    a, b, c, e = (x[j : n + j : 2] for j in range(4))
+    power = np.float_power
+    exp_a = np.exp(a)
+    d1, d2, w = exp_a - b, b - c, c - e
+    u, du = np.tan(w), 1.0 / np.cos(w) ** 2
+    f = (
+        power(d1, 4) + 100.0 * power(d2, 6) + power(u, 4) + power(a, 8) + (e - 1.0) ** 2
+    ).sum()
+    terms = (
+        (4.0 * power(d1, 3) * exp_a, 8.0 * power(a, 7)),
+        (-4.0 * power(d1, 3), 600.0 * power(d2, 5)),
+        (-600.0 * power(d2, 5), 4.0 * power(u, 3) * du),
+        (-4.0 * power(u, 3) * du, 2.0 * (e - 1.0)),
+    )
+    g, scale = np.zeros_like(x), np.zeros_like(x)
+    for j, pair in enumerate(terms):
+        for term in pair:
+            g[j : n + j : 2] += term
+            scale[j : n + j : 2] += np.abs(term)
+    return float(f), g, scale
 
 
 class TestCragglvyKernels:
@@ -261,6 +299,39 @@ class TestCragglvyKernels:
                 f = np.array([prob.eval_f(x)])
                 assert f.tobytes() == np.array([reference_cragglvy_f(x)]).tobytes()
                 assert prob.eval_g(x).tobytes() == reference_cragglvy_g(x).tobytes()
+
+
+class TestPowerChains:
+    """CRAGGLVY's powers are fixed chains of IEEE products instead of
+    numpy's power: a few ulp from the exact power, not 1 ulp."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(t=st.floats(2.0**-100, 2.0**100), negative=st.booleans())
+    def test_chain_within_n_ulp_of_exact_power(self, n, t, negative):
+        """A chain of k roundings has relative error below k u, u = 2^-53;
+        that is under k ulp, and k <= n for every chain."""
+        t = -t if negative else t
+        chain = float(_power(np.array([t]), n)[0])
+        exact = Fraction(t) ** n
+        assert abs(Fraction(chain) - exact) <= n * Fraction(math.ulp(float(exact)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([4, 5, 10, 100, 101]),
+        scale=st.sampled_from([1e-3, 0.1, 1.0, 3.0]),
+    )
+    def test_close_to_numpy_power(self, seed, dim, scale):
+        """f to relative 1e-14 (its terms are non-negative); each gradient
+        coordinate to 1e-14 times the sum of its terms' absolute values."""
+        prob = registry_lookup("CRAGGLVY")
+        start = np.full(dim, 2.0)
+        start[0] = 1.0
+        x = start + scale * np.random.default_rng(seed).standard_normal(dim)
+        f, g, g_scale = float_power_cragglvy(x)
+        assert abs(prob.eval_f(x) - f) <= 1e-14 * f
+        assert np.all(np.abs(prob.eval_g(x) - g) <= 1e-14 * g_scale)
 
 
 class TestQuadratic:

@@ -1,6 +1,7 @@
 """Solver drivers: all six variants, direction computation, the skip rule,
 trace recording, diagnostics, and termination logic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -491,6 +492,27 @@ class TestTraceValues:
         assert len(trace.records) > 0
         assert calls.count("f") == trace.f_evals
         assert calls.count("g") == trace.g_evals
+
+
+class TestTraceGradientLookups:
+    """The tolerant variants' beta loop evaluates g after the accepted
+    point; the oracle's short gradient history still covers the iterate."""
+
+    @pytest.mark.parametrize("name", ["ARWHEAD", "CRAGGLVY"])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_trace_adds_few_gradient_evaluations(self, name, variant):
+        base = registry_lookup(name)
+        calls = []
+
+        def eval_g(x):
+            calls.append("g")
+            return base.eval_g(x)
+
+        prob = dataclasses.replace(base, eval_g=eval_g)
+        spec = NoiseSpec(xi_f=1e-3, xi_g=1e-1, schedule="intermittent", n_noise=10, seed=6)
+        trace = run(prob, spec, quick_config(variant, max_iters=150))
+        assert len(trace.records) == 150
+        assert len(calls) - trace.g_evals <= 2
 
 
 class TestConfigValidation:
