@@ -16,15 +16,15 @@ import math
 import os
 import statistics
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import product, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from .linalg import blas_threads_for
 from .linesearch import LineSearchParams
-from .noise import NoiseSpec
+from .noise import NoiseSpec, Schedule
 from .problems import Problem, UnknownProblemError, registry_lookup
 from .solver import IterationRecord, RunTrace, SolverConfig, Variant, run
 
@@ -79,35 +79,59 @@ class ProfilePoint:
     value: float
 
 
+# The name of an ExperimentConfig setting outside the class, where it differs
+# from the field's: a run axis goes by its singular in a run cell.  Each
+# setting's CLI flag is this name with hyphens; a config file takes either.
+SETTING_NAMES = {
+    "problems": "problem",
+    "methods": "method",
+    "seeds": "seed",
+    "history": "history_h",
+}
+
+NoisePhase = Literal["noisy", "clean"]
+
+
+def setting_name(name: str) -> str:
+    """The outside name of the ExperimentConfig field ``name``."""
+    return SETTING_NAMES.get(name, name)
+
+
 @dataclass
 class ExperimentConfig:
-    """A (cartesian) matrix of runs plus shared solver settings."""
+    """A (cartesian) matrix of runs plus shared solver settings.
+
+    The fields are the experiment's settings.  Each list field is a run
+    axis, and every other field that shares its name with a field of
+    ``NoiseSpec``, ``LineSearchParams`` or ``SolverConfig`` is handed on to
+    it, taking its default from there.
+    """
 
     problems: list[str] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
-    xi_f: list[float] = field(default_factory=lambda: [0.0])
-    xi_g: list[float] = field(default_factory=lambda: [0.0])
-    omega: list[float] = field(default_factory=lambda: [1.0])
-    schedule: str = "constant"
-    n_noise: int | None = None
-    noise_phase: str = "noisy"
+    xi_f: list[float] = field(default_factory=lambda: [NoiseSpec.xi_f])
+    xi_g: list[float] = field(default_factory=lambda: [NoiseSpec.xi_g])
+    omega: list[float] = field(default_factory=lambda: [NoiseSpec.omega])
     seeds: list[int] = field(default_factory=list)
-    max_iters: int = 1000
-    g_eval_budget: int | None = None
-    c1: float = 1e-4
-    c2: float = 0.9
-    c3: float = 0.5
-    n_split: int = 30
-    max_ls_iters: int = 60
-    max_lengthening: int = 30
-    memory: int = 10
-    history: int = 10
-    diagnostics: bool = False
-    threshold_termination: bool = False
+    schedule: Schedule = NoiseSpec.schedule
+    n_noise: int | None = NoiseSpec.n_noise
+    noise_phase: NoisePhase = "noisy"
+    max_iters: int = SolverConfig.max_iters
+    g_eval_budget: int | None = SolverConfig.g_eval_budget
+    c1: float = LineSearchParams.c1
+    c2: float = LineSearchParams.c2
+    c3: float = LineSearchParams.c3
+    n_split: int = LineSearchParams.n_split
+    max_ls_iters: int = LineSearchParams.max_ls_iters
+    max_lengthening: int = LineSearchParams.max_lengthening
+    memory: int = SolverConfig.memory
+    history: int = LineSearchParams.history
+    diagnostics: bool = SolverConfig.diagnostics
+    threshold_termination: bool = SolverConfig.threshold_termination
     out: str = "qn_noise_out"
 
     def validate(self) -> None:
-        for name in ("problems", "methods", "seeds", "xi_f", "xi_g", "omega"):
+        for name in RUN_AXES:
             if not getattr(self, name):
                 raise ConfigError(f"no {name} given")
         for name in self.problems:
@@ -123,48 +147,52 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown method {method!r}; choose from: {known}"
                 ) from exc
-        if self.noise_phase not in ("noisy", "clean"):
-            raise ConfigError("noise-phase must be 'noisy' or 'clean'")
+        for name, hint in SETTING_TYPES.items():
+            if get_origin(hint) is Literal and getattr(self, name) not in get_args(hint):
+                raise ConfigError(f"{name} must be one of {get_args(hint)}")
         try:
             # Every method shares the solver settings, so one build checks them.
             self.solver_config(self.methods[0])
-            spec = NoiseSpec(
-                schedule=self.schedule,
-                n_noise=self.n_noise,
-                start_noisy=self.noise_phase == "noisy",
-            )
-            for name in ("xi_f", "xi_g", "omega"):
-                for value in getattr(self, name):
-                    replace(spec, **{name: value})
-        except ValueError as exc:
+            for cell in self.run_matrix():
+                self.noise_spec(cell)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
+    def _settings_of(self, cls, **given):
+        """A ``cls`` built from the given values and this config's fields
+        of the same names."""
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
+        return cls(**given, **shared)
+
     def solver_config(self, method: str) -> SolverConfig:
-        return SolverConfig(
-            variant=Variant(method),
-            memory=self.memory,
-            ls=LineSearchParams(
-                c1=self.c1,
-                c2=self.c2,
-                c3=self.c3,
-                n_split=self.n_split,
-                max_ls_iters=self.max_ls_iters,
-                max_lengthening=self.max_lengthening,
-                history=self.history,
-            ),
-            max_iters=self.max_iters,
-            g_eval_budget=self.g_eval_budget,
-            threshold_termination=self.threshold_termination,
-            diagnostics=self.diagnostics,
+        return self._settings_of(
+            SolverConfig, variant=Variant(method), ls=self._settings_of(LineSearchParams)
         )
+
+    def noise_spec(self, cell: dict) -> NoiseSpec:
+        """The noise of one run cell."""
+        levels = {name: cell[name] for name in ("xi_f", "xi_g", "omega", "seed")}
+        return self._settings_of(NoiseSpec, start_noisy=self.noise_phase == "noisy", **levels)
 
     def run_matrix(self) -> list[dict]:
         """All run descriptors in deterministic (sorted-key) order."""
-        names = ("problem", "method", "xi_f", "xi_g", "omega", "seed")
-        axes = (self.problems, self.methods, self.xi_f, self.xi_g, self.omega, self.seeds)
-        cells = [dict(zip(names, values)) for values in product(*axes)]
+        axes = [getattr(self, name) for name in RUN_AXES]
+        cells = [dict(zip(_CELL_KEYS, values)) for values in product(*axes)]
         cells.sort(key=_run_key)
         return cells
+
+
+# ExperimentConfig's field types, in field order.  Its list fields are the
+# run axes, and a run cell names each by its setting name.
+SETTING_TYPES = get_type_hints(ExperimentConfig)
+RUN_AXES = tuple(name for name, hint in SETTING_TYPES.items() if get_origin(hint) is list)
+_CELL_KEYS = tuple(map(setting_name, RUN_AXES))
+
+# The settings that summary.json records.
+_SUMMARY_SETTINGS = (
+    "problems", "methods", "xi_f", "xi_g", "omega", "schedule", "n_noise",
+    "noise_phase", "seeds", "max_iters", "g_eval_budget",
+)
 
 
 def _group_key(cell: dict) -> str:
@@ -212,15 +240,7 @@ def _evals_to_threshold(trace: RunTrace, eps_f: float, eps_g: float) -> int | No
 
 def _execute_cell(cell: dict, config: ExperimentConfig, out_dir: Path) -> dict:
     problem = registry_lookup(cell["problem"])
-    spec = NoiseSpec(
-        xi_f=cell["xi_f"],
-        xi_g=cell["xi_g"],
-        schedule=config.schedule,
-        n_noise=config.n_noise,
-        start_noisy=config.noise_phase == "noisy",
-        seed=cell["seed"],
-        omega=cell["omega"],
-    )
+    spec = config.noise_spec(cell)
     solver_config = config.solver_config(cell["method"])
     with blas_threads_for(problem.dim):
         trace = run(problem, spec, solver_config)
@@ -317,19 +337,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     medians = _group_medians(results)
     summary = {
-        "config": {
-            "problems": config.problems,
-            "methods": config.methods,
-            "xi_f": config.xi_f,
-            "xi_g": config.xi_g,
-            "omega": config.omega,
-            "schedule": config.schedule,
-            "n_noise": config.n_noise,
-            "noise_phase": config.noise_phase,
-            "seeds": config.seeds,
-            "max_iters": config.max_iters,
-            "g_eval_budget": config.g_eval_budget,
-        },
+        "config": {name: getattr(config, name) for name in _SUMMARY_SETTINGS},
         "runs": {key: results[key] for key in sorted(results)},
         "medians": medians,
         "errors": {key: errors[key] for key in sorted(errors)},

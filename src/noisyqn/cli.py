@@ -17,45 +17,20 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin
 
-from .bench import ConfigError, ExperimentConfig, morales_profile, run_experiment
+from .bench import (
+    RUN_AXES,
+    SETTING_TYPES,
+    ConfigError,
+    ExperimentConfig,
+    morales_profile,
+    run_experiment,
+    setting_name,
+)
 from .solver import Variant
 
 __all__ = ["main", "build_parser", "load_config_file"]
-
-# Field types of ExperimentConfig: they decide how a flag or a config-file
-# value is parsed.
-_FIELD_TYPES = get_type_hints(ExperimentConfig)
-
-# The experiment flags of `run` and `sweep`: (flag, ExperimentConfig field,
-# extra argparse keywords).  A list field takes a repeatable flag (repeatable
-# even for `run`, so that a repeated flag is caught by its exactly-one check
-# instead of silently keeping the last value); `sweep` also takes --seeds N...
-_FLAGS = (
-    ("--problem", "problems", {"metavar": "NAME"}),
-    ("--method", "methods", {"metavar": "NAME"}),
-    ("--xi-f", "xi_f", {"metavar": "V"}),
-    ("--xi-g", "xi_g", {"metavar": "V"}),
-    ("--omega", "omega", {"metavar": "V"}),
-    ("--seed", "seeds", {"metavar": "N"}),
-    ("--schedule", "schedule", {"choices": ("constant", "intermittent")}),
-    ("--n-noise", "n_noise", {"metavar": "N"}),
-    ("--noise-phase", "noise_phase", {"choices": ("noisy", "clean")}),
-    ("--max-iters", "max_iters", {"metavar": "N"}),
-    ("--g-eval-budget", "g_eval_budget", {"metavar": "N"}),
-    ("--c1", "c1", {}),
-    ("--c2", "c2", {}),
-    ("--c3", "c3", {}),
-    ("--n-split", "n_split", {"metavar": "N"}),
-    ("--max-ls-iters", "max_ls_iters", {"metavar": "N"}),
-    ("--max-lengthening", "max_lengthening", {"metavar": "N"}),
-    ("--memory", "memory", {"metavar": "N"}),
-    ("--history-h", "history", {"metavar": "N"}),
-    ("--diagnostics", "diagnostics", {}),
-    ("--threshold-termination", "threshold_termination", {}),
-    ("--out", "out", {"metavar": "DIR"}),
-)
 
 
 def _parse_bool(text: str) -> bool:
@@ -67,14 +42,8 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# Config-file keys are the ExperimentConfig field names (hyphens allowed);
-# `problem`, `method`, and `seed` are accepted as aliases for their plurals.
-_KEY_ALIASES = {
-    "problem": "problems",
-    "method": "methods",
-    "seed": "seeds",
-    "history_h": "history",
-}
+# Config-file keys: each setting's field name and its setting name.
+_KEYS = {key: name for name in SETTING_TYPES for key in (name, setting_name(name))}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -88,12 +57,11 @@ def load_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
-        key = _KEY_ALIASES.get(key, key)
-        text = text.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        name = _KEYS[key]
         try:
-            values[key] = _convert(_FIELD_TYPES[key], text)
+            values[name] = _convert(SETTING_TYPES[name], text.strip())
         except ConfigError:
             raise
         except ValueError as exc:
@@ -125,7 +93,10 @@ def _split_names(text: str) -> list[str]:
 
 def _item_type(field_type):
     """The type of one value of a field: float for ``list[float]``, int for
-    ``int | None``, the field type itself otherwise."""
+    ``int | None``, str for a ``Literal`` of strings, the field type itself
+    otherwise."""
+    if get_origin(field_type) is Literal:
+        return type(get_args(field_type)[0])
     return next((t for t in get_args(field_type) if t is not type(None)), field_type)
 
 
@@ -136,22 +107,43 @@ def _convert(field_type, text: str):
         return [item(part) for part in _split_names(text)]
     if field_type is bool:
         return _parse_bool(text)
-    if item is not field_type and text.lower() in ("", "none"):
+    if type(None) in get_args(field_type) and text.lower() in ("", "none"):
         return None
     return item(text)
 
 
+# The run axes that `profile` can narrow a method's runs by.
+_NOISE_AXES = ("xi_f", "xi_g", "omega")
+
+# Metavars of the numeric flags; a text flag shows its setting name.
+_METAVARS = {float: "V", int: "N"}
+
+
+def _flag(name: str) -> str:
+    """The CLI flag of the ExperimentConfig field ``name``."""
+    return "--" + setting_name(name).replace("_", "-")
+
+
 def _add_experiment_flags(parser: argparse.ArgumentParser, single: bool) -> None:
-    # Defaults are all None so that "flag was given" is detectable; actual
-    # defaults live on ExperimentConfig.  Each flag stores to its field name.
-    for flag, name, extra in _FLAGS:
-        field_type = _FIELD_TYPES[name]
+    """One flag per ExperimentConfig field, named after its setting name.
+
+    Defaults are all None so that "flag was given" is detectable; actual
+    defaults live on ExperimentConfig.  Each flag stores to its field name.
+    A list field takes a repeatable flag (repeatable even for `run`, so that
+    a repeated flag is caught by its exactly-one check instead of silently
+    keeping the last value); `sweep` also takes --seeds N...
+    """
+    for name, field_type in SETTING_TYPES.items():
+        item, origin = _item_type(field_type), get_origin(field_type)
         if field_type is bool:
-            parser.add_argument(flag, dest=name, action="store_const", const=True, default=None)
+            extra = {"action": "store_const", "const": True, "default": None}
+        elif origin is Literal:
+            extra = {"type": item, "choices": get_args(field_type)}
         else:
-            if get_origin(field_type) is list:
-                extra = {"action": "append", "help": "repeatable (run takes one)", **extra}
-            parser.add_argument(flag, dest=name, type=_item_type(field_type), **extra)
+            extra = {"type": item, "metavar": _METAVARS.get(item, setting_name(name).upper())}
+        if origin is list:
+            extra.update(action="append", help="repeatable (run takes one)")
+        parser.add_argument(_flag(name), dest=name, **extra)
     if not single:
         parser.add_argument(
             "--seeds", dest="seed_list", type=int, nargs="+", metavar="N", help="seed list"
@@ -181,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument(
         "--mode", choices=("final-gap", "evals-to-threshold"), default="final-gap"
     )
-    prof_p.add_argument("--xi-f", type=float, metavar="V")
-    prof_p.add_argument("--xi-g", type=float, metavar="V")
-    prof_p.add_argument("--omega", type=float, metavar="V")
+    for name in _NOISE_AXES:
+        prof_p.add_argument(_flag(name), dest=name, type=float, metavar="V")
     prof_p.add_argument("--out", metavar="CSV", help="also write points to a CSV")
     return parser
 
@@ -192,7 +183,7 @@ def _collect_config(args: argparse.Namespace, single: bool) -> ExperimentConfig:
     values: dict = {}
     if args.config is not None:
         values.update(load_config_file(args.config))
-    for _, name, _ in _FLAGS:
+    for name in SETTING_TYPES:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
     if not single and args.seed_list is not None:
@@ -206,16 +197,9 @@ def _collect_config(args: argparse.Namespace, single: bool) -> ExperimentConfig:
 def _cmd_run_or_sweep(args: argparse.Namespace, single: bool) -> int:
     config = _collect_config(args, single)
     if single:
-        for key, what in (
-            ("problems", "problem"),
-            ("methods", "method"),
-            ("seeds", "seed"),
-            ("xi_f", "xi-f value"),
-            ("xi_g", "xi-g value"),
-            ("omega", "omega value"),
-        ):
-            if len(getattr(config, key)) != 1:
-                raise ConfigError(f"run takes exactly one {what}")
+        for name in RUN_AXES:
+            if len(getattr(config, name)) != 1:
+                raise ConfigError(f"run takes exactly one {_flag(name)} value")
     summary = run_experiment(config)
     runs, errors = summary["runs"], summary["errors"]
     for key in sorted(runs):
@@ -233,11 +217,8 @@ def _cmd_run_or_sweep(args: argparse.Namespace, single: bool) -> int:
 
 
 def _matches(entry: dict, args: argparse.Namespace) -> bool:
-    for attr, key in (("xi_f", "xi_f"), ("xi_g", "xi_g"), ("omega", "omega")):
-        wanted = getattr(args, attr)
-        if wanted is not None and entry[key] != wanted:
-            return False
-    return True
+    wanted = {name: getattr(args, name) for name in _NOISE_AXES}
+    return all(value is None or entry[name] == value for name, value in wanted.items())
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:

@@ -1,8 +1,11 @@
 """Dense symmetric-matrix kernels for quasi-Newton solvers.
 
-Vectors throughout the package are plain 1-D float64 numpy arrays.  The one
-structured type is :class:`SymmetricMatrix`, a thin wrapper around a dense
-d-by-d array that checks its entries are finite.
+Vectors throughout the package are plain 1-D float64 numpy arrays.  Three
+small types hold the quasi-Newton state: :class:`SymmetricMatrix`, a thin
+wrapper around a dense d-by-d array that checks its entries are finite;
+:class:`CurvaturePair`, one (s, y) pair with its s.y; and
+:class:`LimitedMemory`, the ring of recent pairs behind the two-loop
+recursion.
 """
 
 from __future__ import annotations
@@ -117,9 +120,6 @@ class LimitedMemory:
         if pair.sy <= 0.0:
             raise ValueError(f"curvature pair must have s.y > 0, got {pair.sy}")
         self._pairs.append(pair)
-
-    def clear(self) -> None:
-        self._pairs.clear()
 
     def __len__(self) -> int:
         return len(self._pairs)

@@ -73,8 +73,8 @@ class LineSearchParams:
     def __post_init__(self):
         if not (0.0 < self.c1 < self.c2 < 1.0):
             raise ValueError("need 0 < c1 < c2 < 1")
-        if self.c3 <= 0.0:
-            raise ValueError("c3 must be positive")
+        if not (math.isfinite(self.c3) and self.c3 > 0.0):
+            raise ValueError("c3 must be finite and > 0")
         for name in ("n_split", "max_ls_iters", "max_lengthening", "history"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -89,7 +89,7 @@ class CurvatureTracker:
     initial beta of later split phases.
     """
 
-    def __init__(self, history: int = 10):
+    def __init__(self, history: int):
         if history < 1:
             raise ValueError("history must be >= 1")
         self._values: deque[float] = deque(maxlen=history)

@@ -17,16 +17,18 @@ counter value each and do not overlap.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
 from .problems import Problem
 
-__all__ = ["NoiseSpec", "NoisyOracle"]
+__all__ = ["NoiseSpec", "NoisyOracle", "Schedule"]
 
-_SCHEDULES = ("constant", "intermittent")
+Schedule = Literal["constant", "intermittent"]
 
 # Stream tags keep function and gradient draws on disjoint counters.
 _TAG_F = 0
@@ -53,7 +55,7 @@ class NoiseSpec:
 
     xi_f: float = 0.0
     xi_g: float = 0.0
-    schedule: str = "constant"
+    schedule: Schedule = "constant"
     n_noise: int | None = None
     start_noisy: bool = True
     seed: int = 0
@@ -64,12 +66,14 @@ class NoiseSpec:
             raise ValueError("xi_f must be finite and >= 0")
         if not (math.isfinite(self.xi_g) and self.xi_g >= 0.0):
             raise ValueError("xi_g must be finite and >= 0")
-        if self.schedule not in _SCHEDULES:
-            raise ValueError(f"schedule must be one of {_SCHEDULES}")
+        if self.schedule not in get_args(Schedule):
+            raise ValueError(f"schedule must be one of {get_args(Schedule)}")
         if self.schedule == "intermittent" and (self.n_noise is None or self.n_noise < 1):
             raise ValueError("intermittent schedule needs n_noise >= 1")
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError("omega must be finite and > 0")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 class NoisyOracle:

@@ -33,9 +33,6 @@ __all__ = [
 class Problem:
     """An unconstrained minimization problem.
 
-    ``m_M`` carries (strong convexity, smoothness) constants when they are
-    known exactly, as for generated quadratics; otherwise None.
-
     ``f_rows`` declares that ``eval_f`` also takes a (k, d) stack of points
     and returns their k values as an array, each bit-identical to
     ``eval_f`` of that row alone.  The line search then evaluates a block of
@@ -56,7 +53,6 @@ class Problem:
     eval_g: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     phi_star: float
-    m_M: tuple[float, float] | None = None
     f_rows: bool = False
 
 
@@ -358,7 +354,7 @@ def make_quadratic(dim: int, m: float, big_m: float, seed: int) -> Problem:
 
     A = Q^T diag(lambda) Q for a seeded random orthogonal Q; the start point
     is a seeded unit vector scaled to norm 10.  The exact minimizer is the
-    origin with phi_star = 0, and (m, M) are recorded on the problem.
+    origin with phi_star = 0.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -386,7 +382,6 @@ def make_quadratic(dim: int, m: float, big_m: float, seed: int) -> Problem:
         eval_g=eval_g,
         x0=x0,
         phi_star=0.0,
-        m_M=(m, big_m),
     )
 
 

@@ -1,21 +1,22 @@
 """Benchmark harness: experiment configs, CSV traces, summaries, comparison
 profiles, and the command-line front end."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
-from typing import get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisyqn import bench
+from noisyqn import bench, cli
 from noisyqn.bench import (
     ConfigError,
     ExperimentConfig,
@@ -100,6 +101,18 @@ class TestConfigValidation:
     def test_empty_noise_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             tiny_config(tmp_path, xi_g=[]).validate()
+
+    def test_unknown_noise_phase_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="noise_phase"):
+            tiny_config(tmp_path, noise_phase="dirty").validate()
+
+    def test_non_integer_seed_rejected_before_output(self, tmp_path):
+        """Every seed is checked, not only the first, and before any file
+        is written."""
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            run_experiment(tiny_config(out, seeds=[1, 1.5]))
+        assert not out.exists()
 
     def test_valid_config_passes(self, tmp_path):
         tiny_config(tmp_path).validate()
@@ -435,13 +448,15 @@ class TestCli:
         assert "xi_g" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", ["--memory", "--max-iters", "--g-eval-budget", "--history-h"]
+        "flag, value",
+        [("--memory", "0"), ("--max-iters", "0"), ("--g-eval-budget", "0"),
+         ("--history-h", "0"), ("--c3", "nan"), ("--c3", "inf")],
     )
-    def test_bad_solver_setting_is_config_error(self, tmp_path, flag):
+    def test_bad_solver_setting_is_config_error(self, tmp_path, flag, value):
         out = tmp_path / "out"
         code = main([
             "sweep", "--problem", "TRIDIA", "--method", "bfgs",
-            "--seed", "1", flag, "0", "--out", str(out),
+            "--seed", "1", flag, value, "--out", str(out),
         ])
         assert code == 2
         assert not out.exists()
@@ -498,3 +513,88 @@ class TestCli:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+
+# Every experiment flag that the README and the perfbench workloads use.
+_EXPERIMENT_FLAGS = {
+    "--problem", "--method", "--xi-f", "--xi-g", "--omega", "--seed",
+    "--schedule", "--n-noise", "--noise-phase", "--max-iters", "--g-eval-budget",
+    "--c1", "--c2", "--c3", "--n-split", "--max-ls-iters", "--max-lengthening",
+    "--memory", "--history-h", "--diagnostics", "--threshold-termination", "--out",
+}
+# The naming rule: a setting is known outside ExperimentConfig by its field
+# name, except for these; a flag writes that name with hyphens.
+_RENAMED = {"problems": "problem", "methods": "method", "seeds": "seed", "history": "history_h"}
+_SETTING_TYPES = get_type_hints(ExperimentConfig)
+_LIST_SETTINGS = [name for name, hint in _SETTING_TYPES.items() if get_origin(hint) is list]
+
+
+def _flag(name: str) -> str:
+    return "--" + _RENAMED.get(name, name).replace("_", "-")
+
+
+def _sample_setting(name: str) -> tuple[str, object]:
+    """(text, value): a value other than the default for setting ``name``."""
+    hint = _SETTING_TYPES[name]
+    if hint is bool:
+        return "true", True
+    if get_origin(hint) is Literal:
+        return get_args(hint)[-1], get_args(hint)[-1]
+    item = next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    text = {float: "0.25", int: "3", str: "x"}[item]
+    return text, [item(text)] if get_origin(hint) is list else item(text)
+
+
+class TestSettingNames:
+    """Each ExperimentConfig field is a setting with one --flag and a
+    config-file key under either of its names; each list field is a run
+    axis."""
+
+    @pytest.fixture
+    def collected(self, monkeypatch):
+        """The configs main hands to run_experiment, which does not run."""
+        configs = []
+
+        def fake_run(config):
+            configs.append(config)
+            return {"runs": {}, "errors": {}}
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        return configs
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_every_experiment_flag_is_kept(self, command):
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        options = set(subparsers.choices[command]._option_string_actions)
+        settings_flags = {_flag(name) for name in _SETTING_TYPES}
+        assert _EXPERIMENT_FLAGS <= settings_flags <= options
+        assert ("--seeds" in options) == (command == "sweep")
+
+    @pytest.mark.parametrize("name", list(_SETTING_TYPES))
+    def test_flag_and_config_keys_agree(self, name, tmp_path, collected):
+        text, value = _sample_setting(name)
+        assert main(["sweep", _flag(name)] + ([] if value is True else [text])) == 0
+        outside = _RENAMED.get(name, name)
+        spellings = {name, name.replace("_", "-"), outside, outside.replace("_", "-")}
+        for key in sorted(spellings):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {text}\n")
+            assert main(["sweep", "--config", str(cfg)]) == 0
+        assert len(collected) == 1 + len(spellings)
+        assert all(config == ExperimentConfig(**{name: value}) for config in collected)
+
+    @pytest.mark.parametrize("name", _LIST_SETTINGS)
+    def test_list_settings_are_run_axes(self, name, collected):
+        _, (value,) = _sample_setting(name)
+        config = ExperimentConfig(**{axis: [0, 1] for axis in _LIST_SETTINGS})
+        cells = replace(config, **{name: [0, 1, value]}).run_matrix()
+        assert len(cells) == 3 * 2 ** (len(_LIST_SETTINGS) - 1)
+        assert all(set(cell) == {_RENAMED.get(a, a) for a in _LIST_SETTINGS} for cell in cells)
+        assert {cell[_RENAMED.get(name, name)] for cell in cells} == {0, 1, value}
+        argv = ["run", "--problem", "TRIDIA", "--method", "bfgs", "--seed", "1"]
+        assert main(argv + [_flag(name), "1", _flag(name), "2"]) == 2
+        assert collected == []

@@ -115,12 +115,6 @@ class TestLimitedMemory:
         with pytest.raises(ValueError):
             mem.push(CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([-1.0, 0.0])))
 
-    def test_clear(self):
-        mem = LimitedMemory(2)
-        mem.push(CurvaturePair.from_step(np.array([1.0]), np.array([2.0])))
-        mem.clear()
-        assert len(mem) == 0 and mem.gamma == 1.0
-
 
 class TestBfgsInverseUpdate:
     def test_identity_fixed_point(self):

@@ -616,8 +616,9 @@ class TestParamsValidation:
             LineSearchParams(c1=0.95, c2=0.9)
         with pytest.raises(ValueError):
             LineSearchParams(c1=0.0)
-        with pytest.raises(ValueError):
-            LineSearchParams(c3=0.0)
+        for c3 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                LineSearchParams(c3=c3)
 
     def test_budgets_positive(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,14 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError):
             NoiseSpec(omega=0.0)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            NoiseSpec(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert NoiseSpec(seed=np.int64(-4)).seed == -4
+
 
 class TestFunctionNoise:
     def test_zero_level_is_exact(self):

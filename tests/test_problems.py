@@ -346,7 +346,7 @@ class TestQuadratic:
     def test_inline_registry_spelling(self):
         prob = registry_lookup("QUAD(50,1,100,seed=7)")
         assert prob.dim == 50
-        assert prob.m_M == (1.0, 100.0)
+        assert prob.name == "QUAD(50,1,100,7)"
 
     def test_eigenvalue_range_is_exact(self):
         """Reconstruct the Hessian column-by-column from the gradient and

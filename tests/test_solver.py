@@ -108,7 +108,7 @@ class TestSingleIteration:
         prob = Problem(
             name=prob.name, dim=2, x0=start,
             eval_f=prob.eval_f, eval_g=prob.eval_g,
-            phi_star=0.0, m_M=(1.0, 1.0),
+            phi_star=0.0,
         )
         trace = run(prob, NOISELESS, quick_config(Variant.BFGS, max_iters=1))
         final = trace.records[-1]
@@ -331,7 +331,6 @@ class TestTermination:
         zero_start = Problem(
             name=prob.name, dim=4, x0=np.zeros(4),
             eval_f=prob.eval_f, eval_g=prob.eval_g, phi_star=0.0,
-            m_M=prob.m_M,
         )
         trace = run(zero_start, NOISELESS, quick_config(Variant.BFGS_E))
         assert trace.termination_reason in ("stationary_point", "line_search_stagnation")
