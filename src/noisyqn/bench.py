@@ -224,20 +224,6 @@ def read_trace_csv(path: str | Path) -> list[dict]:
         ]
 
 
-def _evals_to_threshold(trace: RunTrace, eps_f: float, eps_g: float) -> int | None:
-    """Cumulative gradient evaluations when the run first reached either
-    noise-level threshold, or None if it never did.
-
-    Row k's counters include iteration k's own work, so the cost of
-    *reaching* that iterate is the previous row's counter (the run's single
-    warm-up gradient evaluation for k = 0).
-    """
-    for i, rec in enumerate(trace.records):
-        if (eps_f > 0.0 and rec.gap <= eps_f) or rec.grad_norm_true <= eps_g:
-            return trace.records[i - 1].cum_g_evals if i > 0 else 1
-    return None
-
-
 def _execute_cell(cell: dict, config: ExperimentConfig, out_dir: Path) -> dict:
     problem = registry_lookup(cell["problem"])
     spec = config.noise_spec(cell)
@@ -246,10 +232,6 @@ def _execute_cell(cell: dict, config: ExperimentConfig, out_dir: Path) -> dict:
         trace = run(problem, spec, solver_config)
     key = _run_key(cell)
     write_trace_csv(out_dir / f"{key}.csv", trace)
-    # Threshold bookkeeping measures against the actual noise levels, not
-    # the omega-scaled estimate handed to the methods.
-    eps_f = spec.xi_f
-    eps_g = math.sqrt(problem.dim) * spec.xi_g
     return {
         "key": key,
         **cell,
@@ -261,7 +243,7 @@ def _execute_cell(cell: dict, config: ExperimentConfig, out_dir: Path) -> dict:
         "termination_reason": trace.termination_reason,
         "f_evals": trace.f_evals,
         "g_evals": trace.g_evals,
-        "evals_to_threshold": _evals_to_threshold(trace, eps_f, eps_g),
+        "evals_to_threshold": trace.evals_to_threshold,
     }
 
 

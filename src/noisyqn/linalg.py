@@ -1,11 +1,11 @@
 """Dense symmetric-matrix kernels for quasi-Newton solvers.
 
 Vectors throughout the package are plain 1-D float64 numpy arrays.  Three
-small types hold the quasi-Newton state: :class:`SymmetricMatrix`, a thin
-wrapper around a dense d-by-d array that checks its entries are finite;
-:class:`CurvaturePair`, one (s, y) pair with its s.y; and
-:class:`LimitedMemory`, the ring of recent pairs behind the two-loop
-recursion.
+small types hold the quasi-Newton state: :class:`SymmetricMatrix`, the dense
+d-by-d inverse Hessian, which ``bfgs_inverse_update`` changes in place and
+which must stay finite; :class:`CurvaturePair`, one (s, y) pair with its
+s.y; and :class:`LimitedMemory`, the ring of recent pairs behind the
+two-loop recursion.
 """
 
 from __future__ import annotations
@@ -31,44 +31,26 @@ __all__ = [
 
 
 class SymmetricMatrix:
-    """A d-by-d symmetric matrix held as one dense float64 array.
+    """A d-by-d symmetric matrix held as one dense float64 array, ``dense``.
 
-    Instances are value-immutable: every operation that changes the matrix
-    returns a new instance.  The constructor takes its array as given and
-    only checks that it is finite; ``from_dense`` mirrors the upper triangle
-    of its argument, so the lower triangle of the input is never consulted.
+    The constructor checks that the entries are finite; so does
+    ``bfgs_inverse_update``, which changes ``dense`` in place.  Symmetry is
+    not checked: it comes from the arithmetic of the update.
     """
 
-    __slots__ = ("_dense",)
+    __slots__ = ("dense",)
 
     def __init__(self, dense: np.ndarray):
-        if not np.all(np.isfinite(dense)):
-            raise ValueError("symmetric matrix entries must be finite")
-        self._dense = dense
-
-    @property
-    def order(self) -> int:
-        return self._dense.shape[0]
-
-    @classmethod
-    def identity(cls, order: int) -> "SymmetricMatrix":
-        return cls(np.eye(order))
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SymmetricMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
-        return cls(np.triu(a) + np.triu(a, 1).T)
-
-    def to_dense(self) -> np.ndarray:
-        return self._dense
+        _require_finite(dense)
+        self.dense = dense
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._dense @ v
+        return self.dense @ v
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SymmetricMatrix(order={self.order})"
+
+def _require_finite(dense: np.ndarray) -> None:
+    if not np.all(np.isfinite(dense)):
+        raise ValueError("symmetric matrix entries must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +82,6 @@ class LimitedMemory:
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
         self._pairs: deque[CurvaturePair] = deque(maxlen=capacity)
 
     @property
@@ -121,16 +102,15 @@ class LimitedMemory:
             raise ValueError(f"curvature pair must have s.y > 0, got {pair.sy}")
         self._pairs.append(pair)
 
-    def __len__(self) -> int:
-        return len(self._pairs)
 
-
-def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> SymmetricMatrix:
-    """Apply the inverse-Hessian BFGS update and return the new matrix.
+def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> None:
+    """Apply the inverse-Hessian BFGS update to ``h.dense`` in place.
 
     Computes (I - rho s y^T) H (I - rho y s^T) + rho s s^T with
     rho = 1 / (s.y).  The pair must satisfy s.y > 0; a non-positive value
-    signals a curvature contract violation upstream and raises.
+    signals a curvature contract violation upstream and raises, as does a
+    pair of the wrong dimension, both before H is touched.  A non-finite
+    result raises after the update.
 
     The result is exactly symmetric when H is: ``cross + cross.T`` and
     ``np.outer(s, s)`` are symmetric in IEEE arithmetic, and so are their
@@ -138,16 +118,16 @@ def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> SymmetricMat
     """
     if pair.sy <= 0.0:
         raise ValueError(f"bfgs_inverse_update requires s.y > 0, got {pair.sy}")
-    if pair.s.shape[0] != h.order:
+    dense = h.dense
+    if pair.s.shape[0] != dense.shape[0]:
         raise ValueError("pair dimension does not match matrix order")
-    dense = h.to_dense()
     s, y = pair.s, pair.y
     rho = 1.0 / pair.sy
     hy = dense @ y
     cross = np.outer(s, hy)
-    updated = dense - rho * (cross + cross.T)
-    updated += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
-    return SymmetricMatrix(updated)
+    dense -= rho * (cross + cross.T)
+    dense += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
+    _require_finite(dense)
 
 
 def two_loop_direction(memory: LimitedMemory, g: np.ndarray) -> np.ndarray:
@@ -177,7 +157,7 @@ def eigen_extremes(a: SymmetricMatrix) -> tuple[float, float]:
     converge; callers using this for diagnostics should treat that as a
     missing data point.
     """
-    values = np.linalg.eigvalsh(a.to_dense())
+    values = np.linalg.eigvalsh(a.dense)
     return float(values[0]), float(values[-1])
 
 

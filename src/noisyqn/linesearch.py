@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -76,7 +77,10 @@ class LineSearchParams:
         if not (math.isfinite(self.c3) and self.c3 > 0.0):
             raise ValueError("c3 must be finite and > 0")
         for name in ("n_split", "max_ls_iters", "max_lengthening", "history"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 
@@ -119,7 +123,9 @@ class LineSearchOutcome:
     the acceptance test); ``beta`` is the lengthening parameter for the
     curvature pair, present only when the noise-control condition was met.
     ``f_alpha``/``g_alpha`` carry evaluations made at ``x + alpha p`` during
-    the search so the caller can reuse them for the next iterate; ``g_beta``
+    the search so the caller can reuse them for the next iterate: every
+    outcome with alpha > 0 has ``f_alpha``, and ``g_alpha`` is None only
+    where the alpha loop backtracked without a gradient; ``g_beta``
     is the gradient at ``x + beta p`` backing the pair.  Trial counts equal
     the oracle-counter deltas across the call.
     """
@@ -129,7 +135,6 @@ class LineSearchOutcome:
     phase: Phase
     f_trials: int
     g_trials: int
-    alpha_was_best_reuse: bool = False
     f_alpha: float | None = None
     g_alpha: np.ndarray | None = None
     g_beta: np.ndarray | None = None
@@ -397,9 +402,9 @@ def split_phase(
     g_trials = init.g_trials
 
     # --- alpha loop: pick the steplength by relaxed-Armijo backtracking ---
-    reuse = alpha_ok = init.alpha_best is not None
+    alpha_ok = init.alpha_best is not None
     alpha, f_alpha, g_alpha = init.alpha, None, None
-    if reuse:
+    if alpha_ok:
         alpha, f_alpha, g_alpha = init.alpha_best, init.f_best, init.g_best
     else:
         budget = params.max_ls_iters - f_trials
@@ -453,7 +458,6 @@ def split_phase(
         phase=phase,
         f_trials=f_trials,
         g_trials=g_trials,
-        alpha_was_best_reuse=reuse,
         f_alpha=f_alpha,
         g_alpha=g_alpha,
         g_beta=g_beta if beta_ok else None,

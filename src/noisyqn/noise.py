@@ -68,12 +68,14 @@ class NoiseSpec:
             raise ValueError("xi_g must be finite and >= 0")
         if self.schedule not in get_args(Schedule):
             raise ValueError(f"schedule must be one of {get_args(Schedule)}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.n_noise is not None and not isinstance(self.n_noise, numbers.Integral):
+            raise ValueError(f"n_noise must be an integer, got {self.n_noise!r}")
         if self.schedule == "intermittent" and (self.n_noise is None or self.n_noise < 1):
             raise ValueError("intermittent schedule needs n_noise >= 1")
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError("omega must be finite and > 0")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 class NoisyOracle:

@@ -15,6 +15,7 @@ give the same bits.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,12 +95,14 @@ class SolverConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.g_eval_budget is not None and self.g_eval_budget < 1:
-            raise ValueError("g_eval_budget must be >= 1")
+        for name in ("memory", "max_iters", "g_eval_budget"):
+            value = getattr(self, name)
+            if value is None and name == "g_eval_budget":
+                continue
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -171,6 +174,9 @@ class RunTrace:
     final_grad_norm_true: float
     f_evals: int
     g_evals: int
+    # Gradient evaluations made before the first iterate that meets
+    # ``_threshold_reached`` at the true noise levels; None if none did.
+    evals_to_threshold: int | None
     max_f_noise: float
     max_g_noise_norm: float
 
@@ -186,6 +192,12 @@ def skip_condition(
     return change < 2.0 * eps_g * float(np.linalg.norm(p))
 
 
+def _threshold_reached(gap: float, grad_norm: float, eps_f: float, eps_g: float) -> bool:
+    """The noise-level stop test on an iterate's true gap and gradient norm.
+    At eps_f = 0 only the gradient counts: a gap <= 0 is then rounding."""
+    return (eps_f > 0.0 and gap <= eps_f) or grad_norm <= eps_g
+
+
 def search_direction(state: SolverState, g: np.ndarray) -> np.ndarray:
     """p = -H g from either the dense matrix or the two-loop recursion."""
     if state.hessian is not None:
@@ -195,7 +207,7 @@ def search_direction(state: SolverState, g: np.ndarray) -> np.ndarray:
 
 def _apply_update(state: SolverState, pair: CurvaturePair) -> None:
     if state.hessian is not None:
-        state.hessian = bfgs_inverse_update(state.hessian, pair)
+        bfgs_inverse_update(state.hessian, pair)
     else:
         state.memory.push(pair)
 
@@ -279,7 +291,7 @@ def iterate(
 
     if stepped:
         state.consecutive_failures = 0
-        state.f_x = outcome.f_alpha if outcome.f_alpha is not None else oracle.noisy_f(x_new)
+        state.f_x = outcome.f_alpha
         state.g_x = (
             outcome.g_alpha if outcome.g_alpha is not None else oracle.noisy_g(x_new)
         )
@@ -348,7 +360,7 @@ def run(
         x=x0,
         f_x=f0,
         g_x=g0,
-        hessian=None if variant.limited_memory else SymmetricMatrix.identity(problem.dim),
+        hessian=None if variant.limited_memory else SymmetricMatrix(np.eye(problem.dim)),
         memory=LimitedMemory(config.memory) if variant.limited_memory else None,
         tracker=CurvatureTracker(config.ls.history),
     )
@@ -357,6 +369,7 @@ def run(
     # The stop rule measures true solution quality against the actual noise
     # levels; the omega-scaled estimate is only for the method's own tests.
     eps_f, eps_g = oracle.true_bounds()
+    evals_to_threshold = None
     while state.k < config.max_iters:
         if config.g_eval_budget is not None and oracle.g_evals >= config.g_eval_budget:
             reason = "gradient_budget"
@@ -364,18 +377,26 @@ def run(
         if float(np.linalg.norm(state.g_x)) == 0.0:
             reason = "stationary_point"
             break
-        if config.threshold_termination:
-            if (
-                oracle.true_f(state.x) - problem.phi_star <= eps_f
-                or float(np.linalg.norm(oracle.true_g(state.x))) <= eps_g
-            ):
-                reason = "threshold"
-                break
+        g_evals = oracle.g_evals
+        if config.threshold_termination and _threshold_reached(
+            oracle.true_f(state.x) - problem.phi_star,
+            float(np.linalg.norm(oracle.true_g(state.x))),
+            eps_f,
+            eps_g,
+        ):
+            evals_to_threshold = g_evals
+            reason = "threshold"
+            break
         try:
-            records.append(iterate(state, oracle, config, observer))
+            record = iterate(state, oracle, config, observer)
         except NumericalFailureError:
             reason = "numerical_failure"
             break
+        records.append(record)
+        if evals_to_threshold is None and _threshold_reached(
+            record.gap, record.grad_norm_true, eps_f, eps_g
+        ):
+            evals_to_threshold = g_evals
         # With a deterministic oracle a failed iteration replays itself
         # exactly, so two failures in a row prove permanent stagnation.  Under
         # injected noise each retry sees fresh draws (and intermittent noise
@@ -401,6 +422,7 @@ def run(
         final_grad_norm_true=float(np.linalg.norm(oracle.true_g(state.x))),
         f_evals=oracle.f_evals,
         g_evals=oracle.g_evals,
+        evals_to_threshold=evals_to_threshold,
         max_f_noise=oracle.max_f_noise,
         max_g_noise_norm=oracle.max_g_noise_norm,
     )

@@ -114,6 +114,19 @@ class TestConfigValidation:
             run_experiment(tiny_config(out, seeds=[1, 1.5]))
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "memory", "max_iters", "g_eval_budget", "n_split", "max_ls_iters",
+            "max_lengthening", "history", "n_noise",
+        ],
+    )
+    def test_non_integer_setting_rejected_before_output(self, tmp_path, name):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got 2.5$"):
+            run_experiment(tiny_config(out, **{name: 2.5}))
+        assert not out.exists()
+
     def test_valid_config_passes(self, tmp_path):
         tiny_config(tmp_path).validate()
 

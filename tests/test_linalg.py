@@ -27,48 +27,36 @@ def random_spd(rng, d, scale=1.0):
 
 def dense_from_pairs(pairs, gamma, d):
     """Oracle: build H by explicit updates from H0 = gamma * I."""
-    h = SymmetricMatrix.from_dense(gamma * np.eye(d))
+    h = SymmetricMatrix(gamma * np.eye(d))
     for pair in pairs:
-        h = bfgs_inverse_update(h, pair)
+        bfgs_inverse_update(h, pair)
+    return h
+
+
+def updated(h, pair):
+    """``h`` after the update with ``pair``, for tests that chain calls."""
+    bfgs_inverse_update(h, pair)
     return h
 
 
 class TestSymmetricMatrix:
-    def test_identity(self):
-        eye = SymmetricMatrix.identity(4)
-        np.testing.assert_array_equal(eye.to_dense(), np.eye(4))
-        assert eye.order == 4
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        a = random_spd(rng, 6)
-        m = SymmetricMatrix.from_dense(a)
-        np.testing.assert_allclose(m.to_dense(), a, rtol=0, atol=0)
-
-    def test_dense_output_is_exactly_symmetric(self):
-        rng = np.random.default_rng(1)
-        a = random_spd(rng, 9)
-        dense = SymmetricMatrix.from_dense(a).to_dense()
-        assert np.array_equal(dense, dense.T)
+    def test_holds_its_array(self):
+        a = random_spd(np.random.default_rng(0), 6)
+        assert SymmetricMatrix(a).dense is a
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(2)
         for d in (1, 3, 7):
             a = random_spd(rng, d)
-            m = SymmetricMatrix.from_dense(a)
+            m = SymmetricMatrix(a)
             v = rng.standard_normal(d)
-            np.testing.assert_allclose(m.matvec(v), m.to_dense() @ v, rtol=1e-14)
-
-    def test_from_dense_mirrors_upper_triangle(self):
-        a = np.array([[1.0, 2.0], [-7.0, 3.0]])
-        dense = SymmetricMatrix.from_dense(a).to_dense()
-        np.testing.assert_array_equal(dense, np.array([[1.0, 2.0], [2.0, 3.0]]))
+            np.testing.assert_allclose(m.matvec(v), a @ v, rtol=1e-14)
 
     def test_rejects_nonfinite(self):
         bad = np.eye(3)
         bad[0, 1] = bad[1, 0] = np.inf
-        with pytest.raises(ValueError):
-            SymmetricMatrix.from_dense(bad)
+        with pytest.raises(ValueError, match="^symmetric matrix entries must be finite$"):
+            SymmetricMatrix(bad)
 
 
 class TestCurvaturePair:
@@ -107,7 +95,6 @@ class TestLimitedMemory:
         ]
         for p in pairs:
             mem.push(p)
-        assert len(mem) == 2
         assert mem.pairs == (pairs[1], pairs[2])  # oldest first
 
     def test_rejects_nonpositive_curvature(self):
@@ -116,65 +103,87 @@ class TestLimitedMemory:
             mem.push(CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([-1.0, 0.0])))
 
 
+def identity(d):
+    return SymmetricMatrix(np.eye(d))
+
+
 class TestBfgsInverseUpdate:
     def test_identity_fixed_point(self):
         """s = y = e1 collapses the update back to the identity."""
         e1 = np.array([1.0, 0.0])
-        h = bfgs_inverse_update(SymmetricMatrix.identity(2), CurvaturePair.from_step(e1, e1))
-        np.testing.assert_allclose(h.to_dense(), np.eye(2), atol=1e-15)
+        h = updated(identity(2), CurvaturePair.from_step(e1, e1))
+        np.testing.assert_allclose(h.dense, np.eye(2), atol=1e-15)
 
     def test_hand_worked_2d(self):
         """s = (1,0), y = (2,0) on H = I gives diag(1/2, 1)."""
         pair = CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-        h = bfgs_inverse_update(SymmetricMatrix.identity(2), pair)
-        np.testing.assert_allclose(h.to_dense(), np.diag([0.5, 1.0]), atol=1e-15)
+        h = updated(identity(2), pair)
+        np.testing.assert_allclose(h.dense, np.diag([0.5, 1.0]), atol=1e-15)
         np.testing.assert_allclose(h.matvec(pair.y), pair.s, atol=1e-15)
+
+    def test_updates_the_array_in_place(self):
+        h = identity(2)
+        array = h.dense
+        pair = CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        assert bfgs_inverse_update(h, pair) is None
+        assert h.dense is array
+        np.testing.assert_allclose(array, np.diag([0.5, 1.0]), atol=1e-15)
 
     def test_secant_condition(self):
         """H' y = s to 1e-10 for random SPD H and pairs y = A s."""
         rng = np.random.default_rng(7)
         a = random_spd(rng, 5)
         for _ in range(25):
-            h0 = SymmetricMatrix.from_dense(random_spd(rng, 5))
+            h = SymmetricMatrix(random_spd(rng, 5))
             s = rng.standard_normal(5)
             y = a @ s
-            pair = CurvaturePair.from_step(s, y)
-            h1 = bfgs_inverse_update(h0, pair)
-            err = np.linalg.norm(h1.matvec(y) - s) / np.linalg.norm(s)
+            bfgs_inverse_update(h, CurvaturePair.from_step(s, y))
+            err = np.linalg.norm(h.matvec(y) - s) / np.linalg.norm(s)
             assert err <= 1e-10
 
     def test_preserves_positive_definiteness(self):
         rng = np.random.default_rng(11)
         for d in (2, 4, 8):
-            h = SymmetricMatrix.from_dense(random_spd(rng, d))
+            h = SymmetricMatrix(random_spd(rng, d))
             for _ in range(20):
                 s = rng.standard_normal(d)
                 y = s + 0.5 * rng.standard_normal(d)
                 if float(s @ y) <= 1e-8:
                     continue
-                h = bfgs_inverse_update(h, CurvaturePair.from_step(s, y))
+                bfgs_inverse_update(h, CurvaturePair.from_step(s, y))
                 lo, _ = eigen_extremes(h)
                 assert lo > 0.0
 
     def test_result_exactly_symmetric(self):
         rng = np.random.default_rng(13)
-        h = SymmetricMatrix.from_dense(random_spd(rng, 6))
+        h = SymmetricMatrix(random_spd(rng, 6))
         s = rng.standard_normal(6)
         y = s + 0.1 * rng.standard_normal(6)
-        dense = bfgs_inverse_update(h, CurvaturePair.from_step(s, y)).to_dense()
-        assert np.array_equal(dense, dense.T)
+        bfgs_inverse_update(h, CurvaturePair.from_step(s, y))
+        assert np.array_equal(h.dense, h.dense.T)
 
-    def test_rejects_nonpositive_sy(self):
-        h = SymmetricMatrix.identity(2)
-        bad = CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    @pytest.mark.parametrize(
+        "s, y",
+        [
+            ([1.0, 0.0], [0.0, 1.0]),  # s.y = 0
+            ([1.0, 0.0], [-1.0, 0.0]),  # s.y < 0
+            ([1.0, 1.0, 1.0], [2.0, 2.0, 2.0]),  # wrong dimension
+        ],
+    )
+    def test_rejected_pair_leaves_h_unchanged(self, s, y):
+        h = SymmetricMatrix(random_spd(np.random.default_rng(31), 2))
+        before = h.dense.tobytes()
         with pytest.raises(ValueError):
-            bfgs_inverse_update(h, bad)
+            bfgs_inverse_update(h, CurvaturePair.from_step(np.array(s), np.array(y)))
+        assert h.dense.tobytes() == before
 
-    def test_rejects_dimension_mismatch(self):
-        h = SymmetricMatrix.identity(3)
-        pair = CurvaturePair.from_step(np.ones(2), 2 * np.ones(2))
-        with pytest.raises(ValueError):
-            bfgs_inverse_update(h, pair)
+    def test_overflowing_update_raises(self):
+        """s.y = 1e-160 overflows rho * rho; the non-finite result is refused
+        with the same message as a non-finite constructor argument."""
+        pair = CurvaturePair.from_step(np.array([1e-80, 0.0]), np.array([1e-80, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^symmetric matrix entries must be finite$"):
+                bfgs_inverse_update(identity(2), pair)
 
 
 @st.composite
@@ -187,7 +196,7 @@ def spd_and_pair(draw):
     y = s + 0.5 * draw(arrays(np.float64, d, elements=unit))
     assume(np.linalg.norm(s) >= 0.1)
     assume(float(s @ y) >= 0.1 * np.linalg.norm(s) * np.linalg.norm(y))
-    h = SymmetricMatrix.from_dense(a @ a.T + 0.5 * np.eye(d))
+    h = SymmetricMatrix(a @ a.T + 0.5 * np.eye(d))
     return h, CurvaturePair.from_step(s, y)
 
 
@@ -208,21 +217,23 @@ class TestDenseUpdateProperties:
     @given(spd_and_pair())
     def test_update_is_exactly_symmetric(self, case):
         h, pair = case
-        dense = bfgs_inverse_update(h, pair).to_dense()
-        assert np.array_equal(dense, dense.T)
+        bfgs_inverse_update(h, pair)
+        assert np.array_equal(h.dense, h.dense.T)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(spd_and_pair())
     def test_update_is_positive_definite(self, case):
         h, pair = case
-        np.linalg.cholesky(bfgs_inverse_update(h, pair).to_dense())
+        bfgs_inverse_update(h, pair)
+        np.linalg.cholesky(h.dense)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(spd_and_pair())
     def test_update_matches_raw_formula_bit_for_bit(self, case):
         h, pair = case
-        expected = raw_inverse_update(h.to_dense().copy(), pair.s, pair.y)
-        assert np.array_equal(bfgs_inverse_update(h, pair).to_dense(), expected)
+        expected = raw_inverse_update(h.dense.copy(), pair.s, pair.y)
+        bfgs_inverse_update(h, pair)
+        assert np.array_equal(h.dense, expected)
 
 
 def orthogonal_complement_pair(rng, d):
@@ -246,7 +257,7 @@ class TestTwoLoopDirection:
         mem.push(pair)
         assert mem.gamma == pytest.approx(1.0, rel=1e-12)
         g = rng.standard_normal(3)
-        expected = bfgs_inverse_update(SymmetricMatrix.identity(3), pair).matvec(g)
+        expected = updated(identity(3), pair).matvec(g)
         np.testing.assert_allclose(two_loop_direction(mem, g), expected, rtol=1e-12)
 
     def test_eight_pairs_match_dense_recursion(self):
@@ -293,17 +304,17 @@ class TestTwoLoopDirection:
 
 class TestEigenExtremes:
     def test_identity(self):
-        assert eigen_extremes(SymmetricMatrix.identity(4)) == (1.0, 1.0)
+        assert eigen_extremes(identity(4)) == (1.0, 1.0)
 
     def test_diagonal(self):
-        m = SymmetricMatrix.from_dense(np.diag([2.0, 5.0]))
+        m = SymmetricMatrix(np.diag([2.0, 5.0]))
         lo, hi = eigen_extremes(m)
         assert lo == pytest.approx(2.0, abs=1e-12)
         assert hi == pytest.approx(5.0, abs=1e-12)
 
     def test_hand_solved_2x2(self):
         """[[2,1],[1,2]] has eigenvalues 1 and 3."""
-        m = SymmetricMatrix.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        m = SymmetricMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         lo, hi = eigen_extremes(m)
         assert lo == pytest.approx(1.0, rel=1e-10)
         assert hi == pytest.approx(3.0, rel=1e-10)
@@ -313,7 +324,7 @@ class TestEigenExtremes:
         for _ in range(10):
             d = int(rng.integers(2, 12))
             diag = rng.uniform(0.5, 10.0, size=d)
-            lo, hi = eigen_extremes(SymmetricMatrix.from_dense(np.diag(diag)))
+            lo, hi = eigen_extremes(SymmetricMatrix(np.diag(diag)))
             assert lo == pytest.approx(diag.min(), rel=1e-12)
             assert hi == pytest.approx(diag.max(), rel=1e-12)
 
@@ -321,7 +332,7 @@ class TestEigenExtremes:
         """A 60 x 60 SPD matrix: the extremes are the ends of its spectrum."""
         rng = np.random.default_rng(37)
         a = random_spd(rng, 60)
-        lo, hi = eigen_extremes(SymmetricMatrix.from_dense(a))
+        lo, hi = eigen_extremes(SymmetricMatrix(a))
         ref = np.linalg.eigvalsh(a)
         assert lo == pytest.approx(ref[0], rel=1e-8)
         assert hi == pytest.approx(ref[-1], rel=1e-8)

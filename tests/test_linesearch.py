@@ -303,7 +303,6 @@ class TestSplitPhase:
             handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.5, alpha_best=0.5),
         )
         assert out.alpha == 0.5
-        assert out.alpha_was_best_reuse
         assert oracle.f_evals == before
         assert out.f_trials == 0
 
@@ -497,6 +496,7 @@ ROW_NAMES = tuple(
 
 
 @functools.cache
+@functools.cache
 def minimizer_estimate(name):
     """A point close to the problem's minimizer: a noiseless L-BFGS run from
     the standard start."""
@@ -540,7 +540,7 @@ def search_bits(out, oracle):
 
     return (
         bits(out.alpha), bits(out.beta), out.phase, out.f_trials, out.g_trials,
-        out.alpha_was_best_reuse, bits(out.f_alpha), bits(out.g_alpha), bits(out.g_beta),
+        bits(out.f_alpha), bits(out.g_alpha), bits(out.g_beta),
         oracle.f_evals, oracle.g_evals, bits(oracle.max_f_noise),
         bits(oracle.max_g_noise_norm),
     )
@@ -603,6 +603,33 @@ class TestBlockTrialsInvisible:
         assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
         assert oracle.unused_f_rows == 14
         assert oracle.f_evals == 1 + out.f_trials
+
+
+class TestStepCarriesItsValue:
+    """Every search that takes a step hands back the noisy f it observed
+    there, so the solver never evaluates the new iterate again."""
+
+    @pytest.mark.parametrize("search", ["two_phase", "armijo_wolfe"])
+    @pytest.mark.parametrize("xi", [0.0, 1e-3])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(ROW_NAMES),
+        seed=st.integers(0, 2**32 - 1),
+        near_minimizer=st.booleans(),
+        offset=st.integers(1, 8),
+        scale=st.integers(-2, 8),
+    )
+    def test_f_alpha_is_f_at_the_step(self, search, xi, name, seed, near_minimizer, offset, scale):
+        rng = np.random.default_rng(seed)
+        prob = registry_lookup(name)
+        x = minimizer_estimate(name) if near_minimizer else prob.x0
+        x = x + 10.0**-offset * rng.standard_normal(prob.dim)
+        p = -(10.0**scale) * prob.eval_g(x)
+        out, _ = row_search(name, search, x, p, xi, xi, f_rows=False)
+        if out.phase == Phase.ALPHA_FAILED or out.alpha == 0.0:
+            return
+        assert out.f_alpha is not None
+        assert abs(out.f_alpha - prob.eval_f(x + out.alpha * p)) <= xi
 
 
 class TestParamsValidation:

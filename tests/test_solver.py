@@ -46,7 +46,7 @@ def dense_state(x, hessian):
 
 class TestSearchDirection:
     def test_identity_gives_negated_gradient(self):
-        state = dense_state(np.zeros(3), SymmetricMatrix.identity(3))
+        state = dense_state(np.zeros(3), SymmetricMatrix(np.eye(3)))
         g = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(search_direction(state, g), -g)
 
@@ -69,9 +69,9 @@ class TestSearchDirection:
             hessian=None, memory=mem, tracker=CurvatureTracker(10),
         )
 
-        h = SymmetricMatrix.from_dense(mem.gamma * np.eye(5))
+        h = SymmetricMatrix(mem.gamma * np.eye(5))
         for pair in pairs:
-            h = bfgs_inverse_update(h, pair)
+            bfgs_inverse_update(h, pair)
         dstate = dense_state(np.zeros(5), h)
 
         g = rng.standard_normal(5)
@@ -323,6 +323,35 @@ class TestTermination:
             trace.final_gap <= eps_f
             or trace.final_grad_norm_true <= eps_g
         )
+
+    @pytest.mark.parametrize(
+        "name, variant, xi_f, xi_g",
+        [
+            ("ARWHEAD", Variant.BFGS, 0.0, 0.0),
+            ("ARWHEAD", Variant.LBFGS_E, 0.0, 0.0),
+            ("ARWHEAD", Variant.BFGS_E, 0.0, 1e-3),
+            ("ARWHEAD", Variant.LBFGS, 1e-3, 1e-3),
+            ("CRAGGLVY", Variant.LBFGS, 0.0, 0.0),
+            ("TRIDIA", Variant.BFGS_SKIP, 1e-3, 0.0),
+        ],
+    )
+    def test_threshold_stop_matches_evals_to_threshold(self, name, variant, xi_f, xi_g):
+        """The stop rule and ``evals_to_threshold`` are one test: a run that
+        stops at the threshold has spent exactly the gradient evaluations
+        that the unstopped run records, and one that never reaches it runs
+        on.  Noiseless ARWHEAD and CRAGGLVY reach a gap of 0 with a gradient
+        norm above 0, which at xi_f = 0 is no threshold."""
+        prob = registry_lookup(name)
+        spec = NoiseSpec(xi_f=xi_f, xi_g=xi_g, seed=3)
+        free = run(prob, spec, quick_config(variant, max_iters=150))
+        stopped = run(prob, spec, quick_config(variant, max_iters=150, threshold_termination=True))
+        assert stopped.records == free.records[: len(stopped.records)]
+        if free.evals_to_threshold is None:
+            assert stopped.termination_reason == free.termination_reason
+            assert stopped.g_evals == free.g_evals
+        else:
+            assert stopped.termination_reason == "threshold"
+            assert stopped.g_evals == stopped.evals_to_threshold == free.evals_to_threshold
 
     def test_e_variant_stagnation_on_exhausted_search(self):
         """At the exact minimum of a noiseless quadratic the line search
