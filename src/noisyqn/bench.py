@@ -127,7 +127,6 @@ class ExperimentConfig:
     memory: int = SolverConfig.memory
     history: int = LineSearchParams.history
     diagnostics: bool = SolverConfig.diagnostics
-    threshold_termination: bool = SolverConfig.threshold_termination
     out: str = "qn_noise_out"
 
     def validate(self) -> None:

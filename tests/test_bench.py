@@ -534,7 +534,7 @@ _EXPERIMENT_FLAGS = {
     "--problem", "--method", "--xi-f", "--xi-g", "--omega", "--seed",
     "--schedule", "--n-noise", "--noise-phase", "--max-iters", "--g-eval-budget",
     "--c1", "--c2", "--c3", "--n-split", "--max-ls-iters", "--max-lengthening",
-    "--memory", "--history-h", "--diagnostics", "--threshold-termination", "--out",
+    "--memory", "--history-h", "--diagnostics", "--out",
 }
 # The naming rule: a setting is known outside ExperimentConfig by its field
 # name, except for these; a flag writes that name with hyphens.

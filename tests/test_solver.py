@@ -37,6 +37,18 @@ def quick_config(variant, **kwargs):
     return SolverConfig(variant=variant, **kwargs)
 
 
+def threshold_evals(trace, eps_f, eps_g):
+    """The gradient evaluations made before the first iteration whose
+    iterate has a true gap within eps_f (when eps_f > 0) or a true gradient
+    norm within eps_g; None if none has."""
+    before = 1  # the gradient at x0
+    for record in trace.records:
+        if (eps_f > 0.0 and record.gap <= eps_f) or record.grad_norm_true <= eps_g:
+            return before
+        before = record.cum_g_evals
+    return None
+
+
 def dense_state(x, hessian):
     return SolverState(
         x=x, f_x=0.0, g_x=np.zeros_like(x),
@@ -308,21 +320,17 @@ class TestTermination:
         trace = run(flat, NOISELESS, quick_config(Variant.BFGS))
         assert trace.termination_reason == "stationary_point"
 
-    def test_threshold_termination_uses_true_noise_levels(self):
-        """With thresholds on, the run stops once the true gap falls under
-        xi_f (here: quickly), regardless of the omega misestimate."""
+    def test_evals_to_threshold_uses_true_noise_levels(self):
+        """With omega = 10 the method sees bounds ten times the true ones;
+        evals_to_threshold still waits for the first iterate within the true
+        levels, which comes after the first within the reported ones."""
         prob = make_quadratic(6, 1.0, 5.0, seed=9)
-        spec = NoiseSpec(xi_f=1e-2, xi_g=1e-4, omega=10.0, seed=10)
-        config = SolverConfig(
-            variant=Variant.BFGS_E, max_iters=400, threshold_termination=True
-        )
-        trace = run(prob, spec, config)
-        assert trace.termination_reason == "threshold"
-        eps_f, eps_g = 1e-2, math.sqrt(6) * 1e-4
-        assert (
-            trace.final_gap <= eps_f
-            or trace.final_grad_norm_true <= eps_g
-        )
+        spec = NoiseSpec(xi_f=1e-3, xi_g=1e-4, omega=10.0, seed=10)
+        trace = run(prob, spec, SolverConfig(variant=Variant.BFGS_E, max_iters=400))
+        eps_f, eps_g = 1e-3, math.sqrt(6) * 1e-4
+        assert trace.evals_to_threshold is not None
+        assert trace.evals_to_threshold == threshold_evals(trace, eps_f, eps_g)
+        assert threshold_evals(trace, 10 * eps_f, 10 * eps_g) < trace.evals_to_threshold
 
     @pytest.mark.parametrize(
         "name, variant, xi_f, xi_g",
@@ -335,23 +343,16 @@ class TestTermination:
             ("TRIDIA", Variant.BFGS_SKIP, 1e-3, 0.0),
         ],
     )
-    def test_threshold_stop_matches_evals_to_threshold(self, name, variant, xi_f, xi_g):
-        """The stop rule and ``evals_to_threshold`` are one test: a run that
-        stops at the threshold has spent exactly the gradient evaluations
-        that the unstopped run records, and one that never reaches it runs
-        on.  Noiseless ARWHEAD and CRAGGLVY reach a gap of 0 with a gradient
-        norm above 0, which at xi_f = 0 is no threshold."""
+    def test_evals_to_threshold_matches_its_definition(self, name, variant, xi_f, xi_g):
+        """evals_to_threshold is the gradient count before the first record
+        within the true levels, read off the records.  Noiseless ARWHEAD and
+        CRAGGLVY reach a gap of 0 with a gradient norm above 0, which at
+        xi_f = 0 is no threshold."""
         prob = registry_lookup(name)
         spec = NoiseSpec(xi_f=xi_f, xi_g=xi_g, seed=3)
-        free = run(prob, spec, quick_config(variant, max_iters=150))
-        stopped = run(prob, spec, quick_config(variant, max_iters=150, threshold_termination=True))
-        assert stopped.records == free.records[: len(stopped.records)]
-        if free.evals_to_threshold is None:
-            assert stopped.termination_reason == free.termination_reason
-            assert stopped.g_evals == free.g_evals
-        else:
-            assert stopped.termination_reason == "threshold"
-            assert stopped.g_evals == stopped.evals_to_threshold == free.evals_to_threshold
+        trace = run(prob, spec, quick_config(variant, max_iters=150))
+        eps_g = math.sqrt(prob.dim) * xi_g
+        assert trace.evals_to_threshold == threshold_evals(trace, xi_f, eps_g)
 
     def test_e_variant_stagnation_on_exhausted_search(self):
         """At the exact minimum of a noiseless quadratic the line search
@@ -516,7 +517,7 @@ class TestTraceValues:
 
         prob = Problem(base.name, base.dim, eval_f, eval_g, base.x0, base.phi_star)
         spec = NoiseSpec(xi_f=1e-3, xi_g=1e-3, seed=8)
-        trace = run(prob, spec, quick_config(variant, max_iters=30, threshold_termination=True))
+        trace = run(prob, spec, quick_config(variant, max_iters=30))
         assert len(trace.records) > 0
         assert calls.count("f") == trace.f_evals
         assert calls.count("g") == trace.g_evals
