@@ -138,6 +138,8 @@ class ExperimentConfig:
                 registry_lookup(name)
             except UnknownProblemError as exc:
                 raise ConfigError(str(exc)) from exc
+            except ValueError as exc:
+                raise ConfigError(f"problem {name!r}: {exc}") from exc
         for method in self.methods:
             try:
                 Variant(method)

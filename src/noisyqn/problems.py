@@ -358,8 +358,12 @@ def make_quadratic(dim: int, m: float, big_m: float, seed: int) -> Problem:
     """
     if dim < 1:
         raise ValueError("dim must be positive")
+    if not (np.isfinite(m) and np.isfinite(big_m)):
+        raise ValueError("m and M must be finite")
     if not (0.0 < m <= big_m):
         raise ValueError("need 0 < m <= M")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     lam = np.logspace(np.log10(m), np.log10(big_m), dim)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))

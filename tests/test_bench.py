@@ -445,6 +445,25 @@ class TestCli:
         assert code == 2
         assert "NOPE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("QUAD(0,1,10)", "dim must be positive"),
+            ("QUAD(4,10,1)", "need 0 < m <= M"),
+            ("QUAD(4,1,10,-3)", "seed must be non-negative"),
+            ("QUAD(4,1,inf)", "m and M must be finite"),
+            ("QUAD(4,1,nan)", "m and M must be finite"),
+        ],
+    )
+    def test_bad_inline_quadratic_is_config_error(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--problem", spec, "--method", "bfgs", "--seeds", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: problem {spec!r}: {message}\n"
+        assert not out.exists()
+
     def test_unknown_method_is_config_error(self, tmp_path, capsys):
         code = main([
             "run", "--problem", "TRIDIA", "--method", "adam",
