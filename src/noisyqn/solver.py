@@ -341,10 +341,16 @@ def run(
 ) -> RunTrace:
     """Minimize the problem under the given noise model and return the trace.
 
-    A non-finite direction or iterate ends the run with termination reason
-    ``numerical_failure``.  With ``config.diagnostics`` on, an
-    ``np.linalg.LinAlgError`` from the eigenvalue diagnostics leaves that
-    record's diagnostic fields empty and does not end the run.
+    The run ends, with that termination reason, at the first of:
+    ``max_iterations`` after ``config.max_iters`` iterations;
+    ``gradient_budget`` once ``config.g_eval_budget`` gradients are spent;
+    ``stationary_point`` when the observed gradient is exactly zero;
+    ``line_search_stagnation``, for any variant on a noiseless oracle
+    (xi_f = xi_g = 0), after two consecutive iterations with alpha = 0;
+    ``numerical_failure`` at a non-finite direction or iterate.  With
+    ``config.diagnostics`` on, an ``np.linalg.LinAlgError`` from the
+    eigenvalue diagnostics leaves that record's diagnostic fields empty and
+    does not end the run.
     """
     oracle = NoisyOracle(problem, noise_spec)
     oracle.set_iteration(0)
@@ -391,7 +397,7 @@ def run(
         # injected noise each retry sees fresh draws (and intermittent noise
         # eventually toggles), so failures are transient and the run goes on.
         failures = failures + 1 if record.alpha == 0.0 else 0
-        if variant.noise_tolerant and noiseless and failures >= 2:
+        if noiseless and failures >= 2:
             reason = "line_search_stagnation"
             break
     final_phi = float(oracle.true_f(state.x))

@@ -2,8 +2,9 @@
 summary.json under tests/golden/.
 
 The matrix (tests/golden/golden.cfg) is ARWHEAD, TRIDIA and QUAD(16,1,1e3)
-x all six methods x xi_g {0, 1e-1}, seed 1, 25 iterations, diagnostics on.
-Its traces contain updated, lengthened and skipped pairs and alpha = 0 rows.
+x all six methods x xi_g {0, 1e-1}, seed 1, at most 25 iterations,
+diagnostics on.  Its traces contain updated, lengthened and skipped pairs
+and alpha = 0 rows.
 
 Counters, flags, pair actions and every non-float summary field must match
 exactly.  Float fields must match to 1e-9 relative (absolute below 1): BLAS

@@ -354,16 +354,32 @@ class TestTermination:
         eps_g = math.sqrt(prob.dim) * xi_g
         assert trace.evals_to_threshold == threshold_evals(trace, xi_f, eps_g)
 
-    def test_e_variant_stagnation_on_exhausted_search(self):
-        """At the exact minimum of a noiseless quadratic the line search
-        cannot decrease f; two consecutive failures stop the E variant."""
-        prob = make_quadratic(4, 1.0, 4.0, seed=12)
-        zero_start = Problem(
-            name=prob.name, dim=4, x0=np.zeros(4),
-            eval_f=prob.eval_f, eval_g=prob.eval_g, phi_star=0.0,
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_stagnation_on_exhausted_search(self, variant):
+        """f is flat at 0 while g is not, so no step passes Armijo: without
+        noise two failed searches stop any variant; with gradient noise the
+        retries see fresh draws and the run goes on."""
+        flat = Problem(
+            name="FLAT", dim=2, x0=np.zeros(2),
+            eval_f=lambda x: 0.0, eval_g=lambda x: np.array([1.0, -2.0]),
+            phi_star=0.0,
         )
-        trace = run(zero_start, NOISELESS, quick_config(Variant.BFGS_E))
-        assert trace.termination_reason in ("stationary_point", "line_search_stagnation")
+        trace = run(flat, NOISELESS, quick_config(variant))
+        assert trace.termination_reason == "line_search_stagnation"
+        assert [r.alpha for r in trace.records] == [0.0, 0.0]
+        noisy = run(flat, NoiseSpec(xi_g=1e-3, seed=1), quick_config(variant, max_iters=20))
+        assert noisy.termination_reason == "max_iterations"
+
+    @pytest.mark.parametrize("variant", [v for v in Variant if not v.noise_tolerant])
+    def test_noiseless_standard_variant_stops_after_two_failures(self, variant):
+        """On noiseless ARWHEAD a standard variant's search fails once the
+        iterate is at the minimizer's rounding level; a retry would replay
+        it, so the run ends on the second alpha = 0 row."""
+        trace = run(registry_lookup("ARWHEAD"), NOISELESS, quick_config(variant))
+        assert trace.termination_reason == "line_search_stagnation"
+        alphas = [r.alpha for r in trace.records]
+        assert alphas[-2:] == [0.0, 0.0]
+        assert 0.0 not in alphas[:-2]
 
     @pytest.mark.parametrize("xi_f", [0.0, 1e-3])
     def test_underflowing_direction_ends_cleanly(self, xi_f):
