@@ -15,8 +15,9 @@ the two at once:
 The inputs (both config files and the workload plans) are the working
 tree's on both sides, so only the program differs.  The report lists
 identical, changed, added and removed files; every change in a
-``summary.json``'s ``errors``; and for each changed CSV column the largest
-relative change.  Exit code 0 when every file is identical, 1 when one is
+``summary.json``'s ``errors``; for each changed CSV column the largest
+relative change; and per output set, how many runs ended with each
+termination reason at the base and now.  Exit code 0 when every file is identical, 1 when one is
 not, 2 when a build fails.
 
 The outputs go to a temporary directory that is removed afterwards, or to
@@ -34,6 +35,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,6 +143,19 @@ def summary_errors(path: Path) -> dict:
     return json.loads(path.read_text())["errors"]
 
 
+def termination_reasons(root: Path, files: set[str]) -> dict[str, Counter]:
+    """Per output set (top-level directory), the runs of its summary.json
+    files counted by termination reason."""
+    counts: dict[str, Counter] = {}
+    for name in files:
+        if Path(name).name == "summary.json":
+            runs = json.loads((root / name).read_text())["runs"].values()
+            counts.setdefault(Path(name).parts[0], Counter()).update(
+                entry["termination_reason"] for entry in runs
+            )
+    return counts
+
+
 def compare(base: Path, new: Path) -> tuple[list[str], bool]:
     """(report lines, whether every file is identical) for two output trees."""
     old_files = {str(p.relative_to(base)) for p in base.rglob("*") if p.is_file()}
@@ -170,6 +185,14 @@ def compare(base: Path, new: Path) -> tuple[list[str], bool]:
     lines.append(
         f"per-run errors: {errors_in(base, old_files)} at base, {errors_in(new, new_files)} now"
     )
+    old_reasons = termination_reasons(base, old_files)
+    new_reasons = termination_reasons(new, new_files)
+    for output_set in sorted(old_reasons.keys() | new_reasons.keys()):
+        old = old_reasons.get(output_set, Counter())
+        now = new_reasons.get(output_set, Counter())
+        if old or now:
+            counts = (f"{r} {old[r]} -> {now[r]}" for r in sorted(old.keys() | now.keys()))
+            lines.append(f"termination reasons in {output_set}: {', '.join(counts)}")
     identical = not (changed or added or removed)
     lines.append("identical" if identical else "outputs differ")
     return lines, identical

@@ -85,6 +85,30 @@ def test_changes_are_reported(tool, tmp_path):
     ]
 
 
+def test_termination_reasons_are_counted_per_output_set(tool, tmp_path):
+    def runs(*reasons):
+        return json.dumps({
+            "runs": {f"R{i}": {"termination_reason": r} for i, r in enumerate(reasons)},
+            "errors": {},
+        })
+
+    base_files = {
+        "golden/summary.json": runs("max_iterations", "max_iterations"),
+        "workloads/a/00/summary.json": runs("gradient_budget"),
+        "workloads/b/00/summary.json": runs("gradient_budget"),
+    }
+    new_files = dict(base_files)
+    new_files["golden/summary.json"] = runs("max_iterations", "line_search_stagnation")
+    lines, _ = tool.compare(
+        write_tree(tmp_path / "base", base_files), write_tree(tmp_path / "new", new_files)
+    )
+    assert lines[-3:] == [
+        "termination reasons in golden: line_search_stagnation 0 -> 1, max_iterations 2 -> 1",
+        "termination reasons in workloads: gradient_budget 2 -> 2",
+        "outputs differ",
+    ]
+
+
 @pytest.mark.parametrize(
     "a, b, change",
     [("1", "1.0", 0.0), ("nan", "nan", 0.0), ("2", "-2", 2.0), ("1", "inf", float("inf"))],
