@@ -1,0 +1,35 @@
+"""README.md agrees with the code: its library quick start runs, and every
+``--flag`` it shows is one the CLI accepts."""
+
+import argparse
+import re
+from pathlib import Path
+
+from noisyqn.cli import build_parser
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+# Flags of other commands that the README shows.
+OTHER_TOOLS = {"--no-build-isolation": "pip install", "--base": "scripts/compare_outputs.py"}
+
+
+def test_library_quick_start_runs(capsys):
+    section = README.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "lengthened pairs" in capsys.readouterr().out
+
+
+def test_every_flag_is_accepted_by_the_cli():
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    accepted = {
+        flag
+        for command in ("run", "sweep", "profile")
+        for flag in subparsers.choices[command]._option_string_actions
+    }
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README)) - OTHER_TOOLS.keys()
+    assert {"--problem", "--summary", "--config"} <= shown
+    assert shown - accepted == set()
