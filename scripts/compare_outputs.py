@@ -17,8 +17,8 @@ tree's on both sides, so only the program differs.  The report lists
 identical, changed, added and removed files; every change in a
 ``summary.json``'s ``errors``; for each changed CSV column the largest
 relative change; and per output set, how many runs ended with each
-termination reason at the base and now.  Exit code 0 when every file is identical, 1 when one is
-not, 2 when a build fails.
+termination reason at the base and now.  Exit code 0 when every file is
+identical, 1 when one is not, 2 when a build fails.
 
 The outputs go to a temporary directory that is removed afterwards, or to
 ``--work DIR`` (empty or absent), where they are kept.

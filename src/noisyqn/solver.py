@@ -191,8 +191,9 @@ def skip_condition(
 
 
 def _threshold_reached(gap: float, grad_norm: float, eps_f: float, eps_g: float) -> bool:
-    """The noise-level stop test on an iterate's true gap and gradient norm.
-    At eps_f = 0 only the gradient counts: a gap <= 0 is then rounding."""
+    """The noise-level test behind ``evals_to_threshold``, on an iterate's true
+    gap and gradient norm.  At eps_f = 0 only the gradient counts: a gap
+    <= 0 is then rounding."""
     return (eps_f > 0.0 and gap <= eps_f) or grad_norm <= eps_g
 
 
@@ -369,7 +370,8 @@ def run(
     records: list[IterationRecord] = []
     reason = "max_iterations"
     # evals_to_threshold measures true solution quality against the actual
-    # noise levels; the omega-scaled estimate is only for the method's own tests.
+    # noise levels; the omega-scaled estimate is only for the method's own
+    # tests.
     eps_f, eps_g = oracle.true_bounds()
     evals_to_threshold = None
     noiseless = noise_spec.xi_f == 0.0 and noise_spec.xi_g == 0.0
