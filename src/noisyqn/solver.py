@@ -53,8 +53,8 @@ __all__ = [
     "run",
 ]
 
-# Pairs with s.y at or below this relative level are dropped by the standard
-# and skip variants to protect the update.
+# Every variant drops a pair whose s.y is not above this share of ||s|| ||y||,
+# to protect the update.
 _CURVATURE_GUARD = 1e-12
 
 
@@ -219,7 +219,8 @@ def iterate(
 ) -> IterationRecord:
     """Advance the state by one iteration and return its trace record.
 
-    With ``config.diagnostics`` on, a dense run records the extreme
+    A non-finite direction, checked first, raises ``NumericalFailureError``.
+    With ``config.diagnostics`` on, a dense run then records the extreme
     eigenvalues of H; when LAPACK raises ``np.linalg.LinAlgError`` for
     them, those fields stay empty and the run goes on.
     """
@@ -228,6 +229,11 @@ def iterate(
     x = state.x
     phi_true = float(oracle.true_f(x))
     grad_norm_true = float(np.linalg.norm(oracle.true_g(x)))
+
+    f_at_x, g_at_x = state.f_x, state.g_x
+    p = search_direction(state, g_at_x)
+    if not np.all(np.isfinite(p)):
+        raise NumericalFailureError(f"non-finite search direction at iteration {state.k}")
 
     kappa = lambda_min_b = lambda_max_b = None
     if state.hessian is not None and config.diagnostics:
@@ -240,11 +246,6 @@ def iterate(
                 lambda_min_b, lambda_max_b = 1.0 / hi, 1.0 / lo
             if lo > 0.0:
                 kappa = hi / lo
-
-    f_at_x, g_at_x = state.f_x, state.g_x
-    p = search_direction(state, g_at_x)
-    if not np.all(np.isfinite(p)):
-        raise NumericalFailureError(f"non-finite search direction at iteration {state.k}")
 
     variant = config.variant
     eps_f, eps_g = oracle.reported_bounds()
@@ -265,22 +266,19 @@ def iterate(
         raise NumericalFailureError(f"non-finite iterate at iteration {state.k}")
 
     # Both searches report the pair's step as beta (= alpha on an accepted
-    # step) with its gradient; the variants differ only in which pairs
-    # they drop.  The comparisons are written so that a NaN s.y is dropped
-    # by the noise-tolerant variants and kept by the others.
+    # step) with its gradient.  Every variant drops a pair whose s.y is not
+    # above the curvature guard, a NaN s.y included; the skip variants first
+    # drop the pairs their skip rule rejects.
     pair: CurvaturePair | None = None
     pair_action = "skipped"
     skip_held: bool | None = None
     if outcome.beta is not None:
         candidate = CurvaturePair.from_step(outcome.beta * p, outcome.g_beta - g_at_x)
-        if variant.noise_tolerant:
-            drop = not candidate.sy > 0.0
-        else:
-            if variant.update_skipping:
-                skip_held = skip_condition(outcome.g_beta, g_at_x, p, eps_g)
-            drop = skip_held or candidate.sy <= _CURVATURE_GUARD * float(
-                np.linalg.norm(candidate.s) * np.linalg.norm(candidate.y)
-            )
+        if variant.update_skipping:
+            skip_held = skip_condition(outcome.g_beta, g_at_x, p, eps_g)
+        drop = skip_held or not candidate.sy > _CURVATURE_GUARD * float(
+            np.linalg.norm(candidate.s) * np.linalg.norm(candidate.y)
+        )
         if not drop:
             _apply_update(state, candidate)
             pair = candidate

@@ -16,7 +16,7 @@ from noisyqn.linalg import (
     SymmetricMatrix,
     bfgs_inverse_update,
 )
-from noisyqn.linesearch import CurvatureTracker, LineSearchParams, Phase
+from noisyqn.linesearch import CurvatureTracker, LineSearchOutcome, LineSearchParams, Phase
 from noisyqn.noise import NoiseSpec, NoisyOracle
 from noisyqn.problems import Problem, make_quadratic, registry_lookup
 from noisyqn.solver import (
@@ -220,6 +220,49 @@ class TestSkippingVariant:
         assert any(would_skip)
 
 
+class TestPairRule:
+    """One rule for all six variants: a pair is used only when
+    s.y > 1e-12 ||s|| ||y||, so a NaN s.y is dropped too."""
+
+    # From g_x = (1, 1) and p = -g_x the step s = p meets y = g_beta - g_x
+    # with the s.y given; every operand is exact in binary.
+    G_BETA = {
+        "tiny": (np.array([2.0, -(2.0**-44)]), 2.0**-44),  # 2.8e-14 ||s|| ||y||
+        "nan": (np.array([np.nan, 0.0]), math.nan),
+        "kept": (np.array([2.0, -(2.0**-30)]), 2.0**-30),  # 4.7e-10 ||s|| ||y||
+    }
+
+    @pytest.mark.parametrize("case", list(G_BETA))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_pair_below_the_guard_is_dropped(self, variant, case, monkeypatch):
+        g_x = np.array([1.0, 1.0])
+        g_beta, sy = self.G_BETA[case]
+
+        def search(oracle, x, p, *args):
+            return LineSearchOutcome(
+                alpha=1.0, beta=1.0, phase=Phase.INITIAL_ACCEPTED, f_trials=0,
+                g_trials=0, f_alpha=0.0, g_alpha=g_x, g_beta=g_beta,
+            )
+
+        monkeypatch.setattr(solver, "two_phase_search", search)
+        monkeypatch.setattr(solver, "armijo_wolfe_search", search)
+        flat = Problem(
+            name="FLAT", dim=2, x0=np.zeros(2),
+            eval_f=lambda x: 0.0, eval_g=lambda x: g_x, phi_star=0.0,
+        )
+        seen = []
+        trace = run(flat, NOISELESS, quick_config(variant, max_iters=1), seen.append)
+        [ctx] = seen
+        assert trace.termination_reason == "max_iterations"
+        assert ctx.skip_rule_held is (False if variant.update_skipping else None)
+        if case == "kept":
+            assert ctx.pair.sy == sy
+            assert ctx.record.pair_action == "updated"
+        else:
+            assert ctx.pair is None
+            assert ctx.record.pair_action == "skipped"
+
+
 class TestDiagnostics:
     def test_dense_hessian_stays_spd(self):
         prob = make_quadratic(8, 1.0, 20.0, seed=6)
@@ -256,6 +299,26 @@ class TestDiagnostics:
         trace = run(prob, NOISELESS, config)
         assert len(trace.records) == 5
         assert all(r.kappa_H is None and r.lambda_max_B is None for r in trace.records)
+
+    def test_nonfinite_matrix_fails_before_diagnostics(self, monkeypatch):
+        """An H holding an inf ends the run in numerical_failure at the
+        direction check, before LAPACK is handed the matrix."""
+        seen = []
+
+        def poison(h, pair):
+            h.dense[0, 0] = np.inf
+
+        def extremes(h):
+            seen.append(bool(np.all(np.isfinite(h.dense))))
+            return (1.0, 1.0)
+
+        monkeypatch.setattr(solver, "bfgs_inverse_update", poison)
+        monkeypatch.setattr(solver, "eigen_extremes", extremes)
+        prob = make_quadratic(4, 1.0, 5.0, seed=8)
+        trace = run(prob, NOISELESS, quick_config(Variant.BFGS, diagnostics=True))
+        assert trace.termination_reason == "numerical_failure"
+        assert len(trace.records) == 1
+        assert seen == [True]
 
     def test_limited_memory_has_no_dense_diagnostics(self):
         prob = make_quadratic(4, 1.0, 5.0, seed=8)
