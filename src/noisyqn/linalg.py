@@ -2,15 +2,16 @@
 
 Vectors throughout the package are plain 1-D float64 numpy arrays.  Three
 small types hold the quasi-Newton state: :class:`SymmetricMatrix`, the dense
-d-by-d inverse Hessian, which ``bfgs_inverse_update`` changes in place and
-which must stay finite; :class:`CurvaturePair`, one (s, y) pair with its
-s.y; and :class:`LimitedMemory`, the ring of recent pairs behind the
-two-loop recursion.
+d-by-d inverse Hessian, which ``bfgs_inverse_update`` changes in place;
+:class:`CurvaturePair`, one (s, y) pair with its s.y; and
+:class:`LimitedMemory`, the ring of recent pairs behind the two-loop
+recursion.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,26 +32,19 @@ __all__ = [
 
 
 class SymmetricMatrix:
-    """A d-by-d symmetric matrix held as one dense float64 array, ``dense``.
-
-    The constructor checks that the entries are finite; so does
-    ``bfgs_inverse_update``, which changes ``dense`` in place.  Symmetry is
-    not checked: it comes from the arithmetic of the update.
+    """A d-by-d symmetric matrix held as one dense float64 array, ``dense``,
+    which ``bfgs_inverse_update`` changes in place.  Neither symmetry nor
+    finiteness is checked: symmetry comes from the arithmetic of the update,
+    and the solver checks each direction H g for finiteness.
     """
 
     __slots__ = ("dense",)
 
     def __init__(self, dense: np.ndarray):
-        _require_finite(dense)
         self.dense = dense
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.dense @ v
-
-
-def _require_finite(dense: np.ndarray) -> None:
-    if not np.all(np.isfinite(dense)):
-        raise ValueError("symmetric matrix entries must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,14 +100,21 @@ class LimitedMemory:
 def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> None:
     """Apply the inverse-Hessian BFGS update to ``h.dense`` in place.
 
-    Computes (I - rho s y^T) H (I - rho y s^T) + rho s s^T with
-    rho = 1 / (s.y).  The pair must satisfy s.y > 0; a non-positive value
-    signals a curvature contract violation upstream and raises, as does a
-    pair of the wrong dimension, both before H is touched.  A non-finite
-    result raises after the update.
+    The update (I - rho s y^T) H (I - rho y s^T) + rho s s^T with
+    rho = 1 / (s.y) (Nocedal & Wright (6.17)) is computed in a scale-free
+    form: with r = 1 / sqrt(s.y), u = r s and v = r H y,
+
+        H - u v^T - v u^T + (y.Hy / s.y + 1) u u^T.
+
+    Scaling s and y together by a power of two leaves u, v and the
+    coefficient with the same bits, so the result does not change, and no
+    intermediate leaves float range for any normal s.y > 0.  The pair must
+    satisfy s.y > 0; a non-positive value signals a curvature contract
+    violation upstream and raises, as does a pair of the wrong dimension,
+    both before H is touched.
 
     The result is exactly symmetric when H is: ``cross + cross.T`` and
-    ``np.outer(s, s)`` are symmetric in IEEE arithmetic, and so are their
+    ``np.outer(u, u)`` are symmetric in IEEE arithmetic, and so are their
     scalings and their sums with H.
     """
     if pair.sy <= 0.0:
@@ -121,13 +122,13 @@ def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> None:
     dense = h.dense
     if pair.s.shape[0] != dense.shape[0]:
         raise ValueError("pair dimension does not match matrix order")
-    s, y = pair.s, pair.y
-    rho = 1.0 / pair.sy
+    y = pair.y
+    root = 1.0 / math.sqrt(pair.sy)
     hy = dense @ y
-    cross = np.outer(s, hy)
-    dense -= rho * (cross + cross.T)
-    dense += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
-    _require_finite(dense)
+    u = root * pair.s
+    cross = np.outer(u, root * hy)
+    dense -= cross + cross.T
+    dense += (float(y @ hy) / pair.sy + 1.0) * np.outer(u, u)
 
 
 def two_loop_direction(memory: LimitedMemory, g: np.ndarray) -> np.ndarray:

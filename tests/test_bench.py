@@ -247,29 +247,32 @@ class TestRunExperiment:
 
     def test_process_pool_matches_serial_with_failing_cell(self, tmp_path, monkeypatch):
         """A run that raises inside a worker process is reported exactly as
-        in the serial path: same CSVs, same summary.json bytes."""
+        in the serial path: same CSVs, same summary.json bytes.  The run
+        raises because a directory takes the path of its CSV."""
+        blocked = "QUAD(32,1,1e3)_bfgs_xif0_xig0_om1_seed1"
+        config = ExperimentConfig(
+            problems=["QUAD(32,1,1e3)"],
+            methods=["bfgs"],
+            xi_g=[0.0, 1e-1],
+            seeds=[1],
+            max_iters=80,
+            out=str(tmp_path),
+        )
 
         def sweep(threads: str):
+            for path in tmp_path.iterdir():
+                if path.is_file():
+                    path.unlink()
+            (tmp_path / f"{blocked}.csv").mkdir(exist_ok=True)
             monkeypatch.setenv("QN_NOISE_THREADS", threads)
-            out = tmp_path / f"threads{threads}"
-            config = ExperimentConfig(
-                problems=["QUAD(32,1,1e3)"],
-                methods=["bfgs"],
-                xi_g=[0.0, 1e-1],
-                seeds=[1],
-                max_iters=80,
-                out=str(out),
-            )
             summary = run_experiment(config)
-            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir()) if p.is_file()}
             return summary, files
 
         serial, serial_files = sweep("1")
         pooled, pooled_files = sweep("2")
-        assert serial["errors"] == {
-            "QUAD(32,1,1e3)_bfgs_xif0_xig0_om1_seed1":
-                "ValueError: symmetric matrix entries must be finite"
-        }
+        assert list(serial["errors"]) == [blocked]
+        assert serial["errors"][blocked].startswith("IsADirectoryError: ")
         assert len(serial["runs"]) == 1
         assert pooled_files == serial_files
         assert pooled == serial
