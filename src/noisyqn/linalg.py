@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "norm",
     "SymmetricMatrix",
     "CurvaturePair",
     "LimitedMemory",
@@ -29,6 +30,13 @@ __all__ = [
     "eigen_extremes",
     "blas_threads_for",
 ]
+
+
+def norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D float64 vector: the bits of
+    ``np.linalg.norm(v)``, which takes the same ``v.dot(v)`` and square
+    root, without its dispatch."""
+    return math.sqrt(float(v.dot(v)))
 
 
 class SymmetricMatrix:
@@ -139,15 +147,15 @@ def two_loop_direction(memory: LimitedMemory, g: np.ndarray) -> np.ndarray:
     """
     q = np.array(g, dtype=float, copy=True)
     pairs = memory.pairs
-    alphas = np.empty(len(pairs))
-    for i in range(len(pairs) - 1, -1, -1):
-        pair = pairs[i]
-        alphas[i] = float(pair.s @ q) / pair.sy
-        q -= alphas[i] * pair.y
+    alphas = []  # newest pair's first; Python floats, not numpy scalars
+    for pair in reversed(pairs):
+        alpha = float(pair.s @ q) / pair.sy
+        alphas.append(alpha)
+        q -= alpha * pair.y
     r = memory.gamma * q
-    for i, pair in enumerate(pairs):
+    for pair, alpha in zip(pairs, reversed(alphas)):
         beta = float(pair.y @ r) / pair.sy
-        r += (alphas[i] - beta) * pair.s
+        r += (alpha - beta) * pair.s
     return r
 
 

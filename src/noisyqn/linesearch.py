@@ -29,11 +29,11 @@ import enum
 import math
 import numbers
 from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import norm
 from .noise import NoisyOracle
 
 __all__ = [
@@ -170,7 +170,7 @@ class InitialResult:
 
     def __post_init__(self):
         self.g_dot_p = float(self.g_x @ self.p)
-        self.p_norm = float(np.linalg.norm(self.p))
+        self.p_norm = norm(self.p)
 
     def outcome(self) -> LineSearchOutcome:
         """The search's result when it ends here: the accepted step with
@@ -213,7 +213,8 @@ def relaxed_armijo(
     without gradient noise the classical test f_new <= f_old + c1 alpha g.p
     applies whatever the sign of g.p.  Otherwise plain decrease is required.
     From the second trial on (i >= 1), 2*eps_f of slack absorbs the
-    worst-case error in comparing two noisy f values.
+    worst-case error in comparing two noisy f values.  ``_trial_run``
+    writes this test out in its loop; a change here must go there too.
     """
     reliable = eps_g == 0.0 or g_dot_p < -eps_g * p_norm
     slack = 2.0 * eps_f if i >= 1 else 0.0
@@ -263,50 +264,67 @@ def tracker_update(
         tracker.push(mu)
 
 
-# Rows in a trial run's first block evaluation; each later block doubles,
-# capped at the trials left in the run's budget.
+# Rows in the first block of an oracle's first trial run of each kind.
 _FIRST_BLOCK = 8
 
 
 def _trial_run(
     oracle: NoisyOracle,
-    x: np.ndarray,
-    p: np.ndarray,
+    state: InitialResult,
     alpha: float,
     factor: float,
     budget: int,
-) -> Iterator[tuple[float, float]]:
-    """Yield (alpha, noisy f at x + alpha p) for the fixed steplengths
-    alpha, factor * alpha, factor * (factor * alpha), ..., at most ``budget``
-    of them.
+    c1: float,
+) -> tuple[int, float, float | None, bool]:
+    """Take trials at the fixed steplengths alpha, factor * alpha,
+    factor * (factor * alpha), ... along ``state``'s line until one passes
+    relaxed Armijo or ``budget`` of them are taken; return (trials taken,
+    the last trial's alpha, its noisy f, whether it passed).
 
-    A loop takes trials from the run only while its sequence is fixed in
-    advance, and drops the run once a trial changes its course.  On a
-    problem with ``f_rows`` the points are evaluated ahead, a block of rows
-    per ``eval_f`` call; each row reaches ``noisy_f`` as its own counted
-    evaluation only when the loop takes it, so counts and noise draws are
-    those of one trial at a time.  Rows evaluated but never taken add to
-    ``oracle.unused_f_rows``.
+    The test is ``relaxed_armijo`` written out, with the trial's index in
+    the whole search (``state.f_trials`` before the run) and the same
+    operations in the same order.  On a problem with ``f_rows`` the points
+    are evaluated ahead, a block of rows per ``eval_f`` call.  The first
+    block holds as many rows as the oracle's previous run with this factor
+    took (``oracle.run_trials``, 8 before any), each later block twice as
+    many, never past the budget.  Each row reaches ``noisy_f`` as its own
+    counted evaluation only when the run takes it, so counts and noise
+    draws are those of one trial at a time.  Rows evaluated but never taken
+    add to ``oracle.unused_f_rows``.
     """
-    if not oracle.problem.f_rows:
-        for _ in range(budget):
-            yield alpha, oracle.noisy_f(x + alpha * p)
-            alpha = factor * alpha
-        return
-    size = _FIRST_BLOCK
-    while budget > 0:
-        alphas = [alpha]
-        for _ in range(min(size, budget) - 1):
-            alphas.append(factor * alphas[-1])
-        points = x + np.array(alphas)[:, None] * p
-        values = oracle.problem.eval_f(points).tolist()
-        oracle.unused_f_rows += len(alphas)
-        for alpha, point, value in zip(alphas, points, values):
-            oracle.unused_f_rows -= 1
-            yield alpha, oracle.noisy_f(point, value)
-        alpha = factor * alpha
-        budget -= len(alphas)
-        size *= 2
+    x, p, f_x, g_dot_p = state.x, state.p, state.f_x, state.g_dot_p
+    reliable = state.eps_g == 0.0 or g_dot_p < -state.eps_g * state.p_norm
+    two_eps_f = 2.0 * state.eps_f
+    rows = oracle.problem.f_rows
+    size = oracle.run_trials.get(factor, _FIRST_BLOCK)
+    first = i = state.f_trials
+    last = i + budget
+    a, f, passed = alpha, None, False
+    while i < last and not passed:
+        if rows:
+            alphas = [alpha]
+            for _ in range(min(size, last - i) - 1):
+                alphas.append(factor * alphas[-1])
+            points = x + np.array(alphas)[:, None] * p
+            values = oracle.problem.eval_f(points).tolist()
+            size *= 2
+        else:
+            alphas, points, values = [alpha], [x + alpha * p], [None]
+        end = i + len(alphas)
+        for a, point, value in zip(alphas, points, values):
+            f = oracle.noisy_f(point, value)
+            slack = two_eps_f if i >= 1 else 0.0
+            i += 1
+            if math.isfinite(f) and (
+                f <= f_x + c1 * a * g_dot_p + slack if reliable else f < f_x + slack
+            ):
+                passed = True
+                break
+        oracle.unused_f_rows += end - i
+        alpha = factor * a
+    if i > first:
+        oracle.run_trials[factor] = i - first
+    return i - first, a, f, passed
 
 
 def initial_phase(
@@ -330,46 +348,45 @@ def initial_phase(
     costs one function value, plus a gradient once it passes Armijo.
 
     Until a trial passes relaxed Armijo the steplengths halve from 1, a
-    sequence fixed in advance, so those trials come from a trial run: on a
-    problem with ``f_rows`` it evaluates a block of them in one kernel call.
-    After the first pass the bisection goes one trial at a time.
+    sequence fixed in advance, so those trials are one trial run (on a
+    problem with ``f_rows``, a few block evaluations).  The bisection
+    carries on from the run's first pass one trial at a time, its bracket
+    [0, 2 alpha] (the halvings are exact powers of two) or [0, inf) when
+    alpha = 1 passed.
     """
     state = InitialResult(x, p, f_x, g_x, eps_f, eps_g)
-    low, high = 0.0, math.inf
-    alpha = 1.0
     trials = params.n_split if max_trials is None else max_trials
-    halving = _trial_run(oracle, x, p, alpha, 0.5, trials)
-    for i in range(trials):
-        if halving is not None:
-            alpha, f_trial = next(halving)
-        else:
-            f_trial = oracle.noisy_f(x + alpha * p)
-        state.f_trials += 1
+    taken, alpha, f_trial, armijo_ok = _trial_run(oracle, state, 1.0, 0.5, trials, params.c1)
+    state.f_trials = taken
+    low, high = 0.0, 2.0 * alpha if taken > 1 else math.inf
+    while True:
         state.alpha, state.f_alpha, state.g_alpha = alpha, f_trial, None
-        armijo_ok = math.isfinite(f_trial) and relaxed_armijo(
-            i, f_trial, f_x, state.g_dot_p, alpha, eps_f, eps_g, state.p_norm, params.c1
-        )
-        if not armijo_ok:
-            high = alpha
-            alpha = 0.5 * (low + high)
-            continue
-        halving = None  # from here each steplength depends on the trials
-        g_trial = oracle.noisy_g(x + alpha * p)
-        state.g_trials += 1
-        state.g_alpha = g_trial
-        if state.f_best is None or f_trial < state.f_best:
-            state.alpha_best, state.f_best, state.g_best = alpha, f_trial, g_trial
-        if eps_g != 0.0 and not noise_control_holds(
-            g_trial, g_x, p, state.p_norm, eps_g, params.c3, symmetric=True
-        ):
-            return state
-        if float(g_trial @ p) < params.c2 * state.g_dot_p:
+        if armijo_ok:
+            g_trial = oracle.noisy_g(x + alpha * p)
+            state.g_trials += 1
+            state.g_alpha = g_trial
+            if state.f_best is None or f_trial < state.f_best:
+                state.alpha_best, state.f_best, state.g_best = alpha, f_trial, g_trial
+            if eps_g != 0.0 and not noise_control_holds(
+                g_trial, g_x, p, state.p_norm, eps_g, params.c3, symmetric=True
+            ):
+                return state
+            if not float(g_trial @ p) < params.c2 * state.g_dot_p:
+                state.accepted = True  # Wolfe holds (or g.p is NaN)
+                return state
             low = alpha
             alpha = 2.0 * alpha if math.isinf(high) else 0.5 * (low + high)
-            continue
-        state.accepted = True
-        return state
-    return state
+        else:
+            high = alpha
+            alpha = 0.5 * (low + high)
+        if state.f_trials >= trials:
+            return state
+        f_trial = oracle.noisy_f(x + alpha * p)
+        armijo_ok = math.isfinite(f_trial) and relaxed_armijo(
+            state.f_trials, f_trial, f_x, state.g_dot_p, alpha, eps_f, eps_g,
+            state.p_norm, params.c1,
+        )
+        state.f_trials += 1
 
 
 def split_phase(
@@ -386,9 +403,9 @@ def split_phase(
     ten until one passes or the shared budget of ``max_ls_iters`` function
     trials runs out (alpha = 0 then; the beta loop still runs so the update
     can proceed without a step).  The backtracking steplengths are fixed in
-    advance, so they come from a trial run, which on a problem with
-    ``f_rows`` evaluates a block of them in one kernel call; only the trials
-    up to the first pass are counted.
+    advance, so they are one trial run, which on a problem with ``f_rows``
+    evaluates them in blocks, the first sized from the oracle's previous
+    backtracking run; only the trials up to the first pass are counted.
 
     The beta loop grows beta from the last trial's steplength until the
     signed noise-control condition holds.  With a curvature estimate mu from
@@ -397,7 +414,7 @@ def split_phase(
     is tested first (with the bisection's gradient there, if any) and beta
     doubles on failure.  Trial counts cover the whole search.
     """
-    x, p, f_x, g_x = init.x, init.p, init.f_x, init.g_x
+    x, p, g_x = init.x, init.p, init.g_x
     f_trials = init.f_trials
     g_trials = init.g_trials
 
@@ -408,15 +425,12 @@ def split_phase(
         alpha, f_alpha, g_alpha = init.alpha_best, init.f_best, init.g_best
     else:
         budget = params.max_ls_iters - f_trials
-        for alpha, f_trial in _trial_run(oracle, x, p, init.alpha, 0.1, budget):
-            alpha_ok = math.isfinite(f_trial) and relaxed_armijo(
-                f_trials, f_trial, f_x, init.g_dot_p, alpha,
-                init.eps_f, init.eps_g, init.p_norm, params.c1,
-            )
-            f_trials += 1
-            if alpha_ok:
-                f_alpha = f_trial
-                break
+        taken, alpha, f_trial, alpha_ok = _trial_run(
+            oracle, init, init.alpha, 0.1, budget, params.c1
+        )
+        f_trials += taken
+        if alpha_ok:
+            f_alpha = f_trial
     if not alpha_ok:
         alpha = 0.0
 

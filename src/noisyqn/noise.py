@@ -12,6 +12,17 @@ the next counter value, so draw k + 1 repeats draw k's coordinates 4, 5, ...
 in positions 0, 1, ...  At d = 100 the gradient noise of up to 25
 consecutive evaluations is correlated this way.  Function draws take one
 counter value each and do not overlap.
+
+Draws are made ahead, in chunks.  A stream read from counter [index, tag,
+0, 0] holds every later draw of that tag too: draw index + j starts at its
+word 4 j, since each counter value gives four words.  So each tag keeps one
+chunk of ``4 * 256 + width`` noise values, drawn with a single
+``uniform(-xi, xi, size)`` call from the stream of the first index it
+covers, and draw j of the chunk is ``chunk[4 j : 4 j + width]``: numpy
+computes every value as ``low + (high - low) * u`` from one word, alone or
+in an array, so these are the bits of a fresh generator per draw.  An
+index outside the chunk (the next 256, or a jump over a clean block of the
+intermittent schedule) draws a new chunk from its own counter.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
+from .linalg import norm
 from .problems import Problem
 
 __all__ = ["NoiseSpec", "NoisyOracle", "Schedule"]
@@ -35,6 +47,9 @@ _TAG_F = 0
 _TAG_G = 1
 
 _KEY_MASK = (1 << 128) - 1
+
+# Draws covered by one chunk of a stream (see the module docstring).
+_CHUNK_DRAWS = 256
 
 # Gradient evaluations remembered for ``true_g``: the tolerant variants'
 # beta loop evaluates g after the accepted point, which four cover.
@@ -85,8 +100,11 @@ class NoisyOracle:
     resolve whether noise is active.  ``f_evals`` / ``g_evals`` each grow by
     exactly one per call.  ``unused_f_rows`` counts the rows of the line
     search's block evaluations that no trial consumed; they never enter
-    ``f_evals``.  ``max_f_noise`` and ``max_g_noise_norm`` track the largest
-    injected errors actually seen, for bound auditing.
+    ``f_evals``.  ``run_trials`` maps the factor of a line-search trial run
+    (0.5 halving, 0.1 backtracking) to the trials the oracle's previous run
+    of that kind took, from which the next one sizes its first block.
+    ``max_f_noise`` and ``max_g_noise_norm`` track the largest injected
+    errors actually seen, for bound auditing.
 
     ``true_f`` and ``true_g`` give the noiseless values at a point for the
     solver's trace.  The oracle remembers the point and noiseless value of
@@ -103,17 +121,22 @@ class NoisyOracle:
         self.f_evals = 0
         self.g_evals = 0
         self.unused_f_rows = 0
+        self.run_trials: dict[float, int] = {}
         self.max_f_noise = 0.0
         self.max_g_noise_norm = 0.0
         self._last_f: tuple[np.ndarray, float] | None = None
         self._recent_g: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=_G_HISTORY)
-        # One generator, rewound for every draw: the fresh state of a Philox
-        # built with counter [index, tag, 0, 0] is this state with that
-        # counter (an empty buffer, no half-used 32-bit word).
+        # One generator, rewound for every chunk: the fresh state of a
+        # Philox built with counter [index, tag, 0, 0] is this state with
+        # that counter (an empty buffer, no half-used 32-bit word).
         self._bits = np.random.Philox(key=spec.seed & _KEY_MASK)
         self._rng = np.random.Generator(self._bits)
         self._fresh = self._bits.state
         self._counter = self._fresh["state"]["counter"]
+        # Per tag, the first index its chunk covers and the chunk; the f
+        # chunk keeps only its draws' values, as Python floats.
+        self._f_base, self._f_chunk = -_CHUNK_DRAWS, []
+        self._g_base, self._g_chunk = -_CHUNK_DRAWS, np.empty(0)
 
     def set_iteration(self, k: int) -> None:
         self.iteration = k
@@ -125,11 +148,13 @@ class NoisyOracle:
         block = self.iteration // spec.n_noise
         return (block % 2 == 0) == spec.start_noisy
 
-    def _stream(self, index: int, tag: int) -> np.random.Generator:
+    def _chunk(self, index: int, tag: int, xi: float, width: int) -> np.ndarray:
+        """The noise of draws index, index + 1, ... (see the module
+        docstring), from a stream rewound to counter [index, tag, 0, 0]."""
         self._counter[0] = index
         self._counter[1] = tag
         self._bits.state = self._fresh
-        return self._rng
+        return self._rng.uniform(-xi, xi, size=4 * _CHUNK_DRAWS + width)
 
     def noisy_f(self, x: np.ndarray, value: float | None = None) -> float:
         """One counted function evaluation at x, with its own noise draw.
@@ -145,25 +170,34 @@ class NoisyOracle:
         self._last_f = (x, value)
         index = self.f_evals
         self.f_evals += 1
-        eps = 0.0
-        if self.spec.xi_f > 0.0 and self.noise_active():
-            eps = float(self._stream(index, _TAG_F).uniform(-self.spec.xi_f, self.spec.xi_f))
-        if abs(eps) > self.max_f_noise:
-            self.max_f_noise = abs(eps)
-        return value + eps
+        xi = self.spec.xi_f
+        if xi > 0.0 and self.noise_active():
+            j = index - self._f_base
+            if not 0 <= j < _CHUNK_DRAWS:
+                self._f_base, j = index, 0
+                self._f_chunk = self._chunk(index, _TAG_F, xi, 1)[::4].tolist()
+            eps = self._f_chunk[j]
+            if abs(eps) > self.max_f_noise:
+                self.max_f_noise = abs(eps)
+            return value + eps
+        return value + 0.0  # no noise adds +0.0 too: a -0.0 value reads 0.0
 
     def noisy_g(self, x: np.ndarray) -> np.ndarray:
         grad = self.problem.eval_g(x)
         self._recent_g.append((x, grad))
         index = self.g_evals
         self.g_evals += 1
-        if self.spec.xi_g > 0.0 and self.noise_active():
-            err = self._stream(index, _TAG_G).uniform(
-                -self.spec.xi_g, self.spec.xi_g, size=grad.shape[0]
-            )
-            norm = float(np.linalg.norm(err))
-            if norm > self.max_g_noise_norm:
-                self.max_g_noise_norm = norm
+        xi = self.spec.xi_g
+        if xi > 0.0 and self.noise_active():
+            width = grad.shape[0]
+            j = index - self._g_base
+            if not 0 <= j < _CHUNK_DRAWS:
+                self._g_base, j = index, 0
+                self._g_chunk = self._chunk(index, _TAG_G, xi, width)
+            err = self._g_chunk[4 * j : 4 * j + width]
+            err_norm = norm(err)
+            if err_norm > self.max_g_noise_norm:
+                self.max_g_noise_norm = err_norm
             return grad + err
         return grad
 

@@ -83,9 +83,15 @@ def _arwhead_f(x):
 
 
 def _arwhead_g(x):
-    t = x[:-1] ** 2 + x[-1] ** 2
-    g = np.zeros_like(x)
-    g[:-1] = 4.0 * x[:-1] * t - 4.0
+    # 4 x_i t_i - 4 with t_i = x_i^2 + x_n^2, built in place in g's head.
+    head = x[:-1]
+    t = head**2
+    t += x[-1] ** 2
+    g = np.empty_like(x)
+    g_head = g[:-1]
+    np.multiply(4.0, head, out=g_head)
+    g_head *= t
+    g_head -= 4.0
     g[-1] = 4.0 * x[-1] * t.sum()
     return g
 

@@ -27,6 +27,7 @@ from .linalg import (
     SymmetricMatrix,
     bfgs_inverse_update,
     eigen_extremes,
+    norm,
     two_loop_direction,
 )
 from .linesearch import (
@@ -187,7 +188,7 @@ def skip_condition(
     Strict inequality: a change exactly at 2 eps_g ||p|| is kept.
     """
     change = float((g_new - g_old) @ p)
-    return change < 2.0 * eps_g * float(np.linalg.norm(p))
+    return change < 2.0 * eps_g * norm(p)
 
 
 def _threshold_reached(gap: float, grad_norm: float, eps_f: float, eps_g: float) -> bool:
@@ -228,11 +229,11 @@ def iterate(
     oracle.set_iteration(state.k)
     x = state.x
     phi_true = float(oracle.true_f(x))
-    grad_norm_true = float(np.linalg.norm(oracle.true_g(x)))
+    grad_norm_true = norm(oracle.true_g(x))
 
     f_at_x, g_at_x = state.f_x, state.g_x
     p = search_direction(state, g_at_x)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NumericalFailureError(f"non-finite search direction at iteration {state.k}")
 
     kappa = lambda_min_b = lambda_max_b = None
@@ -262,7 +263,7 @@ def iterate(
 
     stepped = outcome.phase != Phase.ALPHA_FAILED and outcome.alpha > 0.0
     x_new = x + outcome.alpha * p if stepped else x
-    if stepped and not np.all(np.isfinite(x_new)):
+    if stepped and not np.isfinite(x_new).all():
         raise NumericalFailureError(f"non-finite iterate at iteration {state.k}")
 
     # Both searches report the pair's step as beta (= alpha on an accepted
@@ -276,8 +277,8 @@ def iterate(
         candidate = CurvaturePair.from_step(outcome.beta * p, outcome.g_beta - g_at_x)
         if variant.update_skipping:
             skip_held = skip_condition(outcome.g_beta, g_at_x, p, eps_g)
-        drop = skip_held or not candidate.sy > _CURVATURE_GUARD * float(
-            np.linalg.norm(candidate.s) * np.linalg.norm(candidate.y)
+        drop = skip_held or not candidate.sy > _CURVATURE_GUARD * (
+            norm(candidate.s) * norm(candidate.y)
         )
         if not drop:
             _apply_update(state, candidate)
@@ -378,7 +379,7 @@ def run(
         if config.g_eval_budget is not None and oracle.g_evals >= config.g_eval_budget:
             reason = "gradient_budget"
             break
-        if float(np.linalg.norm(state.g_x)) == 0.0:
+        if norm(state.g_x) == 0.0:
             reason = "stationary_point"
             break
         g_evals = oracle.g_evals
@@ -410,7 +411,7 @@ def run(
         final_x=state.x,
         final_phi_true=final_phi,
         final_gap=final_phi - problem.phi_star,
-        final_grad_norm_true=float(np.linalg.norm(oracle.true_g(state.x))),
+        final_grad_norm_true=norm(oracle.true_g(state.x)),
         f_evals=oracle.f_evals,
         g_evals=oracle.g_evals,
         evals_to_threshold=evals_to_threshold,

@@ -489,6 +489,6 @@ def test_criterion_12_byte_identical_reruns(tmp_path, monkeypatch, report):
     report(
         12,
         ok,
-        f"{len(serial)} files from serial vs 8-thread sweeps: "
+        f"{len(serial)} files from serial vs 8-process sweeps: "
         + ("byte-identical" if not diffs else f"differ: {diffs[:3]}"),
     )

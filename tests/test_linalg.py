@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,6 +18,7 @@ from noisyqn.linalg import (
     _openblas_thread_controls,
     blas_threads_for,
     eigen_extremes,
+    norm,
     two_loop_direction,
 )
 
@@ -39,6 +40,31 @@ def updated(h, pair):
     """``h`` after the update with ``pair``, for tests that chain calls."""
     bfgs_inverse_update(h, pair)
     return h
+
+
+class TestNorm:
+    """``norm`` has ``np.linalg.norm``'s bits on every 1-D float vector."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        v=arrays(
+            np.float64,
+            st.integers(0, 40),
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        )
+    )
+    @example(v=np.zeros(3))
+    @example(v=np.array([-0.0]))
+    @example(v=np.full(4, 5e-324))
+    @example(v=np.array([1e-160, 3e-170]))
+    @example(v=np.array([1e200, -1e200]))
+    @example(v=np.array([1.7e308, 1.0]))
+    @example(v=np.array([np.inf, np.nan]))
+    @example(v=np.array([-np.nan, 1.0]))
+    def test_same_bits_as_numpy(self, v):
+        with np.errstate(over="ignore", invalid="ignore"):  # both warn alike
+            ours, numpys = np.float64(norm(v)), np.float64(np.linalg.norm(v))
+        assert ours.tobytes() == numpys.tobytes()
 
 
 class TestSymmetricMatrix:

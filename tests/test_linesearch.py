@@ -23,6 +23,7 @@ from noisyqn.linesearch import (
     split_phase,
     tracker_update,
     two_phase_search,
+    _trial_run,
 )
 from noisyqn.noise import NoiseSpec, NoisyOracle
 from noisyqn.problems import Problem, make_quadratic, registered_names, registry_lookup
@@ -125,6 +126,70 @@ class TestRelaxedArmijo:
         assert not relaxed_armijo(0, f_new=0.5 + 2e-7, **kwargs)
 
 
+class TestTrialRunDecision:
+    """``_trial_run`` writes relaxed Armijo out in its loop; its decisions
+    are ``relaxed_armijo``'s, trial by trial, with rows on and off."""
+
+    @pytest.mark.parametrize("f_rows", [True, False])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        picks=st.lists(
+            st.one_of(
+                st.floats(-2.0, 2.0),
+                st.sampled_from([math.nan, math.inf, -math.inf, "tie"]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        first=st.integers(0, 2),
+        f_x=st.floats(-1e3, 1e3),
+        g=st.sampled_from([-3.0, -1e-3, 0.0, 2.0]),
+        eps_f=st.sampled_from([0.0, 1e-3]),
+        eps_g=st.sampled_from([0.0, 1e-3, 10.0]),
+        start=st.floats(1e-3, 1.0),
+        factor=st.sampled_from([0.5, 0.1]),
+    )
+    def test_same_decisions_as_relaxed_armijo(
+        self, f_rows, picks, first, f_x, g, eps_f, eps_g, start, factor
+    ):
+        c1, p_norm = 1e-4, 1.0
+        alphas = [start]
+        for _ in picks[1:]:
+            alphas.append(factor * alphas[-1])
+        values = []
+        for i, (pick, alpha) in enumerate(zip(picks, alphas)):
+            slack = 2.0 * eps_f if first + i >= 1 else 0.0
+            if pick == "tie":  # exactly at the bound the test compares with
+                reliable = eps_g == 0.0 or g < -eps_g * p_norm
+                pick = f_x + c1 * alpha * g + slack if reliable else f_x + slack
+            values.append(pick)
+        expected = (len(picks), alphas[-1], values[-1] + 0.0, False)
+        for i, (value, alpha) in enumerate(zip(values, alphas)):
+            if math.isfinite(value) and relaxed_armijo(
+                first + i, value, f_x, g, alpha, eps_f, eps_g, p_norm, c1
+            ):
+                expected = (i + 1, alpha, value + 0.0, True)
+                break
+
+        queue = iter(values)
+
+        def eval_f(x):
+            if x.ndim == 2:
+                return np.array([next(queue) for _ in x])
+            return next(queue)
+
+        prob = Problem(
+            name="TABLE", dim=1, x0=np.zeros(1), eval_f=eval_f,
+            eval_g=np.zeros_like, phi_star=0.0, f_rows=f_rows,
+        )
+        oracle = NoisyOracle(prob, NoiseSpec())
+        state = InitialResult(np.zeros(1), np.ones(1), f_x, np.array([g]), eps_f, eps_g)
+        state.f_trials = first
+        got = _trial_run(oracle, state, start, factor, len(picks), c1)
+        assert repr(got) == repr(expected)
+        assert oracle.f_evals == got[0]
+
+
 class TestTrackerUpdate:
     def test_push_arithmetic(self):
         """mu-bar = (dg.p) / (beta ||p||^2) = 2 / (1*4) = 0.5."""
@@ -195,6 +260,20 @@ class TestTrackerUpdate:
 
 
 class TestInitialPhase:
+    def test_bisection_bracket_after_the_halving_run(self):
+        """f = -t up to t = 0.9, then 10, with slope -1 throughout: alpha = 1
+        fails Armijo, 0.5 passes it but not Wolfe.  The bisection then goes
+        on inside [0.5, 1], the halving run's last failure being its upper
+        end: 0.75, 0.875, then 0.9375, which fails Armijo again."""
+        prob = scalar_problem(lambda t: -t if t < 0.9 else 10.0, lambda t: -1.0)
+        oracle = NoisyOracle(prob, NoiseSpec())
+        res = initial_phase(
+            oracle, np.zeros(1), np.ones(1), LineSearchParams(),
+            f_x=0.0, g_x=np.array([-1.0]), eps_f=0.0, eps_g=0.0, max_trials=5,
+        )
+        assert not res.accepted and res.f_trials == 5 and res.g_trials == 3
+        assert res.alpha == 0.9375 and res.alpha_best == 0.875
+
     def test_unit_step_accepted_immediately(self):
         """phi = x^2/2 from x = 1 along p = -1: alpha = 1 lands on the
         minimizer and passes all three gates on the first trial."""
@@ -603,6 +682,76 @@ class TestBlockTrialsInvisible:
         assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
         assert oracle.unused_f_rows == 14
         assert oracle.f_evals == 1 + out.f_trials
+
+
+    def test_carried_block_size_takes_one_kernel_call(self):
+        """Uphill from ARWHEAD's start, a two-phase search spends its whole
+        budget: 30 halvings, then 30 backtracking trials.  The next halving
+        run on the same oracle starts with a block of 30 rows, so the
+        downhill search after it evaluates its 10 halvings in one call and
+        leaves the other 20 rows unused."""
+        prob = registry_lookup("ARWHEAD")
+        rows = []
+
+        def counted(points):
+            rows.append(len(points) if points.ndim == 2 else 1)
+            return prob.eval_f(points)
+
+        oracle = NoisyOracle(
+            dataclasses.replace(prob, eval_f=counted), NoiseSpec(xi_g=1e-3, seed=4)
+        )
+        params, tracker = LineSearchParams(), CurvatureTracker(10)
+        x = prob.x0.copy()
+        f_x, g_x = oracle.noisy_f(x), oracle.noisy_g(x)
+        eps_f, eps_g = oracle.reported_bounds()
+        out = two_phase_search(oracle, x, g_x, params, tracker, f_x, g_x, eps_f, eps_g)
+        assert out.phase == Phase.ALPHA_FAILED and out.f_trials == 60
+        assert oracle.run_trials == {0.5: 30, 0.1: 30}
+        del rows[:]
+        unused = oracle.unused_f_rows
+        out = two_phase_search(oracle, x, -g_x, params, tracker, f_x, g_x, eps_f, eps_g)
+        assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
+        assert rows == [30]
+        assert oracle.unused_f_rows - unused == 20
+        assert oracle.run_trials == {0.5: 10, 0.1: 30}
+
+
+def run_bits(trace):
+    """A run's records and counters, floats and arrays as exact bits."""
+
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        return value
+
+    return (
+        [tuple(bits(v) for v in dataclasses.astuple(r)) for r in trace.records],
+        trace.termination_reason, trace.first_split_iteration, bits(trace.final_x),
+        bits(trace.final_phi_true), bits(trace.final_grad_norm_true),
+        trace.f_evals, trace.g_evals, trace.evals_to_threshold,
+        bits(trace.max_f_noise), bits(trace.max_g_noise_norm),
+    )
+
+
+class TestRunWithRowsOnAndOff:
+    """Block sizes carry over from one search to the next on an oracle, so
+    a whole run, not only one search, must not see the blocks."""
+
+    @pytest.mark.parametrize("name", ROW_NAMES)
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("xi_f", [0.0, 1e-3])
+    @pytest.mark.parametrize("xi_g", [0.0, 1e-3])
+    def test_same_run(self, name, variant, xi_f, xi_g):
+        config = SolverConfig(variant=variant, max_iters=60)
+        spec = NoiseSpec(xi_f=xi_f, xi_g=xi_g, seed=3)
+        traces = [
+            run(dataclasses.replace(registry_lookup(name), f_rows=f_rows), spec, config)
+            for f_rows in (True, False)
+        ]
+        assert run_bits(traces[0]) == run_bits(traces[1])
+        assert len(traces[0].records) > 10
 
 
 class TestStepCarriesItsValue:

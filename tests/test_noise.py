@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from noisyqn.noise import NoiseSpec, NoisyOracle
-from noisyqn.problems import make_quadratic, registry_lookup
+from noisyqn.problems import Problem, make_quadratic, registry_lookup
 
 
 def make_oracle(problem=None, **kwargs):
@@ -146,37 +146,93 @@ class TestDeterminism:
         f2 = fresh.noisy_f(x)
         assert f1 == f2
 
-    def test_draws_match_fresh_philox_streams(self):
+    @pytest.mark.parametrize("dim", [4, 5, 101])
+    def test_draws_match_fresh_philox_streams(self, dim):
         """Each draw equals one from a Philox built fresh at counter
         [evaluation index, tag, 0, 0] (tag 0 for f, 1 for g), whatever the
-        order of f and g calls and the clean blocks between them."""
+        order of f and g calls and the clean blocks between them.
+
+        The oracle draws ahead in chunks of 256 draws per tag.  Here 1,200
+        draws of each tag span five chunks, and each clean block of 300
+        draws skips a whole chunk, so the next noisy draw starts a chunk
+        part-way through the stream."""
         seed, xi = 21, 1e-3
-        oracle = make_oracle(
-            xi_f=xi, xi_g=xi, schedule="intermittent", n_noise=3, seed=seed
+        oracle = NoisyOracle(
+            make_quadratic(dim, 1.0, 10.0, seed=0),
+            NoiseSpec(xi_f=xi, xi_g=xi, schedule="intermittent", n_noise=2, seed=seed),
         )
-        x = np.array([0.5, -1.0, 2.0, 0.0])
+        x = np.linspace(-1.0, 2.0, dim)
         f_true, g_true = oracle.problem.eval_f(x), oracle.problem.eval_g(x)
 
         def fresh(index, tag, size=None):
             bits = np.random.Philox(key=seed, counter=[index, tag, 0, 0])
             return np.random.Generator(bits).uniform(-xi, xi, size=size)
 
+        order = np.random.default_rng(dim).permutation(list("f" * 150 + "g" * 150))
         f_index = g_index = 0
         seen = set()
-        for k in range(12):
+        for k in range(8):
             oracle.set_iteration(k)
             active = oracle.noise_active()
             seen.add(active)
-            for kind in "fgg" if k % 2 else "gff":
+            for kind in order if k % 2 else order[::-1]:
                 if kind == "f":
                     eps = float(fresh(f_index, 0)) if active else 0.0
                     assert oracle.noisy_f(x) == f_true + eps
                     f_index += 1
                 else:
-                    expected = g_true + fresh(g_index, 1, x.size) if active else g_true
+                    expected = g_true + fresh(g_index, 1, dim) if active else g_true
                     np.testing.assert_array_equal(oracle.noisy_g(x), expected)
                     g_index += 1
         assert seen == {True, False}
+        assert f_index == g_index == 1200
+
+
+class TestChunkedDraws:
+    """Draws made ahead in chunks have the bits of one fresh stream per
+    draw, and the bits of numpy's formula low + (high - low) * u."""
+
+    @pytest.mark.parametrize("xi", [5e-324, 1e-5, 0.1, 3.0, 1e150])
+    def test_long_runs_of_draws(self, xi):
+        """25,000 f and 25,000 g draws at d = 4 (10^5 coordinates), over 98
+        chunks each: every value is ``-xi + (xi - -xi) * u`` on its Philox
+        word, computed in numpy and in Python floats, so no fused
+        multiply-add or other rounding difference enters; every 97th draw
+        also equals a fresh generator's at its counter."""
+        n, dim, seed = 25_000, 4, 6
+        zero = Problem(
+            name="ZERO", dim=dim, x0=np.zeros(dim), eval_f=lambda x: 0.0,
+            eval_g=np.zeros_like, phi_star=0.0,
+        )
+        oracle = NoisyOracle(zero, NoiseSpec(xi_f=xi, xi_g=xi, seed=seed))
+        f = np.array([oracle.noisy_f(zero.x0) for _ in range(n)])
+        g = np.array([oracle.noisy_g(zero.x0) for _ in range(n)])
+
+        def stream(index, tag):
+            bits = np.random.Philox(key=seed, counter=[index, tag, 0, 0])
+            return np.random.Generator(bits)
+
+        def formula(u):
+            return -xi + (xi - -xi) * u
+
+        u_f = stream(0, 0).random(4 * n)[::4]
+        assert f.tobytes() == formula(u_f).tobytes()
+        assert f.tobytes() == np.array([formula(u) for u in u_f.tolist()]).tobytes()
+        words = stream(0, 1).random(4 * n + dim)
+        u_g = np.array([words[4 * j : 4 * j + dim] for j in range(n)])
+        assert g.tobytes() == formula(u_g).tobytes()
+        for index in range(0, n, 97):
+            assert f[index] == stream(index, 0).uniform(-xi, xi)
+            assert g[index].tobytes() == stream(index, 1).uniform(-xi, xi, dim).tobytes()
+
+    def test_gradient_noise_norm_is_audited(self):
+        """``max_g_noise_norm`` is the largest 2-norm of the injected noise,
+        with ``np.linalg.norm``'s bits (a zero gradient passes the noise
+        through unchanged)."""
+        flat = dataclasses.replace(registry_lookup("ARWHEAD"), eval_g=np.zeros_like)
+        oracle = NoisyOracle(flat, NoiseSpec(xi_g=0.3, seed=17))
+        norms = [np.linalg.norm(oracle.noisy_g(flat.x0)) for _ in range(600)]
+        assert oracle.max_g_noise_norm == max(norms)
 
 
 class TestSchedules:
