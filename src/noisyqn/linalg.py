@@ -147,15 +147,15 @@ def two_loop_direction(memory: LimitedMemory, g: np.ndarray) -> np.ndarray:
     """
     q = np.array(g, dtype=float, copy=True)
     pairs = memory.pairs
-    alphas = []  # newest pair's first; Python floats, not numpy scalars
-    for pair in reversed(pairs):
-        alpha = float(pair.s @ q) / pair.sy
-        alphas.append(alpha)
-        q -= alpha * pair.y
+    alphas = np.empty(len(pairs))
+    for i in range(len(pairs) - 1, -1, -1):
+        pair = pairs[i]
+        alphas[i] = float(pair.s @ q) / pair.sy
+        q -= alphas[i] * pair.y
     r = memory.gamma * q
-    for pair, alpha in zip(pairs, reversed(alphas)):
+    for i, pair in enumerate(pairs):
         beta = float(pair.y @ r) / pair.sy
-        r += (alpha - beta) * pair.s
+        r += (alphas[i] - beta) * pair.s
     return r
 
 

@@ -213,8 +213,7 @@ def relaxed_armijo(
     without gradient noise the classical test f_new <= f_old + c1 alpha g.p
     applies whatever the sign of g.p.  Otherwise plain decrease is required.
     From the second trial on (i >= 1), 2*eps_f of slack absorbs the
-    worst-case error in comparing two noisy f values.  ``_trial_run``
-    writes this test out in its loop; a change here must go there too.
+    worst-case error in comparing two noisy f values.
     """
     reliable = eps_g == 0.0 or g_dot_p < -eps_g * p_norm
     slack = 2.0 * eps_f if i >= 1 else 0.0
@@ -281,20 +280,17 @@ def _trial_run(
     relaxed Armijo or ``budget`` of them are taken; return (trials taken,
     the last trial's alpha, its noisy f, whether it passed).
 
-    The test is ``relaxed_armijo`` written out, with the trial's index in
-    the whole search (``state.f_trials`` before the run) and the same
-    operations in the same order.  On a problem with ``f_rows`` the points
-    are evaluated ahead, a block of rows per ``eval_f`` call.  The first
-    block holds as many rows as the oracle's previous run with this factor
-    took (``oracle.run_trials``, 8 before any), each later block twice as
-    many, never past the budget.  Each row reaches ``noisy_f`` as its own
-    counted evaluation only when the run takes it, so counts and noise
-    draws are those of one trial at a time.  Rows evaluated but never taken
-    add to ``oracle.unused_f_rows``.
+    Each trial's index in ``relaxed_armijo`` is its index in the whole
+    search (``state.f_trials`` before the run).  On a problem with
+    ``f_rows`` the points are evaluated ahead, a block of rows per
+    ``eval_f`` call.  The first block holds as many rows as the oracle's
+    previous run with this factor took (``oracle.run_trials``, 8 before
+    any), each later block twice as many, never past the budget.  Each row
+    reaches ``noisy_f`` as its own counted evaluation only when the run
+    takes it, so counts and noise draws are those of one trial at a time.
+    Rows evaluated but never taken add to ``oracle.unused_f_rows``.
     """
-    x, p, f_x, g_dot_p = state.x, state.p, state.f_x, state.g_dot_p
-    reliable = state.eps_g == 0.0 or g_dot_p < -state.eps_g * state.p_norm
-    two_eps_f = 2.0 * state.eps_f
+    x, p = state.x, state.p
     rows = oracle.problem.f_rows
     size = oracle.run_trials.get(factor, _FIRST_BLOCK)
     first = i = state.f_trials
@@ -313,12 +309,12 @@ def _trial_run(
         end = i + len(alphas)
         for a, point, value in zip(alphas, points, values):
             f = oracle.noisy_f(point, value)
-            slack = two_eps_f if i >= 1 else 0.0
+            passed = math.isfinite(f) and relaxed_armijo(
+                i, f, state.f_x, state.g_dot_p, a, state.eps_f, state.eps_g,
+                state.p_norm, c1,
+            )
             i += 1
-            if math.isfinite(f) and (
-                f <= f_x + c1 * a * g_dot_p + slack if reliable else f < f_x + slack
-            ):
-                passed = True
+            if passed:
                 break
         oracle.unused_f_rows += end - i
         alpha = factor * a

@@ -127,8 +127,9 @@ class TestRelaxedArmijo:
 
 
 class TestTrialRunDecision:
-    """``_trial_run`` writes relaxed Armijo out in its loop; its decisions
-    are ``relaxed_armijo``'s, trial by trial, with rows on and off."""
+    """``_trial_run`` stops at the first trial that passes
+    ``relaxed_armijo`` with its index in the whole search, with rows on
+    and off."""
 
     @pytest.mark.parametrize("f_rows", [True, False])
     @settings(max_examples=150, deadline=None, derandomize=True)
