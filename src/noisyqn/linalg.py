@@ -93,7 +93,9 @@ class LimitedMemory:
 
     @property
     def gamma(self) -> float:
-        """Initial-matrix scaling: s.y / y.y of the newest pair, 1 if empty."""
+        """Initial-matrix scaling: s.y / y.y of the newest pair, 1 if empty.
+        ``push`` checks only s.y > 0: the solver's pair rule keeps out a
+        pair whose y.y underflows to 0, on which this would divide by 0."""
         if not self._pairs:
             return 1.0
         newest = self._pairs[-1]

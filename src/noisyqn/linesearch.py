@@ -213,8 +213,11 @@ def relaxed_armijo(
     without gradient noise the classical test f_new <= f_old + c1 alpha g.p
     applies whatever the sign of g.p.  Otherwise plain decrease is required.
     From the second trial on (i >= 1), 2*eps_f of slack absorbs the
-    worst-case error in comparing two noisy f values.
+    worst-case error in comparing two noisy f values.  A non-finite f_new
+    (NaN or either infinity) always fails.
     """
+    if not math.isfinite(f_new):
+        return False
     reliable = eps_g == 0.0 or g_dot_p < -eps_g * p_norm
     slack = 2.0 * eps_f if i >= 1 else 0.0
     if reliable:
@@ -277,8 +280,8 @@ def _trial_run(
 ) -> tuple[int, float, float | None, bool]:
     """Take trials at the fixed steplengths alpha, factor * alpha,
     factor * (factor * alpha), ... along ``state``'s line until one passes
-    relaxed Armijo or ``budget`` of them are taken; return (trials taken,
-    the last trial's alpha, its noisy f, whether it passed).
+    ``relaxed_armijo`` or ``budget`` of them are taken; return (trials
+    taken, the last trial's alpha, its noisy f, whether it passed).
 
     Each trial's index in ``relaxed_armijo`` is its index in the whole
     search (``state.f_trials`` before the run).  On a problem with
@@ -287,8 +290,8 @@ def _trial_run(
     previous run with this factor took (``oracle.run_trials``, 8 before
     any), each later block twice as many, never past the budget.  Each row
     reaches ``noisy_f`` as its own counted evaluation only when the run
-    takes it, so counts and noise draws are those of one trial at a time.
-    Rows evaluated but never taken add to ``oracle.unused_f_rows``.
+    takes it, so counts and noise draws are those of one trial at a time;
+    rows evaluated after the first pass get neither.
     """
     x, p = state.x, state.p
     rows = oracle.problem.f_rows
@@ -306,17 +309,15 @@ def _trial_run(
             size *= 2
         else:
             alphas, points, values = [alpha], [x + alpha * p], [None]
-        end = i + len(alphas)
         for a, point, value in zip(alphas, points, values):
             f = oracle.noisy_f(point, value)
-            passed = math.isfinite(f) and relaxed_armijo(
+            passed = relaxed_armijo(
                 i, f, state.f_x, state.g_dot_p, a, state.eps_f, state.eps_g,
                 state.p_norm, c1,
             )
             i += 1
             if passed:
                 break
-        oracle.unused_f_rows += end - i
         alpha = factor * a
     if i > first:
         oracle.run_trials[factor] = i - first
@@ -378,7 +379,7 @@ def initial_phase(
         if state.f_trials >= trials:
             return state
         f_trial = oracle.noisy_f(x + alpha * p)
-        armijo_ok = math.isfinite(f_trial) and relaxed_armijo(
+        armijo_ok = relaxed_armijo(
             state.f_trials, f_trial, f_x, state.g_dot_p, alpha, eps_f, eps_g,
             state.p_norm, params.c1,
         )
@@ -388,7 +389,7 @@ def initial_phase(
 def split_phase(
     oracle: NoisyOracle,
     params: LineSearchParams,
-    tracker: CurvatureTracker | None,
+    tracker: CurvatureTracker,
     init: InitialResult,
 ) -> LineSearchOutcome:
     """Decoupled steplength / lengthening search for the noisy regime,
@@ -432,7 +433,7 @@ def split_phase(
 
     # --- beta loop: lengthen until the signed noise-control test holds ---
     beta = init.alpha
-    estimate = tracker.estimate if tracker is not None else None
+    estimate = tracker.estimate
     beta_bar = None
     g_beta = init.g_alpha
     if estimate is not None and init.p_norm > 0.0:

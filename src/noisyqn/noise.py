@@ -17,12 +17,13 @@ Draws are made ahead, in chunks.  A stream read from counter [index, tag,
 0, 0] holds every later draw of that tag too: draw index + j starts at its
 word 4 j, since each counter value gives four words.  So each tag keeps one
 chunk of ``4 * 256 + width`` noise values, drawn with a single
-``uniform(-xi, xi, size)`` call from the stream of the first index it
-covers, and draw j of the chunk is ``chunk[4 j : 4 j + width]``: numpy
+``uniform(-xi, xi, size)`` call from a generator built for the first index
+it covers, and draw j of the chunk is ``chunk[4 j : 4 j + width]``: numpy
 computes every value as ``low + (high - low) * u`` from one word, alone or
 in an array, so these are the bits of a fresh generator per draw.  An
 index outside the chunk (the next 256, or a jump over a clean block of the
-intermittent schedule) draws a new chunk from its own counter.
+intermittent schedule) draws a new chunk from a new generator at its own
+counter.  No generator state lives between chunks.
 """
 
 from __future__ import annotations
@@ -98,13 +99,11 @@ class NoisyOracle:
 
     The solver advances ``set_iteration`` so the intermittent schedule can
     resolve whether noise is active.  ``f_evals`` / ``g_evals`` each grow by
-    exactly one per call.  ``unused_f_rows`` counts the rows of the line
-    search's block evaluations that no trial consumed; they never enter
-    ``f_evals``.  ``run_trials`` maps the factor of a line-search trial run
-    (0.5 halving, 0.1 backtracking) to the trials the oracle's previous run
-    of that kind took, from which the next one sizes its first block.
-    ``max_f_noise`` and ``max_g_noise_norm`` track the largest injected
-    errors actually seen, for bound auditing.
+    exactly one per call.  ``run_trials`` maps the factor of a line-search
+    trial run (0.5 halving, 0.1 backtracking) to the trials the oracle's
+    previous run of that kind took, from which the next one sizes its first
+    block.  ``max_f_noise`` and ``max_g_noise_norm`` track the largest
+    injected errors actually seen, for bound auditing.
 
     ``true_f`` and ``true_g`` give the noiseless values at a point for the
     solver's trace.  The oracle remembers the point and noiseless value of
@@ -120,19 +119,11 @@ class NoisyOracle:
         self.iteration = 0
         self.f_evals = 0
         self.g_evals = 0
-        self.unused_f_rows = 0
         self.run_trials: dict[float, int] = {}
         self.max_f_noise = 0.0
         self.max_g_noise_norm = 0.0
         self._last_f: tuple[np.ndarray, float] | None = None
         self._recent_g: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=_G_HISTORY)
-        # One generator, rewound for every chunk: the fresh state of a
-        # Philox built with counter [index, tag, 0, 0] is this state with
-        # that counter (an empty buffer, no half-used 32-bit word).
-        self._bits = np.random.Philox(key=spec.seed & _KEY_MASK)
-        self._rng = np.random.Generator(self._bits)
-        self._fresh = self._bits.state
-        self._counter = self._fresh["state"]["counter"]
         # Per tag, the first index its chunk covers and the chunk; the f
         # chunk keeps only its draws' values, as Python floats.
         self._f_base, self._f_chunk = -_CHUNK_DRAWS, []
@@ -150,11 +141,9 @@ class NoisyOracle:
 
     def _chunk(self, index: int, tag: int, xi: float, width: int) -> np.ndarray:
         """The noise of draws index, index + 1, ... (see the module
-        docstring), from a stream rewound to counter [index, tag, 0, 0]."""
-        self._counter[0] = index
-        self._counter[1] = tag
-        self._bits.state = self._fresh
-        return self._rng.uniform(-xi, xi, size=4 * _CHUNK_DRAWS + width)
+        docstring), from a fresh stream at counter [index, tag, 0, 0]."""
+        bits = np.random.Philox(key=self.spec.seed & _KEY_MASK, counter=[index, tag, 0, 0])
+        return np.random.Generator(bits).uniform(-xi, xi, 4 * _CHUNK_DRAWS + width)
 
     def noisy_f(self, x: np.ndarray, value: float | None = None) -> float:
         """One counted function evaluation at x, with its own noise draw.
@@ -163,7 +152,7 @@ class NoisyOracle:
         the line search passes each row of a block evaluation this way, one
         call per trial it consumes, so the problem is not called again.
         Rows it never consumes never come here: they get no noise and no
-        count (they are tallied in ``unused_f_rows``).
+        count.
         """
         if value is None:
             value = self.problem.eval_f(x)

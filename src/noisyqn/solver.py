@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 # Every variant drops a pair whose s.y is not above this share of ||s|| ||y||,
-# to protect the update.
+# or whose ||y|| is 0, to protect the update.
 _CURVATURE_GUARD = 1e-12
 
 
@@ -268,8 +268,9 @@ def iterate(
 
     # Both searches report the pair's step as beta (= alpha on an accepted
     # step) with its gradient.  Every variant drops a pair whose s.y is not
-    # above the curvature guard, a NaN s.y included; the skip variants first
-    # drop the pairs their skip rule rejects.
+    # above the curvature guard, a NaN s.y included, or whose ||y|| is 0 (y.y
+    # can underflow while s.y > 0, and L-BFGS's gamma divides by y.y); the
+    # skip variants first drop the pairs their skip rule rejects.
     pair: CurvaturePair | None = None
     pair_action = "skipped"
     skip_held: bool | None = None
@@ -277,8 +278,9 @@ def iterate(
         candidate = CurvaturePair.from_step(outcome.beta * p, outcome.g_beta - g_at_x)
         if variant.update_skipping:
             skip_held = skip_condition(outcome.g_beta, g_at_x, p, eps_g)
-        drop = skip_held or not candidate.sy > _CURVATURE_GUARD * (
-            norm(candidate.s) * norm(candidate.y)
+        y_norm = norm(candidate.y)
+        drop = skip_held or not (
+            y_norm > 0.0 and candidate.sy > _CURVATURE_GUARD * (norm(candidate.s) * y_norm)
         )
         if not drop:
             _apply_update(state, candidate)

@@ -124,6 +124,18 @@ class TestLimitedMemory:
         with pytest.raises(ValueError):
             mem.push(CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([-1.0, 0.0])))
 
+    def test_gamma_needs_a_nonzero_y_norm(self):
+        """s = (1e10, 0), y = (1e-170, 0): s.y = 1e-160 > 0, so the memory
+        takes the pair, but y.y underflows to 0 and gamma would divide by
+        it.  The solver's pair rule keeps such a pair out (see
+        ``test_solver.py::TestPairRule``); the memory itself does not."""
+        pair = CurvaturePair.from_step(np.array([1e10, 0.0]), np.array([1e-170, 0.0]))
+        assert pair.sy == 1e-160 and norm(pair.y) == 0.0
+        mem = LimitedMemory(2)
+        mem.push(pair)
+        with pytest.raises(ZeroDivisionError):
+            two_loop_direction(mem, np.ones(2))
+
 
 def identity(d):
     return SymmetricMatrix(np.eye(d))

@@ -125,6 +125,19 @@ class TestRelaxedArmijo:
         assert relaxed_armijo(0, f_new=0.5 + 1e-7, **kwargs)
         assert not relaxed_armijo(0, f_new=0.5 + 2e-7, **kwargs)
 
+    @pytest.mark.parametrize("f_new", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("g_dot_p", [-1.0, 1.0])
+    @pytest.mark.parametrize("eps_g", [0.0, 0.5])
+    def test_non_finite_value_fails(self, f_new, i, g_dot_p, eps_g):
+        """NaN and both infinities fail at every trial index and either sign
+        of g.p, on the classical test and on plain decrease alike; -inf
+        would pass either comparison."""
+        assert not relaxed_armijo(
+            i, f_new=f_new, f_old=0.5, g_dot_p=g_dot_p, alpha=1.0,
+            eps_f=1e-3, eps_g=eps_g, p_norm=1.0, c1=1e-4,
+        )
+
 
 class TestTrialRunDecision:
     """``_trial_run`` stops at the first trial that passes
@@ -166,9 +179,7 @@ class TestTrialRunDecision:
             values.append(pick)
         expected = (len(picks), alphas[-1], values[-1] + 0.0, False)
         for i, (value, alpha) in enumerate(zip(values, alphas)):
-            if math.isfinite(value) and relaxed_armijo(
-                first + i, value, f_x, g, alpha, eps_f, eps_g, p_norm, c1
-            ):
+            if relaxed_armijo(first + i, value, f_x, g, alpha, eps_f, eps_g, p_norm, c1):
                 expected = (i + 1, alpha, value + 0.0, True)
                 break
 
@@ -353,10 +364,11 @@ def handoff(oracle, x, p, eps_g, alpha, alpha_best=None):
 class TestSplitPhase:
     def test_doubling_without_tracker(self):
         """Signed control needs beta >= 0.3 on phi = x^2/2 with eps_g = 0.1,
-        c3 = 0.5; doubling from 0.25 lands on 0.5 after two trials."""
+        c3 = 0.5; with an empty tracker (no curvature estimate), doubling
+        from 0.25 lands on 0.5 after two trials."""
         oracle = half_square_oracle()
         out = split_phase(
-            oracle, LineSearchParams(), None,
+            oracle, LineSearchParams(), CurvatureTracker(10),
             handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.25, alpha_best=0.25),
         )
         assert out.beta == pytest.approx(0.5)
@@ -379,7 +391,7 @@ class TestSplitPhase:
         oracle = half_square_oracle()
         before = oracle.f_evals
         out = split_phase(
-            oracle, LineSearchParams(), None,
+            oracle, LineSearchParams(), CurvatureTracker(10),
             handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.5, alpha_best=0.5),
         )
         assert out.alpha == 0.5
@@ -391,7 +403,7 @@ class TestSplitPhase:
         Armijo test passes."""
         oracle = half_square_oracle()
         out = split_phase(
-            oracle, LineSearchParams(), None,
+            oracle, LineSearchParams(), CurvatureTracker(10),
             handoff(oracle, 1.0, -1.0, eps_g=1e-6, alpha=40.0),
         )
         assert out.phase in (Phase.SPLIT_COMPLETED, Phase.BETA_FAILED)
@@ -403,7 +415,7 @@ class TestSplitPhase:
         prob = scalar_problem(lambda v: v, lambda v: 1.0, name="RAMP")
         oracle = NoisyOracle(prob, NoiseSpec())
         out = split_phase(
-            oracle, LineSearchParams(max_ls_iters=8), None,
+            oracle, LineSearchParams(max_ls_iters=8), CurvatureTracker(10),
             handoff(oracle, 0.0, 1.0, eps_g=0.5, alpha=1.0),
         )
         assert out.phase == Phase.ALPHA_FAILED
@@ -416,7 +428,9 @@ class TestSplitPhase:
         oracle = NoisyOracle(prob, NoiseSpec())
         init = handoff(oracle, 0.0, 1.0, eps_g=0.5, alpha=1.0)
         init.f_trials, init.g_trials = 5, 2
-        out = split_phase(oracle, LineSearchParams(max_ls_iters=8), None, init)
+        out = split_phase(
+            oracle, LineSearchParams(max_ls_iters=8), CurvatureTracker(10), init
+        )
         assert oracle.f_evals == 3
         assert out.f_trials == 8
         assert out.g_trials == 2 + oracle.g_evals
@@ -427,7 +441,7 @@ class TestSplitPhase:
         prob = scalar_problem(lambda v: -v, lambda v: -1.0, name="LINE")
         oracle = NoisyOracle(prob, NoiseSpec())
         out = split_phase(
-            oracle, LineSearchParams(max_lengthening=6), None,
+            oracle, LineSearchParams(max_lengthening=6), CurvatureTracker(10),
             handoff(oracle, 0.0, 1.0, eps_g=0.5, alpha=1.0, alpha_best=1.0),
         )
         assert out.phase == Phase.BETA_FAILED
@@ -586,13 +600,15 @@ def minimizer_estimate(name):
 
 def row_search(name, search, x, p, xi_f, xi_g, f_rows, count_calls=None):
     """One ``search`` along p from x on a registry problem with block
-    evaluation of the fixed trial runs on or off; returns (outcome, oracle)."""
+    evaluation of the fixed trial runs on or off; returns (outcome, oracle).
+    ``count_calls`` gets one entry per ``eval_f`` call: None for a single
+    point, the number of rows for a block."""
     prob = dataclasses.replace(registry_lookup(name), f_rows=f_rows)
     if count_calls is not None:
         kernel = prob.eval_f
 
         def counted(points):
-            count_calls.append(points.ndim)
+            count_calls.append(len(points) if points.ndim == 2 else None)
             return kernel(points)
 
         prob = dataclasses.replace(prob, eval_f=counted)
@@ -650,10 +666,11 @@ class TestBlockTrialsInvisible:
         x = minimizer_estimate(name) if near_minimizer else prob.x0
         x = x + 10.0**-offset * rng.standard_normal(prob.dim)
         p = 10.0**scale * prob.eval_g(x) * (1.0 if uphill else -1.0)
+        calls_off = []
         rows_on = row_search(name, search, x, p, xi_f, xi_g, f_rows=True)
-        rows_off = row_search(name, search, x, p, xi_f, xi_g, f_rows=False)
+        rows_off = row_search(name, search, x, p, xi_f, xi_g, False, calls_off)
         assert search_bits(*rows_on) == search_bits(*rows_off)
-        assert rows_off[1].unused_f_rows == 0
+        assert calls_off == [None] * rows_off[1].f_evals  # one point per count
 
     @pytest.mark.parametrize("search", ["two_phase", "armijo_wolfe"])
     def test_exhausted_budget_takes_few_kernel_calls(self, search):
@@ -668,9 +685,10 @@ class TestBlockTrialsInvisible:
             *row_search("ARWHEAD", search, x, p, 0.0, 1e-3, False, calls_off)
         )
         assert out.phase == Phase.ALPHA_FAILED and out.f_trials == 60
-        assert calls_off == [1] * 61  # f at x, then one call per trial
-        assert calls_on.count(1) == 1 and calls_on.count(2) <= 6
-        assert oracle.unused_f_rows == 0
+        assert calls_off == [None] * 61  # f at x, then one call per trial
+        blocks = calls_on[1:]
+        assert calls_on[0] is None and None not in blocks and len(blocks) <= 6
+        assert sum(blocks) == out.f_trials  # no row unused
 
     def test_rows_after_an_accepted_trial_are_unused(self):
         """From ARWHEAD's start, steepest descent is accepted after 10
@@ -679,9 +697,11 @@ class TestBlockTrialsInvisible:
         prob = registry_lookup("ARWHEAD")
         x = prob.x0.copy()
         p = -prob.eval_g(x)
-        out, oracle = row_search("ARWHEAD", "two_phase", x, p, 1e-3, 0.0, True)
+        calls = []
+        out, oracle = row_search("ARWHEAD", "two_phase", x, p, 1e-3, 0.0, True, calls)
         assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
-        assert oracle.unused_f_rows == 14
+        assert calls == [None, 8, 16]
+        assert sum(calls[1:]) - out.f_trials == 14
         assert oracle.f_evals == 1 + out.f_trials
 
 
@@ -709,11 +729,10 @@ class TestBlockTrialsInvisible:
         assert out.phase == Phase.ALPHA_FAILED and out.f_trials == 60
         assert oracle.run_trials == {0.5: 30, 0.1: 30}
         del rows[:]
-        unused = oracle.unused_f_rows
         out = two_phase_search(oracle, x, -g_x, params, tracker, f_x, g_x, eps_f, eps_g)
         assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
         assert rows == [30]
-        assert oracle.unused_f_rows - unused == 20
+        assert sum(rows) - out.f_trials == 20
         assert oracle.run_trials == {0.5: 10, 0.1: 30}
 
 

@@ -262,6 +262,36 @@ class TestPairRule:
             assert ctx.pair is None
             assert ctx.record.pair_action == "skipped"
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_pair_whose_y_norm_underflows_is_dropped(self, variant, monkeypatch):
+        """s = (1e10, 0) and y = (1e-170, 0): s.y = 1e-160 > 0, but y.y
+        underflows to 0, so the guard's 1e-12 ||s|| ||y|| is 0 and s.y clears
+        it.  Every variant drops the pair, and the next direction is computed
+        (L-BFGS's gamma would divide s.y by y.y = 0)."""
+        g_x = np.array([-1e-160, 0.0])
+        g_beta = g_x + np.array([1e-170, 0.0])
+        s, y = 1e170 * -g_x, g_beta - g_x
+        assert float(s @ y) > 0.0 and float(y @ y) == 0.0
+
+        def search(oracle, x, p, *args):
+            return LineSearchOutcome(
+                alpha=1.0, beta=1e170, phase=Phase.INITIAL_ACCEPTED, f_trials=0,
+                g_trials=0, f_alpha=0.0, g_alpha=g_x, g_beta=g_beta,
+            )
+
+        monkeypatch.setattr(solver, "two_phase_search", search)
+        monkeypatch.setattr(solver, "armijo_wolfe_search", search)
+        flat = Problem(
+            name="FLAT", dim=2, x0=np.zeros(2),
+            eval_f=lambda x: 0.0, eval_g=lambda x: g_x, phi_star=0.0,
+        )
+        seen = []
+        trace = run(flat, NOISELESS, quick_config(variant, max_iters=2), seen.append)
+        assert trace.termination_reason == "max_iterations"
+        assert [ctx.record.pair_action for ctx in seen] == ["skipped", "skipped"]
+        np.testing.assert_array_equal(seen[0].p, s / 1e170)
+        np.testing.assert_array_equal(seen[1].p, s / 1e170)
+
 
 class TestDiagnostics:
     def test_dense_hessian_stays_spd(self):
