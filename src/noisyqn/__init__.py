@@ -20,10 +20,10 @@ from .linalg import (
     two_loop_direction,
 )
 from .linesearch import (
-    CurvatureTracker,
     LineSearchOutcome,
     LineSearchParams,
     Phase,
+    SearchMemory,
     armijo_wolfe_search,
     relaxed_armijo,
     two_phase_search,
@@ -72,7 +72,7 @@ __all__ = [
     "NoisyOracle",
     # line search
     "LineSearchParams",
-    "CurvatureTracker",
+    "SearchMemory",
     "Phase",
     "LineSearchOutcome",
     "relaxed_armijo",

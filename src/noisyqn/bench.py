@@ -158,6 +158,13 @@ class ExperimentConfig:
                 self.noise_spec(cell)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        # One key names one run's CSV and summary entry, and noise levels print
+        # with 6 significant digits; run_matrix sorts by key, so cells sharing
+        # one are neighbours.
+        keys = [_run_key(cell) for cell in self.run_matrix()]
+        for key, following in zip(keys, keys[1:]):
+            if key == following:
+                raise ConfigError(f"two run cells share the run key {key!r}")
 
     def _settings_of(self, cls, **given):
         """A ``cls`` built from the given values and this config's fields

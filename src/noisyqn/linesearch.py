@@ -38,13 +38,12 @@ from .noise import NoisyOracle
 
 __all__ = [
     "LineSearchParams",
-    "CurvatureTracker",
+    "SearchMemory",
     "Phase",
     "LineSearchOutcome",
     "InitialResult",
     "relaxed_armijo",
     "noise_control_holds",
-    "tracker_update",
     "initial_phase",
     "split_phase",
     "two_phase_search",
@@ -84,28 +83,44 @@ class LineSearchParams:
                 raise ValueError(f"{name} must be >= 1")
 
 
-class CurvatureTracker:
-    """Sliding window of observed curvature estimates along the run.
+class SearchMemory:
+    """What a run's line searches carry from one iteration to the next.
 
-    Each accepted lengthening step with gradient change dg over step beta*p
-    contributes mu = dg.p / (beta * ||p||^2); the tracker's estimate is the
-    most pessimistic (smallest) of the last ``history`` values and seeds the
-    initial beta of later split phases.
+    ``estimate`` is the most pessimistic (smallest) of the last ``history``
+    curvature estimates ``observe`` kept, and seeds the initial beta of
+    later split phases.  ``run_trials`` maps the factor of a trial run (0.5
+    halving, 0.1 backtracking) to the trials the previous run of that kind
+    took, from which the next one sizes its first block.
     """
 
     def __init__(self, history: int):
         if history < 1:
             raise ValueError("history must be >= 1")
         self._values: deque[float] = deque(maxlen=history)
+        self.run_trials: dict[float, int] = {}
 
     @property
     def estimate(self) -> float | None:
         return min(self._values) if self._values else None
 
-    def push(self, mu: float) -> None:
-        if mu <= 0.0:
-            raise ValueError("curvature estimates must be positive")
-        self._values.append(mu)
+    def observe(
+        self,
+        beta: float,
+        p: np.ndarray,
+        g_new: np.ndarray,
+        g_old: np.ndarray,
+        wolfe_held: bool,
+    ) -> None:
+        """Keep an accepted lengthening step's curvature estimate
+        mu = (g_new - g_old).p / (beta ||p||^2) when the Wolfe condition
+        held, beta ||p||^2 > 0 (it is 0 for p = 0 or an underflowing p.p)
+        and mu > 0."""
+        scale = beta * float(p @ p)
+        if not (wolfe_held and scale > 0.0):
+            return
+        mu = float((g_new - g_old) @ p) / scale
+        if mu > 0.0:
+            self._values.append(mu)
 
 
 class Phase(enum.Enum):
@@ -248,30 +263,13 @@ def noise_control_holds(
     return change >= threshold
 
 
-def tracker_update(
-    tracker: CurvatureTracker,
-    beta: float,
-    p: np.ndarray,
-    g_new: np.ndarray,
-    g_old: np.ndarray,
-    wolfe_held: bool,
-) -> None:
-    """Push the step's curvature estimate when the Wolfe condition held and
-    beta ||p||^2 > 0 (it is 0 for p = 0 or an underflowing p.p)."""
-    scale = beta * float(p @ p)
-    if not (wolfe_held and scale > 0.0):
-        return
-    mu = float((g_new - g_old) @ p) / scale
-    if mu > 0.0:
-        tracker.push(mu)
-
-
-# Rows in the first block of an oracle's first trial run of each kind.
+# Rows in the first block of a run's first trial run of each kind.
 _FIRST_BLOCK = 8
 
 
 def _trial_run(
     oracle: NoisyOracle,
+    memory: SearchMemory,
     state: InitialResult,
     alpha: float,
     factor: float,
@@ -286,16 +284,16 @@ def _trial_run(
     Each trial's index in ``relaxed_armijo`` is its index in the whole
     search (``state.f_trials`` before the run).  On a problem with
     ``f_rows`` the points are evaluated ahead, a block of rows per
-    ``eval_f`` call.  The first block holds as many rows as the oracle's
-    previous run with this factor took (``oracle.run_trials``, 8 before
-    any), each later block twice as many, never past the budget.  Each row
+    ``eval_f`` call.  The first block holds as many rows as the previous
+    run with this factor took (``memory.run_trials``, 8 before any), each
+    later block twice as many, never past the budget.  Each row
     reaches ``noisy_f`` as its own counted evaluation only when the run
     takes it, so counts and noise draws are those of one trial at a time;
     rows evaluated after the first pass get neither.
     """
     x, p = state.x, state.p
     rows = oracle.problem.f_rows
-    size = oracle.run_trials.get(factor, _FIRST_BLOCK)
+    size = memory.run_trials.get(factor, _FIRST_BLOCK)
     first = i = state.f_trials
     last = i + budget
     a, f, passed = alpha, None, False
@@ -320,7 +318,7 @@ def _trial_run(
                 break
         alpha = factor * a
     if i > first:
-        oracle.run_trials[factor] = i - first
+        memory.run_trials[factor] = i - first
     return i - first, a, f, passed
 
 
@@ -329,6 +327,7 @@ def initial_phase(
     x: np.ndarray,
     p: np.ndarray,
     params: LineSearchParams,
+    memory: SearchMemory,
     f_x: float,
     g_x: np.ndarray,
     eps_f: float,
@@ -353,7 +352,9 @@ def initial_phase(
     """
     state = InitialResult(x, p, f_x, g_x, eps_f, eps_g)
     trials = params.n_split if max_trials is None else max_trials
-    taken, alpha, f_trial, armijo_ok = _trial_run(oracle, state, 1.0, 0.5, trials, params.c1)
+    taken, alpha, f_trial, armijo_ok = _trial_run(
+        oracle, memory, state, 1.0, 0.5, trials, params.c1
+    )
     state.f_trials = taken
     low, high = 0.0, 2.0 * alpha if taken > 1 else math.inf
     while True:
@@ -389,7 +390,7 @@ def initial_phase(
 def split_phase(
     oracle: NoisyOracle,
     params: LineSearchParams,
-    tracker: CurvatureTracker,
+    memory: SearchMemory,
     init: InitialResult,
 ) -> LineSearchOutcome:
     """Decoupled steplength / lengthening search for the noisy regime,
@@ -401,12 +402,12 @@ def split_phase(
     trials runs out (alpha = 0 then; the beta loop still runs so the update
     can proceed without a step).  The backtracking steplengths are fixed in
     advance, so they are one trial run, which on a problem with ``f_rows``
-    evaluates them in blocks, the first sized from the oracle's previous
-    backtracking run; only the trials up to the first pass are counted.
+    evaluates them in blocks, the first sized from the previous backtracking
+    run in ``memory``; only the trials up to the first pass are counted.
 
     The beta loop grows beta from the last trial's steplength until the
-    signed noise-control condition holds.  With a curvature estimate mu from
-    the tracker the first candidate jumps to max(2 beta, beta_bar) where
+    signed noise-control condition holds.  With a curvature estimate mu in
+    ``memory`` the first candidate jumps to max(2 beta, beta_bar) where
     beta_bar = 2 (1 + c3) eps_g / (mu ||p||); without one, the start itself
     is tested first (with the bisection's gradient there, if any) and beta
     doubles on failure.  Trial counts cover the whole search.
@@ -423,7 +424,7 @@ def split_phase(
     else:
         budget = params.max_ls_iters - f_trials
         taken, alpha, f_trial, alpha_ok = _trial_run(
-            oracle, init, init.alpha, 0.1, budget, params.c1
+            oracle, memory, init, init.alpha, 0.1, budget, params.c1
         )
         f_trials += taken
         if alpha_ok:
@@ -433,7 +434,7 @@ def split_phase(
 
     # --- beta loop: lengthen until the signed noise-control test holds ---
     beta = init.alpha
-    estimate = tracker.estimate
+    estimate = memory.estimate
     beta_bar = None
     g_beta = init.g_alpha
     if estimate is not None and init.p_norm > 0.0:
@@ -480,7 +481,7 @@ def two_phase_search(
     x: np.ndarray,
     p: np.ndarray,
     params: LineSearchParams,
-    tracker: CurvatureTracker,
+    memory: SearchMemory,
     f_x: float,
     g_x: np.ndarray,
     eps_f: float,
@@ -488,18 +489,18 @@ def two_phase_search(
 ) -> LineSearchOutcome:
     """Run the initial phase and, if it hands off, the split phase.
 
-    Whatever lengthening step gets accepted feeds the curvature tracker,
+    Whatever lengthening step gets accepted is observed by ``memory``,
     gated on the Wolfe condition holding there (noise control always holds
     at an accepted lengthening step).
     """
-    init = initial_phase(oracle, x, p, params, f_x, g_x, eps_f, eps_g)
+    init = initial_phase(oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g)
     if init.accepted:
-        tracker_update(tracker, init.alpha, p, init.g_alpha, g_x, True)
+        memory.observe(init.alpha, p, init.g_alpha, g_x, True)
         return init.outcome()
-    out = split_phase(oracle, params, tracker, init)
+    out = split_phase(oracle, params, memory, init)
     if out.beta is not None:
         wolfe = float(out.g_beta @ p) >= params.c2 * init.g_dot_p
-        tracker_update(tracker, out.beta, p, out.g_beta, g_x, wolfe)
+        memory.observe(out.beta, p, out.g_beta, g_x, wolfe)
     return out
 
 
@@ -508,6 +509,7 @@ def armijo_wolfe_search(
     x: np.ndarray,
     p: np.ndarray,
     params: LineSearchParams,
+    memory: SearchMemory,
     f_x: float,
     g_x: np.ndarray,
 ) -> LineSearchOutcome:
@@ -516,8 +518,8 @@ def armijo_wolfe_search(
     This is the classical search used by the standard method variants: the
     initial phase at zero noise bounds, capped at ``max_ls_iters`` trials,
     with no split and pairs built at beta = alpha.  Fails (alpha = 0) when
-    no trial satisfies both conditions.
+    no trial satisfies both conditions; ``memory`` sizes its trial blocks.
     """
     return initial_phase(
-        oracle, x, p, params, f_x, g_x, 0.0, 0.0, max_trials=params.max_ls_iters
+        oracle, x, p, params, memory, f_x, g_x, 0.0, 0.0, max_trials=params.max_ls_iters
     ).outcome()

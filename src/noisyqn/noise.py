@@ -47,8 +47,6 @@ Schedule = Literal["constant", "intermittent"]
 _TAG_F = 0
 _TAG_G = 1
 
-_KEY_MASK = (1 << 128) - 1
-
 # Draws covered by one chunk of a stream (see the module docstring).
 _CHUNK_DRAWS = 256
 
@@ -66,7 +64,7 @@ class NoiseSpec:
     toggles on and off every ``n_noise`` iterations; ``start_noisy`` selects
     which state the first block is in.  ``omega`` scales only the *reported*
     gradient-noise bound handed to noise-aware methods, never the injected
-    noise itself.
+    noise itself.  ``seed`` is the Philox key, in [0, 2**128).
     """
 
     xi_f: float = 0.0
@@ -86,6 +84,8 @@ class NoiseSpec:
             raise ValueError(f"schedule must be one of {get_args(Schedule)}")
         if not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
         if self.n_noise is not None and not isinstance(self.n_noise, numbers.Integral):
             raise ValueError(f"n_noise must be an integer, got {self.n_noise!r}")
         if self.schedule == "intermittent" and (self.n_noise is None or self.n_noise < 1):
@@ -99,11 +99,8 @@ class NoisyOracle:
 
     The solver advances ``set_iteration`` so the intermittent schedule can
     resolve whether noise is active.  ``f_evals`` / ``g_evals`` each grow by
-    exactly one per call.  ``run_trials`` maps the factor of a line-search
-    trial run (0.5 halving, 0.1 backtracking) to the trials the oracle's
-    previous run of that kind took, from which the next one sizes its first
-    block.  ``max_f_noise`` and ``max_g_noise_norm`` track the largest
-    injected errors actually seen, for bound auditing.
+    exactly one per call.  ``max_f_noise`` and ``max_g_noise_norm`` track the
+    largest injected errors actually seen, for bound auditing.
 
     ``true_f`` and ``true_g`` give the noiseless values at a point for the
     solver's trace.  The oracle remembers the point and noiseless value of
@@ -119,7 +116,6 @@ class NoisyOracle:
         self.iteration = 0
         self.f_evals = 0
         self.g_evals = 0
-        self.run_trials: dict[float, int] = {}
         self.max_f_noise = 0.0
         self.max_g_noise_norm = 0.0
         self._last_f: tuple[np.ndarray, float] | None = None
@@ -142,7 +138,7 @@ class NoisyOracle:
     def _chunk(self, index: int, tag: int, xi: float, width: int) -> np.ndarray:
         """The noise of draws index, index + 1, ... (see the module
         docstring), from a fresh stream at counter [index, tag, 0, 0]."""
-        bits = np.random.Philox(key=self.spec.seed & _KEY_MASK, counter=[index, tag, 0, 0])
+        bits = np.random.Philox(key=self.spec.seed, counter=[index, tag, 0, 0])
         return np.random.Generator(bits).uniform(-xi, xi, 4 * _CHUNK_DRAWS + width)
 
     def noisy_f(self, x: np.ndarray, value: float | None = None) -> float:

@@ -31,9 +31,9 @@ from .linalg import (
     two_loop_direction,
 )
 from .linesearch import (
-    CurvatureTracker,
     LineSearchParams,
     Phase,
+    SearchMemory,
     armijo_wolfe_search,
     two_phase_search,
 )
@@ -103,6 +103,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.diagnostics, bool):
+            raise ValueError(f"diagnostics must be a bool, got {self.diagnostics!r}")
 
 
 @dataclass
@@ -114,7 +116,7 @@ class SolverState:
     g_x: np.ndarray
     hessian: SymmetricMatrix | None
     memory: LimitedMemory | None
-    tracker: CurvatureTracker
+    search: SearchMemory
     k: int = 0
     first_split_iteration: int | None = None
 
@@ -252,10 +254,10 @@ def iterate(
     eps_f, eps_g = oracle.reported_bounds()
     if variant.noise_tolerant:
         outcome = two_phase_search(
-            oracle, x, p, config.ls, state.tracker, f_at_x, g_at_x, eps_f, eps_g
+            oracle, x, p, config.ls, state.search, f_at_x, g_at_x, eps_f, eps_g
         )
     else:
-        outcome = armijo_wolfe_search(oracle, x, p, config.ls, f_at_x, g_at_x)
+        outcome = armijo_wolfe_search(oracle, x, p, config.ls, state.search, f_at_x, g_at_x)
 
     split_active = variant.noise_tolerant and outcome.phase != Phase.INITIAL_ACCEPTED
     if split_active and state.first_split_iteration is None:
@@ -366,7 +368,7 @@ def run(
         g_x=g0,
         hessian=None if variant.limited_memory else SymmetricMatrix(np.eye(problem.dim)),
         memory=LimitedMemory(config.memory) if variant.limited_memory else None,
-        tracker=CurvatureTracker(config.ls.history),
+        search=SearchMemory(config.ls.history),
     )
     records: list[IterationRecord] = []
     reason = "max_iterations"

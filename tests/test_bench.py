@@ -127,6 +127,27 @@ class TestConfigValidation:
             run_experiment(tiny_config(out, **{name: 2.5}))
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "axes",
+        [dict(xi_g=[1e-3, 1.0000001e-3]), dict(seeds=[1, 1]),
+         dict(xi_g=[1e-3, 1.0000001e-3], seeds=[1, 1])],
+        ids=["noise-level", "seed", "both"],
+    )
+    def test_shared_run_key_rejected_before_output(self, tmp_path, axes):
+        """Noise levels print with 6 significant digits in the run key, so
+        two distinct levels, or a repeated seed, would give two cells one
+        CSV and one summary entry."""
+        out = tmp_path / "out"
+        key = "TRIDIA_bfgs_xif0_xig0.001_om1_seed1"
+        with pytest.raises(ConfigError, match=f"^two run cells share the run key '{key}'$"):
+            run_experiment(tiny_config(out, **{"seeds": [1], "max_iters": 5, **axes}))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_non_bool_diagnostics_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="^diagnostics must be a bool, got "):
+            tiny_config(tmp_path, diagnostics=value).validate()
+
     def test_valid_config_passes(self, tmp_path):
         tiny_config(tmp_path).validate()
 
@@ -494,6 +515,22 @@ class TestCli:
             "--seed", "1", flag, value, "--out", str(out),
         ])
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axes",
+        [["--xi-g", "1e-3", "--xi-g", "1.0000001e-3", "--seeds", "1"], ["--xi-g", "1e-3", "--seeds", "1", "1"]],
+        ids=["noise-level", "seed"],
+    )
+    def test_shared_run_key_is_config_error(self, tmp_path, capsys, axes):
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--problem", "TRIDIA", "--method", "bfgs", "--max-iters", "5",
+            *axes, "--out", str(out),
+        ])
+        assert code == 2
+        key = "TRIDIA_bfgs_xif0_xig0.001_om1_seed1"
+        assert capsys.readouterr().err == f"error: two run cells share the run key '{key}'\n"
         assert not out.exists()
 
     def test_run_requires_single_values(self, tmp_path, capsys):

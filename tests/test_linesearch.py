@@ -1,6 +1,7 @@
 """Two-phase line search: the relaxed sufficient-decrease test, noise-control
-gates, bisection initial phase, split-phase lengthening, and the curvature
-tracker feeding the lengthening floor."""
+gates, bisection initial phase, split-phase lengthening, and the run's search
+memory: the curvature window feeding the lengthening floor and the trial-run
+lengths sizing the next run's first block."""
 
 import dataclasses
 import functools
@@ -12,16 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisyqn.linesearch import (
-    CurvatureTracker,
     InitialResult,
     LineSearchParams,
     Phase,
+    SearchMemory,
     armijo_wolfe_search,
     initial_phase,
     noise_control_holds,
     relaxed_armijo,
     split_phase,
-    tracker_update,
     two_phase_search,
     _trial_run,
 )
@@ -197,7 +197,7 @@ class TestTrialRunDecision:
         oracle = NoisyOracle(prob, NoiseSpec())
         state = InitialResult(np.zeros(1), np.ones(1), f_x, np.array([g]), eps_f, eps_g)
         state.f_trials = first
-        got = _trial_run(oracle, state, start, factor, len(picks), c1)
+        got = _trial_run(oracle, SearchMemory(10), state, start, factor, len(picks), c1)
         assert repr(got) == repr(expected)
         assert oracle.f_evals == got[0]
 
@@ -205,23 +205,23 @@ class TestTrialRunDecision:
 class TestTrackerUpdate:
     def test_push_arithmetic(self):
         """mu-bar = (dg.p) / (beta ||p||^2) = 2 / (1*4) = 0.5."""
-        tracker = CurvatureTracker(10)
+        memory = SearchMemory(10)
         p = np.array([2.0, 0.0])
-        tracker_update(
-            tracker, beta=1.0, p=p,
+        memory.observe(
+            beta=1.0, p=p,
             g_new=np.array([1.0, 0.0]), g_old=np.array([0.0, 0.0]),
             wolfe_held=True,
         )
-        assert tracker.estimate == pytest.approx(0.5, rel=1e-15)
+        assert memory.estimate == pytest.approx(0.5, rel=1e-15)
 
     def test_gating(self):
-        tracker = CurvatureTracker(10)
-        tracker_update(
-            tracker, beta=1.0, p=np.array([1.0]),
+        memory = SearchMemory(10)
+        memory.observe(
+            beta=1.0, p=np.array([1.0]),
             g_new=np.array([1.0]), g_old=np.array([0.0]),
             wolfe_held=False,
         )
-        assert tracker.estimate is None
+        assert memory.estimate is None
 
     @pytest.mark.parametrize(
         "p", [0.0, math.sqrt(5e-324)], ids=["zero", "underflow"]
@@ -229,46 +229,46 @@ class TestTrackerUpdate:
     def test_zero_scale_pushes_nothing(self, p):
         """beta ||p||^2 = 0 (p = 0, or 0.5 * p.p with p.p = 5e-324 rounding
         to 0) gives no estimate instead of dividing by zero."""
-        tracker = CurvatureTracker(10)
-        tracker_update(
-            tracker, beta=0.5, p=np.array([p]),
+        memory = SearchMemory(10)
+        memory.observe(
+            beta=0.5, p=np.array([p]),
             g_new=np.array([1.0]), g_old=np.array([0.0]),
             wolfe_held=True,
         )
-        assert tracker.estimate is None
+        assert memory.estimate is None
 
     def test_min_over_ring(self):
-        tracker = CurvatureTracker(10)
+        memory = SearchMemory(10)
         p = np.array([1.0])
         for mu in (0.5, 0.2, 0.9):
-            tracker_update(
-                tracker, beta=1.0, p=p,
+            memory.observe(
+                beta=1.0, p=p,
                 g_new=np.array([mu]), g_old=np.array([0.0]),
                 wolfe_held=True,
             )
-        assert tracker.estimate == pytest.approx(0.2, rel=1e-15)
+        assert memory.estimate == pytest.approx(0.2, rel=1e-15)
 
     def test_ring_evicts_beyond_history(self):
-        tracker = CurvatureTracker(2)
+        memory = SearchMemory(2)
         p = np.array([1.0])
         for mu in (0.1, 0.5, 0.9):
-            tracker_update(
-                tracker, beta=1.0, p=p,
+            memory.observe(
+                beta=1.0, p=p,
                 g_new=np.array([mu]), g_old=np.array([0.0]),
                 wolfe_held=True,
             )
         # 0.1 has been evicted; min of {0.5, 0.9}
-        assert tracker.estimate == pytest.approx(0.5, rel=1e-15)
+        assert memory.estimate == pytest.approx(0.5, rel=1e-15)
 
     def test_nonpositive_curvature_never_stored(self):
-        tracker = CurvatureTracker(4)
+        memory = SearchMemory(4)
         p = np.array([1.0])
-        tracker_update(
-            tracker, beta=1.0, p=p,
+        memory.observe(
+            beta=1.0, p=p,
             g_new=np.array([-1.0]), g_old=np.array([0.0]),
             wolfe_held=True,
         )
-        assert tracker.estimate is None
+        assert memory.estimate is None
 
 
 class TestInitialPhase:
@@ -280,7 +280,7 @@ class TestInitialPhase:
         prob = scalar_problem(lambda t: -t if t < 0.9 else 10.0, lambda t: -1.0)
         oracle = NoisyOracle(prob, NoiseSpec())
         res = initial_phase(
-            oracle, np.zeros(1), np.ones(1), LineSearchParams(),
+            oracle, np.zeros(1), np.ones(1), LineSearchParams(), SearchMemory(10),
             f_x=0.0, g_x=np.array([-1.0]), eps_f=0.0, eps_g=0.0, max_trials=5,
         )
         assert not res.accepted and res.f_trials == 5 and res.g_trials == 3
@@ -292,7 +292,7 @@ class TestInitialPhase:
         oracle = half_square_oracle()
         res = initial_phase(
             oracle, np.array([1.0]), np.array([-1.0]),
-            LineSearchParams(), f_x=0.5, g_x=np.array([1.0]),
+            LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
             eps_f=0.0, eps_g=0.0,
         )
         assert res.accepted
@@ -307,7 +307,7 @@ class TestInitialPhase:
         oracle = half_square_oracle()
         res = initial_phase(
             oracle, np.array([1.0]), np.array([-4.0]),
-            LineSearchParams(), f_x=0.5, g_x=np.array([1.0]),
+            LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
             eps_f=0.0, eps_g=0.0,
         )
         assert res.accepted
@@ -320,7 +320,7 @@ class TestInitialPhase:
         oracle = half_square_oracle()
         res = initial_phase(
             oracle, np.array([4.0]), np.array([-1.0]),
-            LineSearchParams(c2=0.1), f_x=8.0, g_x=np.array([4.0]),
+            LineSearchParams(c2=0.1), SearchMemory(10), f_x=8.0, g_x=np.array([4.0]),
             eps_f=0.0, eps_g=0.0,
         )
         assert res.accepted
@@ -334,7 +334,7 @@ class TestInitialPhase:
         oracle = half_square_oracle()
         res = initial_phase(
             oracle, np.array([1.0]), np.array([-1.0]),
-            LineSearchParams(), f_x=0.5, g_x=np.array([1.0]),
+            LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
             eps_f=0.0, eps_g=10.0,
         )
         assert not res.accepted
@@ -344,7 +344,7 @@ class TestInitialPhase:
         oracle = half_square_oracle()
         res = initial_phase(
             oracle, np.array([1.0]), np.array([-1.0]),
-            LineSearchParams(), f_x=0.5, g_x=np.array([1.0]),
+            LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
             eps_f=0.0, eps_g=10.0,
         )
         assert res.alpha_best == 1.0
@@ -364,11 +364,11 @@ def handoff(oracle, x, p, eps_g, alpha, alpha_best=None):
 class TestSplitPhase:
     def test_doubling_without_tracker(self):
         """Signed control needs beta >= 0.3 on phi = x^2/2 with eps_g = 0.1,
-        c3 = 0.5; with an empty tracker (no curvature estimate), doubling
+        c3 = 0.5; with a fresh memory (no curvature estimate), doubling
         from 0.25 lands on 0.5 after two trials."""
         oracle = half_square_oracle()
         out = split_phase(
-            oracle, LineSearchParams(), CurvatureTracker(10),
+            oracle, LineSearchParams(), SearchMemory(10),
             handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.25, alpha_best=0.25),
         )
         assert out.beta == pytest.approx(0.5)
@@ -378,10 +378,11 @@ class TestSplitPhase:
         """mu = 1 gives floor beta-bar = 2(1.5)(0.1)/1 = 0.3; the successor
         max{2*0.25, 0.3} = 0.5 holds in one trial."""
         oracle = half_square_oracle()
-        tracker = CurvatureTracker(10)
-        tracker.push(1.0)
+        memory = SearchMemory(10)
+        memory.observe(1.0, np.array([1.0]), np.array([1.0]), np.array([0.0]), True)
+        assert memory.estimate == 1.0
         out = split_phase(
-            oracle, LineSearchParams(), tracker,
+            oracle, LineSearchParams(), memory,
             handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.25, alpha_best=0.25),
         )
         assert out.beta == pytest.approx(0.5)
@@ -391,7 +392,7 @@ class TestSplitPhase:
         oracle = half_square_oracle()
         before = oracle.f_evals
         out = split_phase(
-            oracle, LineSearchParams(), CurvatureTracker(10),
+            oracle, LineSearchParams(), SearchMemory(10),
             handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.5, alpha_best=0.5),
         )
         assert out.alpha == 0.5
@@ -403,7 +404,7 @@ class TestSplitPhase:
         Armijo test passes."""
         oracle = half_square_oracle()
         out = split_phase(
-            oracle, LineSearchParams(), CurvatureTracker(10),
+            oracle, LineSearchParams(), SearchMemory(10),
             handoff(oracle, 1.0, -1.0, eps_g=1e-6, alpha=40.0),
         )
         assert out.phase in (Phase.SPLIT_COMPLETED, Phase.BETA_FAILED)
@@ -415,7 +416,7 @@ class TestSplitPhase:
         prob = scalar_problem(lambda v: v, lambda v: 1.0, name="RAMP")
         oracle = NoisyOracle(prob, NoiseSpec())
         out = split_phase(
-            oracle, LineSearchParams(max_ls_iters=8), CurvatureTracker(10),
+            oracle, LineSearchParams(max_ls_iters=8), SearchMemory(10),
             handoff(oracle, 0.0, 1.0, eps_g=0.5, alpha=1.0),
         )
         assert out.phase == Phase.ALPHA_FAILED
@@ -429,7 +430,7 @@ class TestSplitPhase:
         init = handoff(oracle, 0.0, 1.0, eps_g=0.5, alpha=1.0)
         init.f_trials, init.g_trials = 5, 2
         out = split_phase(
-            oracle, LineSearchParams(max_ls_iters=8), CurvatureTracker(10), init
+            oracle, LineSearchParams(max_ls_iters=8), SearchMemory(10), init
         )
         assert oracle.f_evals == 3
         assert out.f_trials == 8
@@ -441,7 +442,7 @@ class TestSplitPhase:
         prob = scalar_problem(lambda v: -v, lambda v: -1.0, name="LINE")
         oracle = NoisyOracle(prob, NoiseSpec())
         out = split_phase(
-            oracle, LineSearchParams(max_lengthening=6), CurvatureTracker(10),
+            oracle, LineSearchParams(max_lengthening=6), SearchMemory(10),
             handoff(oracle, 0.0, 1.0, eps_g=0.5, alpha=1.0, alpha_best=1.0),
         )
         assert out.phase == Phase.BETA_FAILED
@@ -456,7 +457,7 @@ class TestPlainSearch:
         so one trial suffices (strict decrease would never be met)."""
         oracle = NoisyOracle(flat_problem(), NoiseSpec())
         out = armijo_wolfe_search(
-            oracle, np.zeros(1), np.ones(1), LineSearchParams(),
+            oracle, np.zeros(1), np.ones(1), LineSearchParams(), SearchMemory(10),
             f_x=0.0, g_x=np.array([1e-17]),
         )
         assert out.phase == Phase.INITIAL_ACCEPTED
@@ -471,7 +472,7 @@ class TestPlainSearch:
         oracle = NoisyOracle(prob, NoiseSpec())
         out = armijo_wolfe_search(
             oracle, np.zeros(1), np.ones(1), LineSearchParams(max_ls_iters=7),
-            f_x=0.0, g_x=np.array([-1.0]),
+            SearchMemory(10), f_x=0.0, g_x=np.array([-1.0]),
         )
         assert out.phase == Phase.ALPHA_FAILED
         assert (out.alpha, out.beta, out.f_alpha, out.g_alpha) == (0.0, None, None, None)
@@ -498,10 +499,12 @@ class TestTwoPhaseSearch:
             if np.linalg.norm(p) < 1e-12:
                 break
             two = two_phase_search(
-                oracle_a, x, p, params, CurvatureTracker(10),
+                oracle_a, x, p, params, SearchMemory(10),
                 f_x=f_x, g_x=g_x, eps_f=0.0, eps_g=0.0,
             )
-            plain = armijo_wolfe_search(oracle_b, x, p, params, f_x=f_x, g_x=g_x)
+            plain = armijo_wolfe_search(
+                oracle_b, x, p, params, SearchMemory(10), f_x=f_x, g_x=g_x
+            )
             assert two.alpha == plain.alpha
             assert two.f_trials == plain.f_trials
             assert two.phase == Phase.INITIAL_ACCEPTED
@@ -515,7 +518,7 @@ class TestTwoPhaseSearch:
         oracle = NoisyOracle(prob, NoiseSpec(xi_g=1e-3, seed=5))
         eps_f, eps_g = oracle.reported_bounds()
         params = LineSearchParams()
-        tracker = CurvatureTracker(10)
+        memory = SearchMemory(10)
         x = prob.x0.copy()
         checked = 0
         for _ in range(60):
@@ -523,7 +526,7 @@ class TestTwoPhaseSearch:
             g_x = oracle.noisy_g(x)
             p = -g_x
             out = two_phase_search(
-                oracle, x, p, params, tracker,
+                oracle, x, p, params, memory,
                 f_x=f_x, g_x=g_x, eps_f=eps_f, eps_g=eps_g,
             )
             if out.beta is not None:
@@ -542,7 +545,7 @@ class TestTwoPhaseSearch:
         oracle = NoisyOracle(prob, NoiseSpec(xi_g=1e-3, seed=5))
         _, eps_g = oracle.reported_bounds()
         params = LineSearchParams()
-        tracker = CurvatureTracker(10)
+        memory = SearchMemory(10)
         floor = 2.0 * params.c3 * eps_g / big_m
         x = prob.x0.copy()
         for _ in range(60):
@@ -550,7 +553,7 @@ class TestTwoPhaseSearch:
             g_x = oracle.noisy_g(x)
             p = -g_x
             out = two_phase_search(
-                oracle, x, p, params, tracker,
+                oracle, x, p, params, memory,
                 f_x=f_x, g_x=g_x, eps_f=0.0, eps_g=eps_g,
             )
             if out.beta is not None:
@@ -564,7 +567,7 @@ class TestTwoPhaseSearch:
         oracle = NoisyOracle(prob, NoiseSpec(xi_f=1e-3, xi_g=1e-3, seed=2))
         eps_f, eps_g = oracle.reported_bounds()
         params = LineSearchParams()
-        tracker = CurvatureTracker(10)
+        memory = SearchMemory(10)
         x = prob.x0.copy()
         for _ in range(25):
             f_x = oracle.noisy_f(x)
@@ -572,7 +575,7 @@ class TestTwoPhaseSearch:
             p = -g_x
             f0, g0 = oracle.f_evals, oracle.g_evals
             out = two_phase_search(
-                oracle, x, p, params, tracker,
+                oracle, x, p, params, memory,
                 f_x=f_x, g_x=g_x, eps_f=eps_f, eps_g=eps_g,
             )
             assert out.f_trials == oracle.f_evals - f0
@@ -614,13 +617,12 @@ def row_search(name, search, x, p, xi_f, xi_g, f_rows, count_calls=None):
         prob = dataclasses.replace(prob, eval_f=counted)
     oracle = NoisyOracle(prob, NoiseSpec(xi_f=xi_f, xi_g=xi_g, seed=4))
     f_x, g_x = oracle.noisy_f(x), oracle.noisy_g(x)
-    params = LineSearchParams()
+    params, memory = LineSearchParams(), SearchMemory(10)
     if search == "two_phase":
         eps_f, eps_g = oracle.reported_bounds()
-        tracker = CurvatureTracker(10)
-        out = two_phase_search(oracle, x, p, params, tracker, f_x, g_x, eps_f, eps_g)
+        out = two_phase_search(oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g)
     else:
-        out = armijo_wolfe_search(oracle, x, p, params, f_x, g_x)
+        out = armijo_wolfe_search(oracle, x, p, params, memory, f_x, g_x)
     return out, oracle
 
 
@@ -705,14 +707,13 @@ class TestBlockTrialsInvisible:
         assert oracle.f_evals == 1 + out.f_trials
 
 
-    def test_carried_block_size_takes_one_kernel_call(self):
-        """Uphill from ARWHEAD's start, a two-phase search spends its whole
-        budget: 30 halvings, then 30 backtracking trials.  The next halving
-        run on the same oracle starts with a block of 30 rows, so the
-        downhill search after it evaluates its 10 halvings in one call and
-        leaves the other 20 rows unused."""
+    @staticmethod
+    def exhausted_arwhead_search(rows):
+        """An ARWHEAD oracle whose ``eval_f`` appends each call's row count
+        to ``rows``, after one uphill two-phase search from the start that
+        spends its whole budget: 30 halvings, then 30 backtracking trials.
+        Returns (oracle, its memory, (f_x, g_x, eps_f, eps_g) at the start)."""
         prob = registry_lookup("ARWHEAD")
-        rows = []
 
         def counted(points):
             rows.append(len(points) if points.ndim == 2 else 1)
@@ -721,19 +722,45 @@ class TestBlockTrialsInvisible:
         oracle = NoisyOracle(
             dataclasses.replace(prob, eval_f=counted), NoiseSpec(xi_g=1e-3, seed=4)
         )
-        params, tracker = LineSearchParams(), CurvatureTracker(10)
+        memory = SearchMemory(10)
         x = prob.x0.copy()
         f_x, g_x = oracle.noisy_f(x), oracle.noisy_g(x)
         eps_f, eps_g = oracle.reported_bounds()
-        out = two_phase_search(oracle, x, g_x, params, tracker, f_x, g_x, eps_f, eps_g)
+        out = two_phase_search(oracle, x, g_x, LineSearchParams(), memory, f_x, g_x, eps_f, eps_g)
         assert out.phase == Phase.ALPHA_FAILED and out.f_trials == 60
-        assert oracle.run_trials == {0.5: 30, 0.1: 30}
+        assert memory.run_trials == {0.5: 30, 0.1: 30}
         del rows[:]
-        out = two_phase_search(oracle, x, -g_x, params, tracker, f_x, g_x, eps_f, eps_g)
+        return oracle, memory, (f_x, g_x, eps_f, eps_g)
+
+    def test_carried_block_size_takes_one_kernel_call(self):
+        """After the exhausted search, the next halving run of the same
+        memory starts with a block of 30 rows, so the downhill search after
+        it evaluates its 10 halvings in one call and leaves the other 20
+        rows unused."""
+        rows = []
+        oracle, memory, (f_x, g_x, eps_f, eps_g) = self.exhausted_arwhead_search(rows)
+        x, params = oracle.problem.x0.copy(), LineSearchParams()
+        out = two_phase_search(oracle, x, -g_x, params, memory, f_x, g_x, eps_f, eps_g)
         assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
         assert rows == [30]
         assert sum(rows) - out.f_trials == 20
-        assert oracle.run_trials == {0.5: 10, 0.1: 30}
+        assert memory.run_trials == {0.5: 10, 0.1: 30}
+
+    @pytest.mark.parametrize("search", ["two_phase", "armijo_wolfe"])
+    def test_fresh_memory_starts_with_an_8_row_block(self, search):
+        """Block sizes live in the run's memory, not in the oracle: on the
+        oracle of the exhausted search, a search with a fresh memory starts
+        its halving run with the first-run block of 8 rows, then 16."""
+        rows = []
+        oracle, _, (f_x, g_x, eps_f, eps_g) = self.exhausted_arwhead_search(rows)
+        x, params, memory = oracle.problem.x0.copy(), LineSearchParams(), SearchMemory(10)
+        if search == "two_phase":
+            out = two_phase_search(oracle, x, -g_x, params, memory, f_x, g_x, eps_f, eps_g)
+        else:
+            out = armijo_wolfe_search(oracle, x, -g_x, params, memory, f_x, g_x)
+        assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
+        assert rows == [8, 16]
+        assert memory.run_trials == {0.5: 10}
 
 
 def run_bits(trace):
@@ -756,8 +783,9 @@ def run_bits(trace):
 
 
 class TestRunWithRowsOnAndOff:
-    """Block sizes carry over from one search to the next on an oracle, so
-    a whole run, not only one search, must not see the blocks."""
+    """Block sizes carry over from one search to the next in the run's
+    search memory, so a whole run, not only one search, must not see the
+    blocks."""
 
     @pytest.mark.parametrize("name", ROW_NAMES)
     @pytest.mark.parametrize("variant", list(Variant))
@@ -825,13 +853,7 @@ class TestParamsValidation:
             LineSearchParams(history=0)
 
 
-class TestCurvatureTracker:
+class TestSearchMemory:
     def test_empty_estimate_absent(self):
-        assert CurvatureTracker(5).estimate is None
-
-    def test_push_rejects_nonpositive(self):
-        tracker = CurvatureTracker(5)
-        with pytest.raises(ValueError):
-            tracker.push(0.0)
-        with pytest.raises(ValueError):
-            tracker.push(-1.0)
+        memory = SearchMemory(5)
+        assert memory.estimate is None and memory.run_trials == {}

@@ -50,7 +50,28 @@ class TestNoiseSpecValidation:
             NoiseSpec(seed=seed)
 
     def test_numpy_integer_seed_accepted(self):
-        assert NoiseSpec(seed=np.int64(-4)).seed == -4
+        assert NoiseSpec(seed=np.int64(4)).seed == 4
+
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, np.int64(-4), 2**128, 2**128 + 5, -(2**200)],
+        ids=["-1", "int64(-4)", "2**128", "2**128+5", "-2**200"],
+    )
+    def test_seed_outside_the_philox_key_range_rejected(self, seed):
+        """Philox takes a key in [0, 2**128): a seed outside it would have
+        to be wrapped, and then two seeds would draw the same noise."""
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+            NoiseSpec(seed=seed)
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**64, 2**128 - 1], ids=["0", "1", "2**64", "2**128-1"]
+    )
+    def test_seed_in_range_keys_philox_with_its_own_bits(self, seed):
+        x = np.zeros(4)
+        oracle = make_oracle(xi_g=1.0, seed=seed)
+        bits = np.random.Philox(key=seed, counter=[0, 1, 0, 0])
+        eps = np.random.Generator(bits).uniform(-1.0, 1.0, 4)
+        np.testing.assert_array_equal(oracle.noisy_g(x), oracle.problem.eval_g(x) + eps)
 
 
 class TestFunctionNoise:

@@ -16,7 +16,7 @@ from noisyqn.linalg import (
     SymmetricMatrix,
     bfgs_inverse_update,
 )
-from noisyqn.linesearch import CurvatureTracker, LineSearchOutcome, LineSearchParams, Phase
+from noisyqn.linesearch import LineSearchOutcome, LineSearchParams, Phase, SearchMemory
 from noisyqn.noise import NoiseSpec, NoisyOracle
 from noisyqn.problems import Problem, make_quadratic, registry_lookup
 from noisyqn.solver import (
@@ -52,7 +52,7 @@ def threshold_evals(trace, eps_f, eps_g):
 def dense_state(x, hessian):
     return SolverState(
         x=x, f_x=0.0, g_x=np.zeros_like(x),
-        hessian=hessian, memory=None, tracker=CurvatureTracker(10),
+        hessian=hessian, memory=None, search=SearchMemory(10),
     )
 
 
@@ -78,7 +78,7 @@ class TestSearchDirection:
             mem.push(pair)
         lm_state = SolverState(
             x=np.zeros(5), f_x=0.0, g_x=np.zeros(5),
-            hessian=None, memory=mem, tracker=CurvatureTracker(10),
+            hessian=None, memory=mem, search=SearchMemory(10),
         )
 
         h = SymmetricMatrix(mem.gamma * np.eye(5))
@@ -665,6 +665,15 @@ class TestConfigValidation:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             SolverConfig(variant=Variant.BFGS, g_eval_budget=0)
+
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None, np.True_])
+    def test_diagnostics_must_be_a_bool(self, value):
+        """A string such as "no" would otherwise turn the diagnostics on by
+        its truthiness."""
+        with pytest.raises(ValueError, match="^diagnostics must be a bool, got "):
+            SolverConfig(variant=Variant.BFGS, diagnostics=value)
+        for flag in (False, True):
+            assert SolverConfig(variant=Variant.BFGS, diagnostics=flag).diagnostics is flag
 
     def test_variant_from_string(self):
         assert Variant("bfgs-e") is Variant.BFGS_E
