@@ -1,11 +1,12 @@
-"""Dense symmetric-matrix kernels for quasi-Newton solvers.
+"""Kernels of the quasi-Newton operators.
 
 Vectors throughout the package are plain 1-D float64 numpy arrays.  Three
 small types hold the quasi-Newton state: :class:`SymmetricMatrix`, the dense
 d-by-d inverse Hessian, which ``bfgs_inverse_update`` changes in place;
 :class:`CurvaturePair`, one (s, y) pair with its s.y; and
-:class:`LimitedMemory`, the ring of recent pairs behind the two-loop
-recursion.
+:class:`LimitedMemory`, the most recent pairs in the compact form of Byrd,
+Nocedal & Schnabel (Math. Prog. 63, 1994), from which
+``two_loop_direction`` applies the L-BFGS inverse Hessian.
 """
 
 from __future__ import annotations
@@ -79,12 +80,29 @@ class CurvaturePair:
 
 
 class LimitedMemory:
-    """Ring of the most recent curvature pairs for two-loop recursions."""
+    """The most recent curvature pairs, at most ``capacity``, kept
+    scale-free for the compact L-BFGS product.
+
+    Each pair enters as u = s / sqrt(s.y) and v = y / sqrt(s.y), so that
+    u.v = 1: a row of the preallocated (capacity, d) arrays ``_u`` and
+    ``_v``, oldest first.  With U and V the first k rows, the memory also
+    keeps V V^T and the inverse of the unit upper-triangular
+    R = triu(U V^T).  A push costs O(capacity * d + capacity^2), the
+    eviction of the oldest pair included: the arrays shift up one row, and
+    the inverse of R without its first row and column is the trailing block
+    of R's inverse.  Scaling s and y together by a power of two leaves u and
+    v with the same bits, and so every product taken from them, as long as
+    s.y and the entries stay normal floats.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self._pairs: deque[CurvaturePair] = deque(maxlen=capacity)
+        self._u = self._v = None  # (capacity, d), allocated by the first push
+        self._vv = np.zeros((capacity, capacity))
+        self._r_inv = np.zeros((capacity, capacity))
+        self._gamma = 1.0
 
     @property
     def pairs(self) -> tuple[CurvaturePair, ...]:
@@ -93,18 +111,36 @@ class LimitedMemory:
 
     @property
     def gamma(self) -> float:
-        """Initial-matrix scaling: s.y / y.y of the newest pair, 1 if empty.
-        ``push`` checks only s.y > 0: the solver's pair rule keeps out a
-        pair whose y.y underflows to 0, on which this would divide by 0."""
-        if not self._pairs:
-            return 1.0
-        newest = self._pairs[-1]
-        return newest.sy / float(newest.y @ newest.y)
+        """Initial-matrix scaling: 1 / v.v of the newest pair, which is
+        s.y / y.y; 1 if empty.  It needs no y.y, which can underflow to 0
+        while s.y > 0."""
+        return self._gamma
 
     def push(self, pair: CurvaturePair) -> None:
         if pair.sy <= 0.0:
             raise ValueError(f"curvature pair must have s.y > 0, got {pair.sy}")
+        root = 1.0 / math.sqrt(pair.sy)
+        u, v = root * pair.s, root * pair.y
+        if self._u is None:
+            self._u = np.zeros((self._pairs.maxlen, u.shape[0]))
+            self._v = np.zeros_like(self._u)
+        k = len(self._pairs)
+        if k == self._pairs.maxlen:
+            for array in (self._u, self._v):
+                array[:-1] = array[1:]
+            for array in (self._vv, self._r_inv):
+                array[:-1, :-1] = array[1:, 1:]
+            k -= 1
         self._pairs.append(pair)
+        self._u[k] = u
+        self._v[k] = v
+        vv = self._v[: k + 1].dot(v)
+        self._vv[: k + 1, k] = vv
+        self._vv[k, : k + 1] = vv
+        # [[R, r], [0, 1]]^-1 = [[R^-1, -R^-1 r], [0, 1]]
+        self._r_inv[:k, k] = -self._r_inv[:k, :k].dot(self._u[:k].dot(v))
+        self._r_inv[k, k] = 1.0
+        self._gamma = 1.0 / vv[k]
 
 
 def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> None:
@@ -112,20 +148,22 @@ def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> None:
 
     The update (I - rho s y^T) H (I - rho y s^T) + rho s s^T with
     rho = 1 / (s.y) (Nocedal & Wright (6.17)) is computed in a scale-free
-    form: with r = 1 / sqrt(s.y), u = r s and v = r H y,
+    form: with r = 1 / sqrt(s.y), u = r s and w = r H y,
 
-        H - u v^T - v u^T + (y.Hy / s.y + 1) u u^T.
+        H - (u w^T + w u^T) + (y.Hy / s.y + 1) u u^T.
 
-    Scaling s and y together by a power of two leaves u, v and the
+    Scaling s and y together by a power of two leaves u, w and the
     coefficient with the same bits, so the result does not change, and no
     intermediate leaves float range for any normal s.y > 0.  The pair must
     satisfy s.y > 0; a non-positive value signals a curvature contract
     violation upstream and raises, as does a pair of the wrong dimension,
     both before H is touched.
 
-    The result is exactly symmetric when H is: ``cross + cross.T`` and
-    ``np.outer(u, u)`` are symmetric in IEEE arithmetic, and so are their
-    scalings and their sums with H.
+    The three outer products are BLAS rank-1 products, each entry one
+    rounded product as ``np.outer`` gives it, and are summed in place.  The
+    result is exactly symmetric when H is: entry (i, j) of u w^T + w u^T is
+    u_i w_j + w_i u_j, the same sum as entry (j, i), and u u^T is
+    symmetric.
     """
     if pair.sy <= 0.0:
         raise ValueError(f"bfgs_inverse_update requires s.y > 0, got {pair.sy}")
@@ -134,31 +172,44 @@ def bfgs_inverse_update(h: SymmetricMatrix, pair: CurvaturePair) -> None:
         raise ValueError("pair dimension does not match matrix order")
     y = pair.y
     root = 1.0 / math.sqrt(pair.sy)
-    hy = dense @ y
+    hy = dense.dot(y)
     u = root * pair.s
-    cross = np.outer(u, root * hy)
-    dense -= cross + cross.T
-    dense += (float(y @ hy) / pair.sy + 1.0) * np.outer(u, u)
+    w = root * hy
+    column, row = u[:, None], u[None, :]
+    cross = column.dot(w[None, :])
+    cross += w[:, None].dot(row)
+    dense -= cross
+    square = column.dot(row)
+    square *= float(y.dot(hy)) / pair.sy + 1.0
+    dense += square
 
 
 def two_loop_direction(memory: LimitedMemory, g: np.ndarray) -> np.ndarray:
-    """Return H g via the limited-memory two-loop recursion.
+    """Return H g for the L-BFGS inverse Hessian H of the stored pairs,
+    applied to the scaled initial matrix gamma * I; with an empty memory,
+    a copy of g.
 
-    H is the matrix implicitly defined by the stored pairs applied to the
-    scaled initial matrix gamma * I.  With an empty memory this is just g.
+    H is applied in its compact form (Byrd, Nocedal & Schnabel, Math.
+    Prog. 63, 1994, Theorem 2.2) on the memory's scale-free rows U and V,
+    where D = I and R is unit upper-triangular:
+
+        H g = gamma g + U^T R^-T (q + gamma (V V^T q - V g)) - gamma V^T q,
+        q = R^-1 U g,
+
+    four (k x d) matrix-vector products and O(k^2) small work.  The
+    two-loop recursion, which gives the same H g, is the tests' reference;
+    the name stays because the benchmark's tracer times this function by
+    it.
     """
-    q = np.array(g, dtype=float, copy=True)
-    pairs = memory.pairs
-    alphas = np.empty(len(pairs))
-    for i in range(len(pairs) - 1, -1, -1):
-        pair = pairs[i]
-        alphas[i] = float(pair.s @ q) / pair.sy
-        q -= alphas[i] * pair.y
-    r = memory.gamma * q
-    for i, pair in enumerate(pairs):
-        beta = float(pair.y @ r) / pair.sy
-        r += (alphas[i] - beta) * pair.s
-    return r
+    k = len(memory._pairs)
+    if k == 0:
+        return np.array(g, dtype=float, copy=True)
+    u, v = memory._u[:k], memory._v[:k]
+    r_inv = memory._r_inv[:k, :k]
+    gamma = memory._gamma
+    q = r_inv.dot(u.dot(g))
+    w = r_inv.T.dot(q + gamma * (memory._vv[:k, :k].dot(q) - v.dot(g)))
+    return gamma * g + u.T.dot(w) - gamma * v.T.dot(q)
 
 
 def eigen_extremes(a: SymmetricMatrix) -> tuple[float, float]:

@@ -82,7 +82,8 @@ class NoiseSpec:
             raise ValueError("xi_g must be finite and >= 0")
         if self.schedule not in get_args(Schedule):
             raise ValueError(f"schedule must be one of {get_args(Schedule)}")
-        if not isinstance(self.seed, numbers.Integral):
+        # bool is an Integral, and True would key the same noise as 1.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")

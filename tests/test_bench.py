@@ -114,6 +114,15 @@ class TestConfigValidation:
             run_experiment(tiny_config(out, seeds=[1, 1.5]))
         assert not out.exists()
 
+    def test_bool_seed_is_config_error(self):
+        """seeds [True, 1] would run seed 1's noise twice, under the keys
+        ``..._seedTrue`` and ``..._seed1``."""
+        config = ExperimentConfig(
+            problems=["TRIDIA"], methods=["bfgs"], seeds=[True, 1], max_iters=3
+        )
+        with pytest.raises(ConfigError, match="seed must be an integer, got True"):
+            config.validate()
+
     @pytest.mark.parametrize(
         "name",
         [

@@ -1,5 +1,6 @@
 """Kernels: dense symmetric matrices, curvature pairs, the inverse update,
-the two-loop recursion, and eigenvalue extremes."""
+the compact L-BFGS product against the two-loop recursion, and eigenvalue
+extremes."""
 
 import math
 
@@ -21,6 +22,9 @@ from noisyqn.linalg import (
     norm,
     two_loop_direction,
 )
+from noisyqn.noise import NoiseSpec
+from noisyqn.problems import registry_lookup
+from noisyqn.solver import SolverConfig, Variant, run
 
 
 def random_spd(rng, d, scale=1.0):
@@ -34,6 +38,30 @@ def dense_from_pairs(pairs, gamma, d):
     for pair in pairs:
         bfgs_inverse_update(h, pair)
     return h
+
+
+def two_loop(s, y, g):
+    """H g by the two-loop recursion (Nocedal & Wright, Algorithm 7.4), in
+    the dtype of the arrays, with H0 = (s.y / y.y) I of the newest pair.
+
+    ``s`` and ``y`` hold k >= 1 pairs, oldest first, along their
+    second-to-last axis; any leading axes are batch axes, shared with
+    ``g``'s.  The reference for ``two_loop_direction``."""
+
+    def dot(a, b):
+        return (a * b).sum(axis=-1)
+
+    sy = dot(s, y)
+    q = g.copy()
+    alphas = {}
+    for i in reversed(range(s.shape[-2])):
+        alphas[i] = dot(s[..., i, :], q) / sy[..., i]
+        q -= alphas[i][..., None] * y[..., i, :]
+    q *= (sy[..., -1] / dot(y[..., -1, :], y[..., -1, :]))[..., None]
+    for i in range(s.shape[-2]):
+        beta = dot(y[..., i, :], q) / sy[..., i]
+        q += (alphas[i] - beta)[..., None] * s[..., i, :]
+    return q
 
 
 def updated(h, pair):
@@ -125,16 +153,21 @@ class TestLimitedMemory:
             mem.push(CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([-1.0, 0.0])))
 
     def test_gamma_needs_a_nonzero_y_norm(self):
-        """s = (1e10, 0), y = (1e-170, 0): s.y = 1e-160 > 0, so the memory
-        takes the pair, but y.y underflows to 0 and gamma would divide by
-        it.  The solver's pair rule keeps such a pair out (see
-        ``test_solver.py::TestPairRule``); the memory itself does not."""
+        """s = (1e10, 0), y = (1e-170, 0): s.y = 1e-160 > 0 but y.y
+        underflows to 0.  The scale-free pair has v.v = 1e-180, so gamma =
+        1 / v.v and the direction are finite, and the direction matches a
+        long-double two-loop.  The solver's pair rule still keeps such a
+        pair out (see ``test_solver.py::TestPairRule``)."""
         pair = CurvaturePair.from_step(np.array([1e10, 0.0]), np.array([1e-170, 0.0]))
         assert pair.sy == 1e-160 and norm(pair.y) == 0.0
         mem = LimitedMemory(2)
         mem.push(pair)
-        with pytest.raises(ZeroDivisionError):
-            two_loop_direction(mem, np.ones(2))
+        g = np.ones(2)
+        got = two_loop_direction(mem, g)
+        assert np.isfinite(got).all()
+        long = np.longdouble
+        want = two_loop(np.array([pair.s], long), np.array([pair.y], long), g.astype(long))
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
 
 
 def identity(d):
@@ -220,7 +253,7 @@ def spd_and_pair(draw):
     a = draw(arrays(np.float64, (d, d), elements=unit))
     s = draw(arrays(np.float64, d, elements=unit))
     y = s + 0.5 * draw(arrays(np.float64, d, elements=unit))
-    assume(np.linalg.norm(s) >= 0.1)
+    assume(np.linalg.norm(s) >= 0.1 and np.linalg.norm(y) > 0.0)
     assume(float(s @ y) >= 0.1 * np.linalg.norm(s) * np.linalg.norm(y))
     h = SymmetricMatrix(a @ a.T + 0.5 * np.eye(d))
     return h, CurvaturePair.from_step(s, y)
@@ -285,7 +318,7 @@ class TestDenseUpdateProperties:
         h, pair = case
         expected = raw_inverse_update(h.dense.copy(), pair.s, pair.y)
         bfgs_inverse_update(h, pair)
-        assert np.array_equal(h.dense, expected)
+        assert h.dense.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(spd_and_pair())
@@ -373,6 +406,104 @@ class TestTwoLoopDirection:
             got = two_loop_direction(mem, g)
             scale = max(1.0, float(np.linalg.norm(expected)))
             assert np.linalg.norm(got - expected) / scale <= 1e-10
+
+
+@st.composite
+def dyadic_memory_case(draw):
+    """A memory capacity, up to twice as many pairs and a vector g.  The
+    pairs are on entries k / 256 with |k| <= 256 and keep s.y well above 0,
+    so s.y stays exact when s and y are scaled by 2^j with |j| <= 500 (see
+    ``dyadic_spd_and_pair``)."""
+    d = draw(st.integers(1, 12))
+    capacity = draw(st.integers(1, 6))
+    unit = st.integers(-256, 256).map(lambda k: k / 256)
+    pairs = []
+    for _ in range(draw(st.integers(1, 2 * capacity))):
+        s = draw(arrays(np.float64, d, elements=unit))
+        y = s + 0.5 * draw(arrays(np.float64, d, elements=unit))
+        assume(np.linalg.norm(s) >= 0.1 and np.linalg.norm(y) > 0.0)
+        assume(float(s @ y) >= 0.1 * np.linalg.norm(s) * np.linalg.norm(y))
+        pairs.append((s, y))
+    g = draw(arrays(np.float64, d, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    return capacity, pairs, g
+
+
+class TestCompactProduct:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dyadic_memory_case(), st.integers(-500, 500))
+    def test_direction_is_invariant_under_power_of_two_scaling(self, case, k):
+        """(s, y) and (2^k s, 2^k y) give a direction with the same bits:
+        the memory keeps s / sqrt(s.y) and y / sqrt(s.y), which do not
+        change.  At |k| >= 256 the s.y of a scaled pair is below 1e-154 or
+        above 1e154."""
+        capacity, pairs, g = case
+        directions = []
+        for scale in (1.0, 2.0**k):
+            mem = LimitedMemory(capacity)
+            for s, y in pairs:
+                mem.push(CurvaturePair.from_step(scale * s, scale * y))
+            directions.append(two_loop_direction(mem, g))
+        assert directions[0].tobytes() == directions[1].tobytes()
+
+    def test_accuracy_on_arwhead_histories(self):
+        """The pairs and gradients of arwhead-budget's lbfgs and lbfgs-e
+        cells at noise seed 2 (ARWHEAD, xi_g in {1e-1, 1e-3, 1e-5}, 3000
+        gradient evaluations): the worst relative error of the compact
+        direction against a long-double two-loop is at most twice the
+        float64 two-loop's.  The two float64 forms are not compared with
+        each other: these histories are ill-conditioned enough that any
+        two float64 orderings differ by far more than roundoff."""
+        problem = registry_lookup("ARWHEAD")
+        errors = {"compact": 0.0, "two-loop": 0.0}
+        directions = 0
+        for method in ("lbfgs", "lbfgs-e"):
+            config = SolverConfig(variant=Variant(method), g_eval_budget=3000, max_iters=20000)
+            for xi_g in (1e-1, 1e-3, 1e-5):
+                seen = []  # (pushes before the iteration, g, compact H g)
+                pushed = []
+
+                def observe(ctx):
+                    seen.append((len(pushed), ctx.g_x, -ctx.p))
+                    if ctx.pair is not None:
+                        pushed.append(ctx.pair)
+
+                run(problem, NoiseSpec(xi_g=xi_g, seed=2), config, observe)
+                directions += len(seen)
+                for key, value in history_errors(pushed, seen, config.memory).items():
+                    errors[key] = max(errors[key], value)
+        assert directions > 5000
+        assert errors["compact"] <= 2.0 * errors["two-loop"], errors
+
+
+def history_errors(pushed, seen, capacity):
+    """The worst relative errors of the compact and float64 two-loop
+    directions against a long-double two-loop, over the iterations of one
+    run with at least one stored pair, batched by memory length."""
+    s_all = np.array([pair.s for pair in pushed])
+    y_all = np.array([pair.y for pair in pushed])
+    worst = {"compact": 0.0, "two-loop": 0.0}
+    by_length = {}
+    for count, g, compact in seen:
+        length = min(count, capacity)
+        if length:
+            by_length.setdefault(length, []).append((count, g, compact))
+    for length, rows in by_length.items():
+        for start in range(0, len(rows), 256):
+            chunk = rows[start : start + 256]
+            window = np.array([count - length for count, _, _ in chunk])[:, None] + np.arange(length)
+            g = np.array([g for _, g, _ in chunk])
+            compact = np.array([c for _, _, c in chunk])
+            exact = two_loop(
+                s_all[window].astype(np.longdouble),
+                y_all[window].astype(np.longdouble),
+                g.astype(np.longdouble),
+            )
+            plain = two_loop(s_all[window], y_all[window], g)
+            scale = np.linalg.norm(exact.astype(np.float64), axis=1)
+            for key, got in (("compact", compact), ("two-loop", plain)):
+                error = np.linalg.norm((got - exact).astype(np.float64), axis=1) / scale
+                worst[key] = max(worst[key], float(error.max()))
+    return worst
 
 
 class TestEigenExtremes:

@@ -49,6 +49,12 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError, match="seed must be an integer"):
             NoiseSpec(seed=seed)
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_rejected(self, seed):
+        """True would draw seed 1's noise under a run key of its own."""
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            NoiseSpec(seed=seed)
+
     def test_numpy_integer_seed_accepted(self):
         assert NoiseSpec(seed=np.int64(4)).seed == 4
 
