@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -98,16 +97,12 @@ class LimitedMemory:
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self._pairs: deque[CurvaturePair] = deque(maxlen=capacity)
+        self._capacity = capacity
+        self._count = 0  # pairs held: the first rows of _u and _v
         self._u = self._v = None  # (capacity, d), allocated by the first push
         self._vv = np.zeros((capacity, capacity))
         self._r_inv = np.zeros((capacity, capacity))
         self._gamma = 1.0
-
-    @property
-    def pairs(self) -> tuple[CurvaturePair, ...]:
-        """Stored pairs, oldest first."""
-        return tuple(self._pairs)
 
     @property
     def gamma(self) -> float:
@@ -122,16 +117,16 @@ class LimitedMemory:
         root = 1.0 / math.sqrt(pair.sy)
         u, v = root * pair.s, root * pair.y
         if self._u is None:
-            self._u = np.zeros((self._pairs.maxlen, u.shape[0]))
+            self._u = np.zeros((self._capacity, u.shape[0]))
             self._v = np.zeros_like(self._u)
-        k = len(self._pairs)
-        if k == self._pairs.maxlen:
+        k = self._count
+        if k == self._capacity:
             for array in (self._u, self._v):
                 array[:-1] = array[1:]
             for array in (self._vv, self._r_inv):
                 array[:-1, :-1] = array[1:, 1:]
             k -= 1
-        self._pairs.append(pair)
+        self._count = k + 1
         self._u[k] = u
         self._v[k] = v
         vv = self._v[: k + 1].dot(v)
@@ -201,7 +196,7 @@ def two_loop_direction(memory: LimitedMemory, g: np.ndarray) -> np.ndarray:
     the name stays because the benchmark's tracer times this function by
     it.
     """
-    k = len(memory._pairs)
+    k = memory._count
     if k == 0:
         return np.array(g, dtype=float, copy=True)
     u, v = memory._u[:k], memory._v[:k]

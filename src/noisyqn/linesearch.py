@@ -41,7 +41,6 @@ __all__ = [
     "SearchMemory",
     "Phase",
     "LineSearchOutcome",
-    "InitialResult",
     "relaxed_armijo",
     "noise_control_holds",
     "initial_phase",
@@ -77,7 +76,7 @@ class LineSearchParams:
             raise ValueError("c3 must be finite and > 0")
         for name in ("n_split", "max_ls_iters", "max_lengthening", "history"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -132,37 +131,26 @@ class Phase(enum.Enum):
 
 @dataclass
 class LineSearchOutcome:
-    """Result of one line search.
-
-    ``alpha`` is the steplength actually taken (0.0 when no trial satisfied
-    the acceptance test); ``beta`` is the lengthening parameter for the
-    curvature pair, present only when the noise-control condition was met.
-    ``f_alpha``/``g_alpha`` carry evaluations made at ``x + alpha p`` during
-    the search so the caller can reuse them for the next iterate: every
-    outcome with alpha > 0 has ``f_alpha``, and ``g_alpha`` is None only
-    where the alpha loop backtracked without a gradient; ``g_beta``
-    is the gradient at ``x + beta p`` backing the pair.  Trial counts equal
-    the oracle-counter deltas across the call.
-    """
-
-    alpha: float
-    beta: float | None
-    phase: Phase
-    f_trials: int
-    g_trials: int
-    f_alpha: float | None = None
-    g_alpha: np.ndarray | None = None
-    g_beta: np.ndarray | None = None
-
-
-@dataclass
-class InitialResult:
-    """State of one bisection along x + alpha p, handed on to the split phase.
+    """One line search along x + alpha p, from its first trial to its result.
 
     Holds the search's inputs with g.p and ||p|| computed once; the last
-    trial (``alpha``, ``f_alpha``, and ``g_alpha`` when evaluated), which is
-    the accepted step or the split trigger; the best relaxed-Armijo trial;
-    and the trial counts so far.
+    trial (``alpha``, ``f_alpha``, and ``g_alpha`` when evaluated); the best
+    relaxed-Armijo trial (``alpha_best``, ``f_best``, ``g_best``), which the
+    split phase may reuse; and the trial counts, which equal the
+    oracle-counter deltas across the search.
+
+    ``phase`` is None while the search runs, and set when it ends.  Then
+    ``alpha`` is the steplength taken: 0.0 when the phase is
+    ``ALPHA_FAILED``, positive otherwise (a trial steplength underflows to
+    0.0 only under budgets of a thousand trials or more).
+    ``f_alpha``/``g_alpha`` are evaluations at
+    ``x + alpha p`` the caller can reuse for the next iterate: every result
+    with alpha > 0 has ``f_alpha``, and ``g_alpha`` is None only where the
+    alpha loop backtracked without a gradient.  ``beta`` is the lengthening
+    parameter for the curvature pair and ``g_beta`` the gradient at
+    ``x + beta p`` backing it, both present only when the noise-control
+    condition was met; ``INITIAL_ACCEPTED`` has beta = alpha and
+    g_beta = g_alpha.
     """
 
     x: np.ndarray
@@ -173,10 +161,12 @@ class InitialResult:
     eps_g: float
     g_dot_p: float = field(init=False)
     p_norm: float = field(init=False)
-    accepted: bool = False
+    phase: Phase | None = None
     alpha: float = 1.0
+    beta: float | None = None
     f_alpha: float | None = None
     g_alpha: np.ndarray | None = None
+    g_beta: np.ndarray | None = None
     alpha_best: float | None = None
     f_best: float | None = None
     g_best: np.ndarray | None = None
@@ -186,28 +176,6 @@ class InitialResult:
     def __post_init__(self):
         self.g_dot_p = float(self.g_x @ self.p)
         self.p_norm = norm(self.p)
-
-    def outcome(self) -> LineSearchOutcome:
-        """The search's result when it ends here: the accepted step with
-        beta = alpha, or no step at all."""
-        if not self.accepted:
-            return LineSearchOutcome(
-                alpha=0.0,
-                beta=None,
-                phase=Phase.ALPHA_FAILED,
-                f_trials=self.f_trials,
-                g_trials=self.g_trials,
-            )
-        return LineSearchOutcome(
-            alpha=self.alpha,
-            beta=self.alpha,
-            phase=Phase.INITIAL_ACCEPTED,
-            f_trials=self.f_trials,
-            g_trials=self.g_trials,
-            f_alpha=self.f_alpha,
-            g_alpha=self.g_alpha,
-            g_beta=self.g_alpha,
-        )
 
 
 def relaxed_armijo(
@@ -270,19 +238,20 @@ _FIRST_BLOCK = 8
 def _trial_run(
     oracle: NoisyOracle,
     memory: SearchMemory,
-    state: InitialResult,
+    search: LineSearchOutcome,
     alpha: float,
     factor: float,
     budget: int,
     c1: float,
-) -> tuple[int, float, float | None, bool]:
+) -> tuple[float, float | None, bool]:
     """Take trials at the fixed steplengths alpha, factor * alpha,
-    factor * (factor * alpha), ... along ``state``'s line until one passes
-    ``relaxed_armijo`` or ``budget`` of them are taken; return (trials
-    taken, the last trial's alpha, its noisy f, whether it passed).
+    factor * (factor * alpha), ... along ``search``'s line until one passes
+    ``relaxed_armijo`` or ``budget`` of them are taken, adding them to
+    ``search.f_trials``; return (the last trial's alpha, its noisy f,
+    whether it passed).
 
     Each trial's index in ``relaxed_armijo`` is its index in the whole
-    search (``state.f_trials`` before the run).  On a problem with
+    search (``search.f_trials`` before the run).  On a problem with
     ``f_rows`` the points are evaluated ahead, a block of rows per
     ``eval_f`` call.  The first block holds as many rows as the previous
     run with this factor took (``memory.run_trials``, 8 before any), each
@@ -291,10 +260,10 @@ def _trial_run(
     takes it, so counts and noise draws are those of one trial at a time;
     rows evaluated after the first pass get neither.
     """
-    x, p = state.x, state.p
+    x, p = search.x, search.p
     rows = oracle.problem.f_rows
     size = memory.run_trials.get(factor, _FIRST_BLOCK)
-    first = i = state.f_trials
+    first = i = search.f_trials
     last = i + budget
     a, f, passed = alpha, None, False
     while i < last and not passed:
@@ -310,8 +279,8 @@ def _trial_run(
         for a, point, value in zip(alphas, points, values):
             f = oracle.noisy_f(point, value)
             passed = relaxed_armijo(
-                i, f, state.f_x, state.g_dot_p, a, state.eps_f, state.eps_g,
-                state.p_norm, c1,
+                i, f, search.f_x, search.g_dot_p, a, search.eps_f, search.eps_g,
+                search.p_norm, c1,
             )
             i += 1
             if passed:
@@ -319,7 +288,8 @@ def _trial_run(
         alpha = factor * a
     if i > first:
         memory.run_trials[factor] = i - first
-    return i - first, a, f, passed
+    search.f_trials = i
+    return a, f, passed
 
 
 def initial_phase(
@@ -333,15 +303,17 @@ def initial_phase(
     eps_f: float,
     eps_g: float,
     max_trials: int | None = None,
-) -> InitialResult:
-    """The one bisection loop: from alpha = 1, test relaxed Armijo, noise
-    control, then Wolfe.
+) -> LineSearchOutcome:
+    """Start a search along x + alpha p with the one bisection loop: from
+    alpha = 1, test relaxed Armijo, noise control, then Wolfe.
 
-    Accepts the first trial passing all three (beta = alpha).  A failed
-    noise-control test, or ``max_trials`` trials (default ``n_split``), ends
-    it unaccepted, and the two-phase search splits.  At eps_f = eps_g = 0 it
-    is the plain Armijo-Wolfe bisection (see the module docstring).  A trial
-    costs one function value, plus a gradient once it passes Armijo.
+    Ends ``INITIAL_ACCEPTED`` at the first trial passing all three, with
+    beta = alpha and g_beta = g_alpha.  A failed noise-control test, or
+    ``max_trials`` trials (default ``n_split``), returns the search still
+    running (phase None) at its last trial, and the two-phase search splits.
+    At eps_f = eps_g = 0 it is the plain Armijo-Wolfe bisection (see the
+    module docstring).  A trial costs one function value, plus a gradient
+    once it passes Armijo.
 
     Until a trial passes relaxed Armijo the steplengths halve from 1, a
     sequence fixed in advance, so those trials are one trial run (on a
@@ -350,51 +322,50 @@ def initial_phase(
     [0, 2 alpha] (the halvings are exact powers of two) or [0, inf) when
     alpha = 1 passed.
     """
-    state = InitialResult(x, p, f_x, g_x, eps_f, eps_g)
+    search = LineSearchOutcome(x, p, f_x, g_x, eps_f, eps_g)
     trials = params.n_split if max_trials is None else max_trials
-    taken, alpha, f_trial, armijo_ok = _trial_run(
-        oracle, memory, state, 1.0, 0.5, trials, params.c1
-    )
-    state.f_trials = taken
-    low, high = 0.0, 2.0 * alpha if taken > 1 else math.inf
+    alpha, f_trial, armijo_ok = _trial_run(oracle, memory, search, 1.0, 0.5, trials, params.c1)
+    low, high = 0.0, 2.0 * alpha if search.f_trials > 1 else math.inf
     while True:
-        state.alpha, state.f_alpha, state.g_alpha = alpha, f_trial, None
+        search.alpha, search.f_alpha, search.g_alpha = alpha, f_trial, None
         if armijo_ok:
             g_trial = oracle.noisy_g(x + alpha * p)
-            state.g_trials += 1
-            state.g_alpha = g_trial
-            if state.f_best is None or f_trial < state.f_best:
-                state.alpha_best, state.f_best, state.g_best = alpha, f_trial, g_trial
+            search.g_trials += 1
+            search.g_alpha = g_trial
+            if search.f_best is None or f_trial < search.f_best:
+                search.alpha_best, search.f_best, search.g_best = alpha, f_trial, g_trial
             if eps_g != 0.0 and not noise_control_holds(
-                g_trial, g_x, p, state.p_norm, eps_g, params.c3, symmetric=True
+                g_trial, g_x, p, search.p_norm, eps_g, params.c3, symmetric=True
             ):
-                return state
-            if not float(g_trial @ p) < params.c2 * state.g_dot_p:
-                state.accepted = True  # Wolfe holds (or g.p is NaN)
-                return state
+                return search
+            if not float(g_trial @ p) < params.c2 * search.g_dot_p:
+                # Wolfe holds (or g.p is NaN)
+                search.phase = Phase.INITIAL_ACCEPTED
+                search.beta, search.g_beta = alpha, g_trial
+                return search
             low = alpha
             alpha = 2.0 * alpha if math.isinf(high) else 0.5 * (low + high)
         else:
             high = alpha
             alpha = 0.5 * (low + high)
-        if state.f_trials >= trials:
-            return state
+        if search.f_trials >= trials:
+            return search
         f_trial = oracle.noisy_f(x + alpha * p)
         armijo_ok = relaxed_armijo(
-            state.f_trials, f_trial, f_x, state.g_dot_p, alpha, eps_f, eps_g,
-            state.p_norm, params.c1,
+            search.f_trials, f_trial, f_x, search.g_dot_p, alpha, eps_f, eps_g,
+            search.p_norm, params.c1,
         )
-        state.f_trials += 1
+        search.f_trials += 1
 
 
 def split_phase(
     oracle: NoisyOracle,
     params: LineSearchParams,
     memory: SearchMemory,
-    init: InitialResult,
+    search: LineSearchOutcome,
 ) -> LineSearchOutcome:
     """Decoupled steplength / lengthening search for the noisy regime,
-    continuing the unaccepted bisection ``init``.
+    ending the running ``search`` that the bisection left unaccepted.
 
     The alpha loop reuses the best relaxed-Armijo trial when there is one;
     otherwise it backtracks from the last trial's steplength by factors of
@@ -410,35 +381,34 @@ def split_phase(
     ``memory`` the first candidate jumps to max(2 beta, beta_bar) where
     beta_bar = 2 (1 + c3) eps_g / (mu ||p||); without one, the start itself
     is tested first (with the bisection's gradient there, if any) and beta
-    doubles on failure.  Trial counts cover the whole search.
+    doubles on failure.  Sets the phase and the result fields on ``search``,
+    whose trial counts go on covering the whole search, and returns it.
     """
-    x, p, g_x = init.x, init.p, init.g_x
-    f_trials = init.f_trials
-    g_trials = init.g_trials
+    x, p, g_x = search.x, search.p, search.g_x
+    last, g_last = search.alpha, search.g_alpha
 
     # --- alpha loop: pick the steplength by relaxed-Armijo backtracking ---
-    alpha_ok = init.alpha_best is not None
-    alpha, f_alpha, g_alpha = init.alpha, None, None
+    alpha_ok = search.alpha_best is not None
     if alpha_ok:
-        alpha, f_alpha, g_alpha = init.alpha_best, init.f_best, init.g_best
-    else:
-        budget = params.max_ls_iters - f_trials
-        taken, alpha, f_trial, alpha_ok = _trial_run(
-            oracle, memory, init, init.alpha, 0.1, budget, params.c1
+        search.alpha, search.f_alpha, search.g_alpha = (
+            search.alpha_best, search.f_best, search.g_best
         )
-        f_trials += taken
-        if alpha_ok:
-            f_alpha = f_trial
-    if not alpha_ok:
-        alpha = 0.0
+    else:
+        budget = params.max_ls_iters - search.f_trials
+        alpha, f_trial, alpha_ok = _trial_run(
+            oracle, memory, search, last, 0.1, budget, params.c1
+        )
+        search.alpha, search.f_alpha, search.g_alpha = (
+            (alpha, f_trial, None) if alpha_ok else (0.0, None, None)
+        )
 
     # --- beta loop: lengthen until the signed noise-control test holds ---
-    beta = init.alpha
+    beta = last
     estimate = memory.estimate
     beta_bar = None
-    g_beta = init.g_alpha
-    if estimate is not None and init.p_norm > 0.0:
-        beta_bar = 2.0 * (1.0 + params.c3) * init.eps_g / (estimate * init.p_norm)
+    g_beta = g_last
+    if estimate is not None and search.p_norm > 0.0:
+        beta_bar = 2.0 * (1.0 + params.c3) * search.eps_g / (estimate * search.p_norm)
         beta = max(2.0 * beta, beta_bar)
         g_beta = None
     beta_ok = False
@@ -448,32 +418,25 @@ def split_phase(
             if lengthenings >= params.max_lengthening:
                 break
             g_beta = oracle.noisy_g(x + beta * p)
-            g_trials += 1
+            search.g_trials += 1
             lengthenings += 1
         if noise_control_holds(
-            g_beta, g_x, p, init.p_norm, init.eps_g, params.c3, symmetric=False
+            g_beta, g_x, p, search.p_norm, search.eps_g, params.c3, symmetric=False
         ):
             beta_ok = True
             break
         beta = max(2.0 * beta, beta_bar) if beta_bar is not None else 2.0 * beta
         g_beta = None
 
+    if beta_ok:
+        search.beta, search.g_beta = beta, g_beta
     if not alpha_ok:
-        phase = Phase.ALPHA_FAILED
+        search.phase = Phase.ALPHA_FAILED
     elif not beta_ok:
-        phase = Phase.BETA_FAILED
+        search.phase = Phase.BETA_FAILED
     else:
-        phase = Phase.SPLIT_COMPLETED
-    return LineSearchOutcome(
-        alpha=alpha,
-        beta=beta if beta_ok else None,
-        phase=phase,
-        f_trials=f_trials,
-        g_trials=g_trials,
-        f_alpha=f_alpha,
-        g_alpha=g_alpha,
-        g_beta=g_beta if beta_ok else None,
-    )
+        search.phase = Phase.SPLIT_COMPLETED
+    return search
 
 
 def two_phase_search(
@@ -491,17 +454,18 @@ def two_phase_search(
 
     Whatever lengthening step gets accepted is observed by ``memory``,
     gated on the Wolfe condition holding there (noise control always holds
-    at an accepted lengthening step).
+    at an accepted lengthening step, and the initial phase accepts only
+    where Wolfe holds).
     """
-    init = initial_phase(oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g)
-    if init.accepted:
-        memory.observe(init.alpha, p, init.g_alpha, g_x, True)
-        return init.outcome()
-    out = split_phase(oracle, params, memory, init)
-    if out.beta is not None:
-        wolfe = float(out.g_beta @ p) >= params.c2 * init.g_dot_p
-        memory.observe(out.beta, p, out.g_beta, g_x, wolfe)
-    return out
+    search = initial_phase(oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g)
+    if search.phase is None:
+        split_phase(oracle, params, memory, search)
+    if search.beta is not None:
+        wolfe = search.phase is Phase.INITIAL_ACCEPTED or (
+            float(search.g_beta @ p) >= params.c2 * search.g_dot_p
+        )
+        memory.observe(search.beta, p, search.g_beta, g_x, wolfe)
+    return search
 
 
 def armijo_wolfe_search(
@@ -517,9 +481,14 @@ def armijo_wolfe_search(
 
     This is the classical search used by the standard method variants: the
     initial phase at zero noise bounds, capped at ``max_ls_iters`` trials,
-    with no split and pairs built at beta = alpha.  Fails (alpha = 0) when
-    no trial satisfies both conditions; ``memory`` sizes its trial blocks.
+    with no split and pairs built at beta = alpha.  Ends ``ALPHA_FAILED``
+    (alpha = 0, no f_alpha or g_alpha) when no trial satisfies both
+    conditions; ``memory`` sizes its trial blocks.
     """
-    return initial_phase(
+    search = initial_phase(
         oracle, x, p, params, memory, f_x, g_x, 0.0, 0.0, max_trials=params.max_ls_iters
-    ).outcome()
+    )
+    if search.phase is None:
+        search.phase = Phase.ALPHA_FAILED
+        search.alpha, search.f_alpha, search.g_alpha = 0.0, None, None
+    return search

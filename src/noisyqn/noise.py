@@ -82,12 +82,15 @@ class NoiseSpec:
             raise ValueError("xi_g must be finite and >= 0")
         if self.schedule not in get_args(Schedule):
             raise ValueError(f"schedule must be one of {get_args(Schedule)}")
-        # bool is an Integral, and True would key the same noise as 1.
+        # bool is an Integral: True would key the same noise as 1, and is no
+        # block length.
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
-        if self.n_noise is not None and not isinstance(self.n_noise, numbers.Integral):
+        if self.n_noise is not None and (
+            isinstance(self.n_noise, bool) or not isinstance(self.n_noise, numbers.Integral)
+        ):
             raise ValueError(f"n_noise must be an integer, got {self.n_noise!r}")
         if self.schedule == "intermittent" and (self.n_noise is None or self.n_noise < 1):
             raise ValueError("intermittent schedule needs n_noise >= 1")

@@ -99,7 +99,7 @@ class SolverConfig:
             value = getattr(self, name)
             if value is None and name == "g_eval_budget":
                 continue
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -263,7 +263,7 @@ def iterate(
     if split_active and state.first_split_iteration is None:
         state.first_split_iteration = state.k
 
-    stepped = outcome.phase != Phase.ALPHA_FAILED and outcome.alpha > 0.0
+    stepped = outcome.alpha > 0.0  # alpha = 0.0 on ALPHA_FAILED
     x_new = x + outcome.alpha * p if stepped else x
     if stepped and not np.isfinite(x_new).all():
         raise NumericalFailureError(f"non-finite iterate at iteration {state.k}")

@@ -4,10 +4,17 @@ Each test pins one shipped guarantee and prints a single
 ``ACCEPTANCE n: PASS/FAIL`` line (visible without ``-s``) before asserting.
 Expensive run sets are shared between criteria through module-scoped
 fixtures, and every solver run made in this module is registered so the
-final noise-bound audit covers the whole suite.
+final noise-bound audit covers the whole suite.  The run sets without an
+observer (criteria 4, 5 and 9) run in spawned worker processes, started
+by ``conftest.py`` when collection ends (``PooledRuns``); the last test
+checks that a RuntimeWarning inside a worker still fails.
 """
 
 import math
+import os
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -18,10 +25,11 @@ from noisyqn.linalg import (
     LimitedMemory,
     SymmetricMatrix,
     bfgs_inverse_update,
+    blas_threads_for,
     two_loop_direction,
 )
 from noisyqn.noise import NoiseSpec
-from noisyqn.problems import check_gradient, registered_names, registry_lookup
+from noisyqn.problems import Problem, check_gradient, registered_names, registry_lookup
 from noisyqn.solver import SolverConfig, Variant, run, skip_condition
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -40,18 +48,140 @@ SANDWICH_HI = 1.0 / (1.0 - 1.0 / (1.0 + 0.5))  # 3.0
 _NOISE_AUDIT: list[tuple[str, float, float, float, float]] = []
 
 
-def tracked_run(problem, spec, config, observer=None):
-    trace = run(problem, spec, config, observer=observer)
+def audited(trace, spec):
     _NOISE_AUDIT.append(
         (
-            f"{problem.name}/{config.variant.value}/xi_g={spec.xi_g:g}/seed={spec.seed}",
+            f"{trace.problem}/{trace.variant}/xi_g={spec.xi_g:g}/seed={spec.seed}",
             trace.max_f_noise,
             trace.max_g_noise_norm,
             spec.xi_f,
-            math.sqrt(problem.dim) * spec.xi_g,
+            math.sqrt(trace.final_x.size) * spec.xi_g,
         )
     )
     return trace
+
+
+def tracked_run(problem, spec, config, observer=None):
+    return audited(run(problem, spec, config, observer=observer), spec)
+
+
+def _run_in_worker(problem, spec, config):
+    """One ``run`` in a pool worker.  pytest turns a RuntimeWarning into an
+    error (``filterwarnings`` in pyproject.toml) only in its own process, so
+    the worker installs the same filter.  BLAS runs on one thread, as in a
+    sweep's cells, so that the workers do not crowd each other's cores."""
+    warnings.simplefilter("error", RuntimeWarning)
+    with blas_threads_for(problem.dim):
+        return run(problem, spec, config)
+
+
+# The run sets without an observer, by the fixture that reads them: each
+# maps a key to one (problem, spec, config) job per seed.
+def _kappa_jobs():
+    problem = registry_lookup("ARWHEAD")
+    return {
+        variant.value: [
+            (
+                problem,
+                NoiseSpec(xi_f=0.0, xi_g=1e-3, seed=seed),
+                SolverConfig(variant=variant, max_iters=1000, diagnostics=True),
+            )
+            for seed in SEEDS
+        ]
+        for variant in (Variant.BFGS, Variant.BFGS_E)
+    }
+
+
+def _budget_jobs():
+    problem = registry_lookup("ARWHEAD")
+    return {
+        (variant.value, xi_g): [
+            (
+                problem,
+                NoiseSpec(xi_f=0.0, xi_g=xi_g, seed=seed),
+                SolverConfig(variant=variant, max_iters=20000, g_eval_budget=3000),
+            )
+            for seed in SEEDS
+        ]
+        for xi_g in (1e-1, 1e-3, 1e-5)
+        for variant in (Variant.BFGS, Variant.BFGS_E, Variant.LBFGS, Variant.LBFGS_E)
+    }
+
+
+def _intermittent_jobs():
+    problem = registry_lookup("CRAGGLVY")
+    return {
+        variant.value: [
+            (
+                problem,
+                NoiseSpec(
+                    xi_f=0.0,
+                    xi_g=1e-1,
+                    schedule="intermittent",
+                    n_noise=50,
+                    start_noisy=True,
+                    seed=seed,
+                ),
+                SolverConfig(variant=variant, max_iters=1000),
+            )
+            for seed in SEEDS
+        ]
+        for variant in (Variant.BFGS, Variant.BFGS_E, Variant.LBFGS)
+    }
+
+
+RUN_SETS = {
+    "kappa_maxima": _kappa_jobs,
+    "budget_traces": _budget_jobs,
+    "intermittent_traces": _intermittent_jobs,
+}
+
+
+class PooledRuns:
+    """The run sets without an observer, computed in spawned worker
+    processes, as ``bench.run_experiment`` uses them (numpy's BLAS threads
+    make fork unsafe).  ``conftest.py`` starts the run sets of the collected
+    tests when collection ends, so that they compute while the other test
+    modules run, and closes the pool when the session ends."""
+
+    def __init__(self):
+        self._pool = None
+        self._submitted = {}  # run set -> {key: [(spec, future)]}
+
+    def pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            workers = min(4, os.cpu_count() or 1)
+            self._pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+        return self._pool
+
+    def start(self, names):
+        """Submit each run set among ``names`` once, in test order."""
+        for name in RUN_SETS:
+            if name in names and name not in self._submitted:
+                self._submitted[name] = {
+                    key: [
+                        (spec, self.pool().submit(_run_in_worker, problem, spec, config))
+                        for problem, spec, config in jobs
+                    ]
+                    for key, jobs in RUN_SETS[name]().items()
+                }
+
+    def traces(self, name):
+        """Run set ``name``'s traces by key, in the order of its jobs, each
+        registered for the noise audit."""
+        self.start([name])
+        return {
+            key: [audited(future.result(), spec) for spec, future in runs]
+            for key, runs in self._submitted[name].items()
+        }
+
+    def close(self):
+        """Shut the pool down, cancelling runs that no test waited for."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+
+POOLED = PooledRuns()
 
 
 @pytest.fixture
@@ -141,63 +271,22 @@ def quad_pair_data():
 @pytest.fixture(scope="module")
 def kappa_maxima():
     """Max condition number of H along 1000-iteration ARWHEAD runs."""
-    problem = registry_lookup("ARWHEAD")
-    maxima = {}
-    for variant in (Variant.BFGS, Variant.BFGS_E):
-        per_seed = []
-        for seed in SEEDS:
-            trace = tracked_run(
-                problem,
-                NoiseSpec(xi_f=0.0, xi_g=1e-3, seed=seed),
-                SolverConfig(variant=variant, max_iters=1000, diagnostics=True),
-            )
-            per_seed.append(max(r.kappa_H for r in trace.records if r.kappa_H))
-        maxima[variant.value] = per_seed
-    return maxima
+    return {
+        variant: [max(r.kappa_H for r in trace.records if r.kappa_H) for trace in traces]
+        for variant, traces in POOLED.traces("kappa_maxima").items()
+    }
 
 
 @pytest.fixture(scope="module")
 def budget_traces():
     """ARWHEAD runs capped at 3000 gradient evaluations, three noise levels."""
-    problem = registry_lookup("ARWHEAD")
-    traces = {}
-    for xi_g in (1e-1, 1e-3, 1e-5):
-        for variant in (Variant.BFGS, Variant.BFGS_E, Variant.LBFGS, Variant.LBFGS_E):
-            traces[variant.value, xi_g] = [
-                tracked_run(
-                    problem,
-                    NoiseSpec(xi_f=0.0, xi_g=xi_g, seed=seed),
-                    SolverConfig(
-                        variant=variant, max_iters=20000, g_eval_budget=3000
-                    ),
-                )
-                for seed in SEEDS
-            ]
-    return traces
+    return POOLED.traces("budget_traces")
 
 
 @pytest.fixture(scope="module")
 def intermittent_traces():
     """CRAGGLVY runs with gradient noise toggling every 50 iterations."""
-    problem = registry_lookup("CRAGGLVY")
-    traces = {}
-    for variant in (Variant.BFGS, Variant.BFGS_E, Variant.LBFGS):
-        traces[variant.value] = [
-            tracked_run(
-                problem,
-                NoiseSpec(
-                    xi_f=0.0,
-                    xi_g=1e-1,
-                    schedule="intermittent",
-                    n_noise=50,
-                    start_noisy=True,
-                    seed=seed,
-                ),
-                SolverConfig(variant=variant, max_iters=1000),
-            )
-            for seed in SEEDS
-        ]
-    return traces
+    return POOLED.traces("intermittent_traces")
 
 
 # --------------------------------------------------------------------------
@@ -492,3 +581,19 @@ def test_criterion_12_byte_identical_reruns(tmp_path, monkeypatch, report):
         f"{len(serial)} files from serial vs 8-process sweeps: "
         + ("byte-identical" if not diffs else f"differ: {diffs[:3]}"),
     )
+
+
+def _log_of_zero(x):
+    return float(np.log(0.0))  # numpy warns: divide by zero
+
+
+def test_runtime_warning_in_a_worker_fails():
+    """A RuntimeWarning raised inside a pooled run reaches the test as an
+    error, as it would in pytest's own process."""
+    problem = Problem(
+        name="LOG0", dim=1, x0=np.zeros(1), eval_f=_log_of_zero,
+        eval_g=np.zeros_like, phi_star=0.0,
+    )
+    job = (problem, NoiseSpec(), SolverConfig(variant=Variant.BFGS, max_iters=1))
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        POOLED.pool().submit(_run_in_worker, *job).result()

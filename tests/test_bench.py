@@ -137,6 +137,30 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "name",
+        [
+            "memory", "max_iters", "g_eval_budget", "n_split", "max_ls_iters",
+            "max_lengthening", "history", "n_noise",
+        ],
+    )
+    def test_bool_setting_rejected_before_output(self, tmp_path, name):
+        """bool is an Integral, so True once passed as a count of 1."""
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got True$"):
+            run_experiment(tiny_config(out, **{name: True}))
+        assert not out.exists()
+
+    def test_bool_memory_and_n_split_are_config_errors(self):
+        """The lbfgs cell used to end in a per-run TypeError and the bfgs
+        cell to split after one trial."""
+        config = ExperimentConfig(
+            problems=["TRIDIA"], methods=["lbfgs", "bfgs"], seeds=[1],
+            memory=True, n_split=True, max_iters=3,
+        )
+        with pytest.raises(ConfigError, match="must be an integer, got True$"):
+            config.validate()
+
+    @pytest.mark.parametrize(
         "axes",
         [dict(xi_g=[1e-3, 1.0000001e-3]), dict(seeds=[1, 1]),
          dict(xi_g=[1e-3, 1.0000001e-3], seeds=[1, 1])],

@@ -138,14 +138,25 @@ class TestLimitedMemory:
             assert mem.gamma == pytest.approx(pair.sy / float(y @ y), rel=1e-15)
 
     def test_eviction_order(self):
-        mem = LimitedMemory(2)
-        pairs = [
-            CurvaturePair.from_step(np.array([float(i + 1), 0.0]), np.array([1.0, 0.0]))
-            for i in range(3)
-        ]
+        """A third push into a memory of two evicts the oldest pair: the
+        direction has the bits of a memory that only ever held the last two,
+        and differs from one that keeps all three."""
+        rng = np.random.default_rng(12)
+        pairs = []
+        while len(pairs) < 3:
+            s, y = rng.standard_normal(4), rng.standard_normal(4)
+            if float(s @ y) > 0.0:
+                pairs.append(CurvaturePair.from_step(s, y))
+        evicted, fresh, full = LimitedMemory(2), LimitedMemory(2), LimitedMemory(3)
         for p in pairs:
-            mem.push(p)
-        assert mem.pairs == (pairs[1], pairs[2])  # oldest first
+            evicted.push(p)
+            full.push(p)
+        for p in pairs[1:]:
+            fresh.push(p)
+        g = rng.standard_normal(4)
+        got = two_loop_direction(evicted, g)
+        np.testing.assert_array_equal(got, two_loop_direction(fresh, g))
+        assert not np.allclose(got, two_loop_direction(full, g))
 
     def test_rejects_nonpositive_curvature(self):
         mem = LimitedMemory(2)

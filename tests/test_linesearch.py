@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisyqn.linesearch import (
-    InitialResult,
+    LineSearchOutcome,
     LineSearchParams,
     Phase,
     SearchMemory,
@@ -177,10 +177,10 @@ class TestTrialRunDecision:
                 reliable = eps_g == 0.0 or g < -eps_g * p_norm
                 pick = f_x + c1 * alpha * g + slack if reliable else f_x + slack
             values.append(pick)
-        expected = (len(picks), alphas[-1], values[-1] + 0.0, False)
+        taken, expected = len(picks), (alphas[-1], values[-1] + 0.0, False)
         for i, (value, alpha) in enumerate(zip(values, alphas)):
             if relaxed_armijo(first + i, value, f_x, g, alpha, eps_f, eps_g, p_norm, c1):
-                expected = (i + 1, alpha, value + 0.0, True)
+                taken, expected = i + 1, (alpha, value + 0.0, True)
                 break
 
         queue = iter(values)
@@ -195,11 +195,12 @@ class TestTrialRunDecision:
             eval_g=np.zeros_like, phi_star=0.0, f_rows=f_rows,
         )
         oracle = NoisyOracle(prob, NoiseSpec())
-        state = InitialResult(np.zeros(1), np.ones(1), f_x, np.array([g]), eps_f, eps_g)
-        state.f_trials = first
-        got = _trial_run(oracle, SearchMemory(10), state, start, factor, len(picks), c1)
+        search = LineSearchOutcome(np.zeros(1), np.ones(1), f_x, np.array([g]), eps_f, eps_g)
+        search.f_trials = first
+        got = _trial_run(oracle, SearchMemory(10), search, start, factor, len(picks), c1)
         assert repr(got) == repr(expected)
-        assert oracle.f_evals == got[0]
+        assert search.f_trials == first + taken
+        assert oracle.f_evals == taken
 
 
 class TestTrackerUpdate:
@@ -283,7 +284,7 @@ class TestInitialPhase:
             oracle, np.zeros(1), np.ones(1), LineSearchParams(), SearchMemory(10),
             f_x=0.0, g_x=np.array([-1.0]), eps_f=0.0, eps_g=0.0, max_trials=5,
         )
-        assert not res.accepted and res.f_trials == 5 and res.g_trials == 3
+        assert res.phase is None and res.f_trials == 5 and res.g_trials == 3
         assert res.alpha == 0.9375 and res.alpha_best == 0.875
 
     def test_unit_step_accepted_immediately(self):
@@ -295,7 +296,7 @@ class TestInitialPhase:
             LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
             eps_f=0.0, eps_g=0.0,
         )
-        assert res.accepted
+        assert res.phase is Phase.INITIAL_ACCEPTED
         assert res.alpha == 1.0
         assert res.f_trials == 1
         assert res.g_trials == 1
@@ -310,7 +311,7 @@ class TestInitialPhase:
             LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
             eps_f=0.0, eps_g=0.0,
         )
-        assert res.accepted
+        assert res.phase is Phase.INITIAL_ACCEPTED
         assert res.alpha == 0.25
         assert res.f_trials == 3
 
@@ -323,7 +324,7 @@ class TestInitialPhase:
             LineSearchParams(c2=0.1), SearchMemory(10), f_x=8.0, g_x=np.array([4.0]),
             eps_f=0.0, eps_g=0.0,
         )
-        assert res.accepted
+        assert res.phase is Phase.INITIAL_ACCEPTED
         assert res.alpha == 4.0
         assert res.f_trials == 3
 
@@ -337,7 +338,7 @@ class TestInitialPhase:
             LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
             eps_f=0.0, eps_g=10.0,
         )
-        assert not res.accepted
+        assert res.phase is None
         assert res.g_trials == 1
 
     def test_best_trial_tracked_for_split(self):
@@ -355,7 +356,7 @@ def handoff(oracle, x, p, eps_g, alpha, alpha_best=None):
     """What an unaccepted bisection hands to the split phase: the line
     through ``x`` along ``p`` and a last trial at steplength ``alpha``."""
     xv = np.array([x])
-    return InitialResult(
+    return LineSearchOutcome(
         xv, np.array([p]), oracle.problem.eval_f(xv), oracle.problem.eval_g(xv),
         eps_f=0.0, eps_g=eps_g, alpha=alpha, alpha_best=alpha_best,
     )
@@ -582,6 +583,58 @@ class TestTwoPhaseSearch:
             assert out.g_trials == oracle.g_evals - g0
             if out.alpha > 0.0:
                 x = x + out.alpha * p
+
+
+class TestSearchResultContract:
+    """What the solver relies on in every search result, through both
+    searches, on small quadratics at zero, small and large noise."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 6),
+        big_m=st.sampled_from([1.0, 1e2, 1e4]),
+        problem_seed=st.integers(0, 50),
+        xi_f=st.sampled_from([0.0, 1e-6, 1e-1]),
+        xi_g=st.sampled_from([0.0, 1e-6, 1e-1]),
+        noise_seed=st.integers(0, 2**16),
+        scales=st.lists(st.sampled_from([-1.0, 1e-3, 1.0, 1e3]), min_size=1, max_size=4),
+        plain=st.booleans(),
+        max_lengthening=st.sampled_from([1, 30]),
+    )
+    def test_result_fields_agree(
+        self, d, big_m, problem_seed, xi_f, xi_g, noise_seed, scales, plain,
+        max_lengthening,
+    ):
+        """A few searches in a row from one point share the run's memory; a
+        scale of -1 searches uphill along +g, and one lengthening trial
+        leaves some split phases without a beta."""
+        prob = make_quadratic(d, 1.0, big_m, problem_seed)
+        oracle = NoisyOracle(prob, NoiseSpec(xi_f=xi_f, xi_g=xi_g, seed=noise_seed))
+        eps_f, eps_g = oracle.reported_bounds()
+        params = LineSearchParams(max_lengthening=max_lengthening)
+        memory = SearchMemory(params.history)
+        x = prob.x0.copy()
+        for scale in scales:
+            f_x, g_x = oracle.noisy_f(x), oracle.noisy_g(x)
+            p = -scale * g_x
+            f0, g0 = oracle.f_evals, oracle.g_evals
+            if plain:
+                out = armijo_wolfe_search(oracle, x, p, params, memory, f_x, g_x)
+            else:
+                out = two_phase_search(
+                    oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g
+                )
+            assert out.phase is not None
+            assert (out.alpha == 0.0) == (out.phase is Phase.ALPHA_FAILED)
+            if out.alpha > 0.0:
+                assert out.f_alpha is not None
+            assert (out.beta is None) == (out.g_beta is None)
+            if out.phase is Phase.INITIAL_ACCEPTED:
+                assert out.beta == out.alpha
+                assert out.g_beta is out.g_alpha
+            assert (out.f_trials, out.g_trials) == (
+                oracle.f_evals - f0, oracle.g_evals - g0
+            )
 
 
 # Registry problems whose kernels evaluate a stack of trial points.
@@ -851,6 +904,15 @@ class TestParamsValidation:
             LineSearchParams(max_ls_iters=0)
         with pytest.raises(ValueError):
             LineSearchParams(history=0)
+
+    @pytest.mark.parametrize(
+        "name", ["n_split", "max_ls_iters", "max_lengthening", "history"]
+    )
+    def test_bool_count_rejected(self, name):
+        """bool is an Integral, but n_split = True would split after one
+        trial."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+            LineSearchParams(**{name: True})
 
 
 class TestSearchMemory:

@@ -55,6 +55,10 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError, match="seed must be an integer"):
             NoiseSpec(seed=seed)
 
+    def test_bool_n_noise_rejected(self):
+        with pytest.raises(ValueError, match="^n_noise must be an integer, got True$"):
+            NoiseSpec(schedule="intermittent", n_noise=True)
+
     def test_numpy_integer_seed_accepted(self):
         assert NoiseSpec(seed=np.int64(4)).seed == 4
 

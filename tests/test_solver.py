@@ -240,8 +240,8 @@ class TestPairRule:
 
         def search(oracle, x, p, *args):
             return LineSearchOutcome(
-                alpha=1.0, beta=1.0, phase=Phase.INITIAL_ACCEPTED, f_trials=0,
-                g_trials=0, f_alpha=0.0, g_alpha=g_x, g_beta=g_beta,
+                x, p, 0.0, g_x, 0.0, 0.0, phase=Phase.INITIAL_ACCEPTED,
+                alpha=1.0, beta=1.0, f_alpha=0.0, g_alpha=g_x, g_beta=g_beta,
             )
 
         monkeypatch.setattr(solver, "two_phase_search", search)
@@ -275,8 +275,8 @@ class TestPairRule:
 
         def search(oracle, x, p, *args):
             return LineSearchOutcome(
-                alpha=1.0, beta=1e170, phase=Phase.INITIAL_ACCEPTED, f_trials=0,
-                g_trials=0, f_alpha=0.0, g_alpha=g_x, g_beta=g_beta,
+                x, p, 0.0, g_x, 0.0, 0.0, phase=Phase.INITIAL_ACCEPTED,
+                alpha=1.0, beta=1e170, f_alpha=0.0, g_alpha=g_x, g_beta=g_beta,
             )
 
         monkeypatch.setattr(solver, "two_phase_search", search)
@@ -665,6 +665,13 @@ class TestConfigValidation:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             SolverConfig(variant=Variant.BFGS, g_eval_budget=0)
+
+    @pytest.mark.parametrize("name", ["memory", "max_iters", "g_eval_budget"])
+    def test_bool_count_rejected(self, name):
+        """bool is an Integral, but True is no count: a memory of True
+        reached ``np.zeros((True, True))`` in ``LimitedMemory``."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+            SolverConfig(variant=Variant.LBFGS, **{name: True})
 
     @pytest.mark.parametrize("value", ["no", "", 0, 1, None, np.True_])
     def test_diagnostics_must_be_a_bool(self, value):
