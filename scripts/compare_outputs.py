@@ -17,8 +17,10 @@ tree's on both sides, so only the program differs.  The report lists
 identical, changed, added and removed files; every change in a
 ``summary.json``'s ``errors``; for each changed CSV column the largest
 relative change; and per output set, how many runs ended with each
-termination reason at the base and now.  Exit code 0 when every file is
-identical, 1 when one is not, 2 when a build fails.
+termination reason at the base and now.  Each output set of the working
+tree is also checked with ``scripts/check_traces.py``, and its violations
+are listed.  Exit code 0 when every file is identical and no trace violates
+an invariant, 1 otherwise, 2 when a build fails.
 
 The outputs go to a temporary directory that is removed afterwards, or to
 ``--work DIR`` (empty or absent), where they are kept.
@@ -39,6 +41,9 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+from check_traces import check_dir  # noqa: E402
+
 SWEEPS = {
     "golden": ROOT / "tests" / "golden" / "golden.cfg",
     "matrix": ROOT / "scripts" / "matrix.cfg",
@@ -198,6 +203,18 @@ def compare(base: Path, new: Path) -> tuple[list[str], bool]:
     return lines, identical
 
 
+def trace_check(root: Path) -> tuple[list[str], int]:
+    """(report lines, violation count) of the trace check of each output
+    set (top-level directory) under ``root``."""
+    lines, total = [], 0
+    for output_set in sorted(p for p in root.iterdir() if p.is_dir()):
+        runs, found = check_dir(output_set)
+        lines.append(f"trace check in {output_set.name}: {len(found)} violations in {runs} runs")
+        lines += [f"  {line}" for line in found]
+        total += len(found)
+    return lines, total
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", metavar="REV", help="git revision to compare against")
@@ -229,8 +246,9 @@ def main(argv: list[str] | None = None) -> int:
             print("a build failed", file=sys.stderr)
             return 2
         lines, identical = compare(work / "base", work / "new")
-    print("\n".join(lines))
-    return 0 if identical else 1
+        check_lines, violations = trace_check(work / "new")
+    print("\n".join(lines + check_lines))
+    return 0 if identical and not violations else 1
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .linesearch import (
     Phase,
     SearchMemory,
     armijo_wolfe_search,
-    relaxed_armijo,
     two_phase_search,
 )
 from .noise import NoiseSpec, NoisyOracle
@@ -75,7 +74,6 @@ __all__ = [
     "SearchMemory",
     "Phase",
     "LineSearchOutcome",
-    "relaxed_armijo",
     "two_phase_search",
     "armijo_wolfe_search",
     # solver

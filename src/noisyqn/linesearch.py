@@ -41,8 +41,6 @@ __all__ = [
     "SearchMemory",
     "Phase",
     "LineSearchOutcome",
-    "relaxed_armijo",
-    "noise_control_holds",
     "initial_phase",
     "split_phase",
     "two_phase_search",
@@ -59,6 +57,11 @@ class LineSearchParams:
     phases (and the whole budget of the plain search); ``max_lengthening``
     caps gradient trials in the beta loop; ``history`` is the window of
     curvature estimates kept for seeding beta.
+
+    ``n_split`` and ``max_ls_iters`` are at most 300, so no trial steplength
+    falls below about 1e-299, a normal float: 2^-299 by halving, 0.1^299 by
+    backtracking, and any mix of the two lies between.  A longer budget could
+    halve alpha to 0.0, where the classical Armijo test holds on any f.
     """
 
     c1: float = 1e-4
@@ -70,6 +73,10 @@ class LineSearchParams:
     history: int = 10
 
     def __post_init__(self):
+        for name in ("c1", "c2", "c3"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0.0 < self.c1 < self.c2 < 1.0):
             raise ValueError("need 0 < c1 < c2 < 1")
         if not (math.isfinite(self.c3) and self.c3 > 0.0):
@@ -80,6 +87,9 @@ class LineSearchParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("n_split", "max_ls_iters"):
+            if getattr(self, name) > 300:
+                raise ValueError(f"{name} must be <= 300")
 
 
 class SearchMemory:
@@ -133,16 +143,17 @@ class Phase(enum.Enum):
 class LineSearchOutcome:
     """One line search along x + alpha p, from its first trial to its result.
 
-    Holds the search's inputs with g.p and ||p|| computed once; the last
-    trial (``alpha``, ``f_alpha``, and ``g_alpha`` when evaluated); the best
-    relaxed-Armijo trial (``alpha_best``, ``f_best``, ``g_best``), which the
-    split phase may reuse; and the trial counts, which equal the
-    oracle-counter deltas across the search.
+    Holds the search's inputs with g.p, ||p|| and the direction's
+    reliability computed once; the last trial (``alpha``, ``f_alpha``, and
+    ``g_alpha`` when evaluated); the best relaxed-Armijo trial
+    (``alpha_best``, ``f_best``, ``g_best``), which the split phase may
+    reuse; and the trial counts, which equal the oracle-counter deltas
+    across the search.  ``armijo`` and ``noise_control`` are the paper's
+    two tests of a trial against the search's inputs.
 
     ``phase`` is None while the search runs, and set when it ends.  Then
     ``alpha`` is the steplength taken: 0.0 when the phase is
-    ``ALPHA_FAILED``, positive otherwise (a trial steplength underflows to
-    0.0 only under budgets of a thousand trials or more).
+    ``ALPHA_FAILED``, positive otherwise.
     ``f_alpha``/``g_alpha`` are evaluations at
     ``x + alpha p`` the caller can reuse for the next iterate: every result
     with alpha > 0 has ``f_alpha``, and ``g_alpha`` is None only where the
@@ -161,6 +172,7 @@ class LineSearchOutcome:
     eps_g: float
     g_dot_p: float = field(init=False)
     p_norm: float = field(init=False)
+    reliable: bool = field(init=False)
     phase: Phase | None = None
     alpha: float = 1.0
     beta: float | None = None
@@ -176,59 +188,41 @@ class LineSearchOutcome:
     def __post_init__(self):
         self.g_dot_p = float(self.g_x @ self.p)
         self.p_norm = norm(self.p)
+        # The observed slope clears the worst-case gradient noise, or there
+        # is no gradient noise.
+        self.reliable = self.eps_g == 0.0 or self.g_dot_p < -self.eps_g * self.p_norm
 
+    def armijo(self, i: int, f_new: float, alpha: float, c1: float) -> bool:
+        """Relaxed Armijo: the sufficient-decrease test of the trial
+        f_new = f(x + alpha p), tolerant of bounded noise.
 
-def relaxed_armijo(
-    i: int,
-    f_new: float,
-    f_old: float,
-    g_dot_p: float,
-    alpha: float,
-    eps_f: float,
-    eps_g: float,
-    p_norm: float,
-    c1: float,
-) -> bool:
-    """Sufficient-decrease test tolerant of bounded noise.
+        Along a ``reliable`` direction the classical test
+        f_new <= f_x + c1 alpha g.p applies (at eps_g = 0 whatever the sign
+        of g.p); otherwise plain decrease is required.  From the search's
+        second trial on (i >= 1), 2 eps_f of slack absorbs the worst-case
+        error in comparing two noisy f values.  A non-finite f_new (NaN or
+        either infinity) always fails.
+        """
+        if not math.isfinite(f_new):
+            return False
+        slack = 2.0 * self.eps_f if i >= 1 else 0.0
+        if self.reliable:
+            return f_new <= self.f_x + c1 * alpha * self.g_dot_p + slack
+        return f_new < self.f_x + slack
 
-    The direction is treated as reliable when the observed slope clears the
-    worst-case noise contribution (g.p < -eps_g ||p||), or when eps_g = 0:
-    without gradient noise the classical test f_new <= f_old + c1 alpha g.p
-    applies whatever the sign of g.p.  Otherwise plain decrease is required.
-    From the second trial on (i >= 1), 2*eps_f of slack absorbs the
-    worst-case error in comparing two noisy f values.  A non-finite f_new
-    (NaN or either infinity) always fails.
-    """
-    if not math.isfinite(f_new):
-        return False
-    reliable = eps_g == 0.0 or g_dot_p < -eps_g * p_norm
-    slack = 2.0 * eps_f if i >= 1 else 0.0
-    if reliable:
-        return f_new <= f_old + c1 * alpha * g_dot_p + slack
-    return f_new < f_old + slack
+    def noise_control(self, g_new: np.ndarray, c3: float, symmetric: bool) -> bool:
+        """Does the observed curvature clear the gradient-noise floor?
 
-
-def noise_control_holds(
-    g_new: np.ndarray,
-    g_old: np.ndarray,
-    p: np.ndarray,
-    p_norm: float,
-    eps_g: float,
-    c3: float,
-    symmetric: bool,
-) -> bool:
-    """Does the observed curvature clear the gradient-noise floor?
-
-    Tests (g_new - g_old).p >= 2 (1 + c3) eps_g ||p||, with ``p_norm`` the
-    caller's ||p||; the symmetric form compares |.| instead and is what the
-    initial phase checks (a sign flip there just means the trial step is too
-    short, which the bisection can still fix).
-    """
-    change = float((g_new - g_old) @ p)
-    threshold = 2.0 * (1.0 + c3) * eps_g * p_norm
-    if symmetric:
-        return abs(change) >= threshold
-    return change >= threshold
+        Tests (g_new - g_x).p >= 2 (1 + c3) eps_g ||p||; the symmetric form
+        compares |.| instead and is what the initial phase checks (a sign
+        flip there just means the trial step is too short, which the
+        bisection can still fix).
+        """
+        change = float((g_new - self.g_x) @ self.p)
+        threshold = 2.0 * (1.0 + c3) * self.eps_g * self.p_norm
+        if symmetric:
+            return abs(change) >= threshold
+        return change >= threshold
 
 
 # Rows in the first block of a run's first trial run of each kind.
@@ -246,11 +240,11 @@ def _trial_run(
 ) -> tuple[float, float | None, bool]:
     """Take trials at the fixed steplengths alpha, factor * alpha,
     factor * (factor * alpha), ... along ``search``'s line until one passes
-    ``relaxed_armijo`` or ``budget`` of them are taken, adding them to
+    ``search.armijo`` or ``budget`` of them are taken, adding them to
     ``search.f_trials``; return (the last trial's alpha, its noisy f,
     whether it passed).
 
-    Each trial's index in ``relaxed_armijo`` is its index in the whole
+    Each trial's index in ``search.armijo`` is its index in the whole
     search (``search.f_trials`` before the run).  On a problem with
     ``f_rows`` the points are evaluated ahead, a block of rows per
     ``eval_f`` call.  The first block holds as many rows as the previous
@@ -278,10 +272,7 @@ def _trial_run(
             alphas, points, values = [alpha], [x + alpha * p], [None]
         for a, point, value in zip(alphas, points, values):
             f = oracle.noisy_f(point, value)
-            passed = relaxed_armijo(
-                i, f, search.f_x, search.g_dot_p, a, search.eps_f, search.eps_g,
-                search.p_norm, c1,
-            )
+            passed = search.armijo(i, f, a, c1)
             i += 1
             if passed:
                 break
@@ -334,9 +325,7 @@ def initial_phase(
             search.g_alpha = g_trial
             if search.f_best is None or f_trial < search.f_best:
                 search.alpha_best, search.f_best, search.g_best = alpha, f_trial, g_trial
-            if eps_g != 0.0 and not noise_control_holds(
-                g_trial, g_x, p, search.p_norm, eps_g, params.c3, symmetric=True
-            ):
+            if eps_g != 0.0 and not search.noise_control(g_trial, params.c3, symmetric=True):
                 return search
             if not float(g_trial @ p) < params.c2 * search.g_dot_p:
                 # Wolfe holds (or g.p is NaN)
@@ -351,10 +340,7 @@ def initial_phase(
         if search.f_trials >= trials:
             return search
         f_trial = oracle.noisy_f(x + alpha * p)
-        armijo_ok = relaxed_armijo(
-            search.f_trials, f_trial, f_x, search.g_dot_p, alpha, eps_f, eps_g,
-            search.p_norm, params.c1,
-        )
+        armijo_ok = search.armijo(search.f_trials, f_trial, alpha, params.c1)
         search.f_trials += 1
 
 
@@ -384,7 +370,7 @@ def split_phase(
     doubles on failure.  Sets the phase and the result fields on ``search``,
     whose trial counts go on covering the whole search, and returns it.
     """
-    x, p, g_x = search.x, search.p, search.g_x
+    x, p = search.x, search.p
     last, g_last = search.alpha, search.g_alpha
 
     # --- alpha loop: pick the steplength by relaxed-Armijo backtracking ---
@@ -420,9 +406,7 @@ def split_phase(
             g_beta = oracle.noisy_g(x + beta * p)
             search.g_trials += 1
             lengthenings += 1
-        if noise_control_holds(
-            g_beta, g_x, p, search.p_norm, search.eps_g, params.c3, symmetric=False
-        ):
+        if search.noise_control(g_beta, params.c3, symmetric=False):
             beta_ok = True
             break
         beta = max(2.0 * beta, beta_bar) if beta_bar is not None else 2.0 * beta

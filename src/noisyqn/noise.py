@@ -76,6 +76,10 @@ class NoiseSpec:
     omega: float = 1.0
 
     def __post_init__(self):
+        for name in ("xi_f", "xi_g", "omega"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.xi_f) and self.xi_f >= 0.0):
             raise ValueError("xi_f must be finite and >= 0")
         if not (math.isfinite(self.xi_g) and self.xi_g >= 0.0):

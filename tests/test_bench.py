@@ -160,6 +160,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="must be an integer, got True$"):
             config.validate()
 
+    @pytest.mark.parametrize("name", ["xi_f", "xi_g", "omega", "c1", "c2", "c3"])
+    def test_bool_real_setting_rejected_before_output(self, tmp_path, name):
+        """True once ran as 1.0, and summary.json recorded it as true."""
+        out = tmp_path / "out"
+        value = [True] if name in ("xi_f", "xi_g", "omega") else True
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number, got True$"):
+            run_experiment(tiny_config(out, **{name: value}))
+        assert not out.exists()
+
+    def test_bool_noise_levels_and_c3_are_config_errors(self):
+        config = ExperimentConfig(
+            problems=["TRIDIA"], methods=["bfgs"], seeds=[1],
+            xi_g=[True], omega=[True], c3=True, max_iters=2,
+        )
+        with pytest.raises(ConfigError, match="must be a real number, got True$"):
+            config.validate()
+
+    @pytest.mark.parametrize("name", ["n_split", "max_ls_iters"])
+    def test_trial_budget_above_300_rejected_before_output(self, tmp_path, name):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^{name} must be <= 300$"):
+            run_experiment(tiny_config(out, **{name: 301}))
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "axes",
         [dict(xi_g=[1e-3, 1.0000001e-3]), dict(seeds=[1, 1]),

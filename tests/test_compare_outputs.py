@@ -3,6 +3,7 @@ output trees (the builds themselves take minutes and are not run here)."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,19 @@ def test_relative_change(tool, a, b, change):
 
 def test_empty_cell_is_not_a_number(tool):
     assert tool.relative_change("", "1.5") is None
+
+
+def test_trace_check_per_output_set(tool, tmp_path):
+    """Each top-level output set is checked with ``scripts/check_traces.py``:
+    a summary run whose trace is missing is a violation of its set only."""
+    golden = Path(__file__).resolve().parent / "golden"
+    new = tmp_path / "new"
+    shutil.copytree(golden, new / "golden")
+    write_tree(new, {"matrix/summary.json": json.dumps({"runs": {"A_seed1": {}}, "errors": {}})})
+    lines, violations = tool.trace_check(new)
+    assert violations == 1
+    assert lines == [
+        "trace check in golden: 0 violations in 36 runs",
+        "trace check in matrix: 1 violations in 1 runs",
+        f"  {new / 'matrix' / 'A_seed1.csv'}: no trace",
+    ]

@@ -19,8 +19,6 @@ from noisyqn.linesearch import (
     SearchMemory,
     armijo_wolfe_search,
     initial_phase,
-    noise_control_holds,
-    relaxed_armijo,
     split_phase,
     two_phase_search,
     _trial_run,
@@ -53,77 +51,69 @@ def half_square_oracle(**noise_kwargs):
     return NoisyOracle(prob, NoiseSpec(**noise_kwargs))
 
 
+def unit_line(f_x=0.0, g_dot_p=0.0, eps_f=0.0, eps_g=0.0):
+    """A search from x = 0 along p = 1 (so ||p|| = 1) with g_x = g.p."""
+    return LineSearchOutcome(
+        np.zeros(1), np.ones(1), f_x, np.array([g_dot_p]), eps_f, eps_g
+    )
+
+
 class TestNoiseControl:
     def test_threshold_arithmetic(self):
         """Difference 5 against threshold 2(1+c3) eps_g ||p|| = 3."""
-        g_old = np.array([0.0])
+        search = unit_line(eps_g=1.0)
         g_new = np.array([5.0])
-        p = np.array([1.0])
-        assert noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=True)
-        assert noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=False)
+        assert search.noise_control(g_new, c3=0.5, symmetric=True)
+        assert search.noise_control(g_new, c3=0.5, symmetric=False)
 
     def test_just_below_threshold_fails(self):
-        g_old = np.array([0.0])
-        g_new = np.array([2.999999])
-        p = np.array([1.0])
-        assert not noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=True)
+        search = unit_line(eps_g=1.0)
+        assert not search.noise_control(np.array([2.999999]), c3=0.5, symmetric=True)
 
     def test_zero_eps_g_always_holds(self):
-        g_old = np.array([1.0, 2.0])
+        search = LineSearchOutcome(
+            np.zeros(2), np.array([0.0, 1.0]), 0.0, np.array([1.0, 2.0]), 0.0, 0.0
+        )
         g_new = np.array([1.0, 2.0 + 1e-300])
-        p = np.array([0.0, 1.0])
-        assert noise_control_holds(g_new, g_old, p, 1.0, eps_g=0.0, c3=0.5, symmetric=True)
+        assert search.noise_control(g_new, c3=0.5, symmetric=True)
 
     def test_sign_sensitivity(self):
         """A difference of -5: the absolute-value form passes, the signed
         form does not."""
-        g_old = np.array([0.0])
+        search = unit_line(eps_g=1.0)
         g_new = np.array([-5.0])
-        p = np.array([1.0])
-        assert noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=True)
-        assert not noise_control_holds(g_new, g_old, p, 1.0, eps_g=1.0, c3=0.5, symmetric=False)
+        assert search.noise_control(g_new, c3=0.5, symmetric=True)
+        assert not search.noise_control(g_new, c3=0.5, symmetric=False)
 
 
 class TestRelaxedArmijo:
     def test_reliable_direction_first_trial(self):
-        assert relaxed_armijo(
-            0, f_new=0.4, f_old=0.5, g_dot_p=-1.0, alpha=1.0,
-            eps_f=0.0, eps_g=0.5, p_norm=1.0, c1=1e-4,
-        )
+        search = unit_line(f_x=0.5, g_dot_p=-1.0, eps_g=0.5)
+        assert search.armijo(0, f_new=0.4, alpha=1.0, c1=1e-4)
 
     def test_later_trials_gain_noise_margin(self):
         """i >= 1 adds 2 eps_f of slack to the right-hand side."""
-        kwargs = dict(
-            f_new=0.5 + 1e-3, f_old=0.5, g_dot_p=-1.0, alpha=1.0,
-            eps_f=1e-3, eps_g=0.5, p_norm=1.0, c1=1e-4,
-        )
-        assert relaxed_armijo(1, **kwargs)
-        assert not relaxed_armijo(0, **kwargs)
+        search = unit_line(f_x=0.5, g_dot_p=-1.0, eps_f=1e-3, eps_g=0.5)
+        assert search.armijo(1, f_new=0.5 + 1e-3, alpha=1.0, c1=1e-4)
+        assert not search.armijo(0, f_new=0.5 + 1e-3, alpha=1.0, c1=1e-4)
 
     def test_unreliable_direction_uses_simple_decrease(self):
         """|g.p| below eps_g ||p||: any decrease counts."""
-        assert relaxed_armijo(
-            0, f_new=0.49, f_old=0.5, g_dot_p=-0.3, alpha=1.0,
-            eps_f=0.0, eps_g=0.5, p_norm=1.0, c1=1e-4,
-        )
+        search = unit_line(f_x=0.5, g_dot_p=-0.3, eps_g=0.5)
+        assert search.armijo(0, f_new=0.49, alpha=1.0, c1=1e-4)
 
     def test_unreliable_direction_rejects_increase_on_first_trial(self):
-        assert not relaxed_armijo(
-            0, f_new=0.51, f_old=0.5, g_dot_p=-0.3, alpha=1.0,
-            eps_f=0.0, eps_g=0.5, p_norm=1.0, c1=1e-4,
-        )
+        search = unit_line(f_x=0.5, g_dot_p=-0.3, eps_g=0.5)
+        assert not search.armijo(0, f_new=0.51, alpha=1.0, c1=1e-4)
 
     def test_zero_eps_g_applies_classical_test_uphill(self):
         """With eps_g = 0 and g.p > 0 the classical bound f_old + c1 alpha g.p
         applies, not strict decrease: no change in f passes, a rise past the
         bound fails."""
-        kwargs = dict(
-            f_old=0.5, g_dot_p=1e-3, alpha=1.0,
-            eps_f=0.0, eps_g=0.0, p_norm=1.0, c1=1e-4,
-        )
-        assert relaxed_armijo(0, f_new=0.5, **kwargs)
-        assert relaxed_armijo(0, f_new=0.5 + 1e-7, **kwargs)
-        assert not relaxed_armijo(0, f_new=0.5 + 2e-7, **kwargs)
+        search = unit_line(f_x=0.5, g_dot_p=1e-3)
+        assert search.armijo(0, f_new=0.5, alpha=1.0, c1=1e-4)
+        assert search.armijo(0, f_new=0.5 + 1e-7, alpha=1.0, c1=1e-4)
+        assert not search.armijo(0, f_new=0.5 + 2e-7, alpha=1.0, c1=1e-4)
 
     @pytest.mark.parametrize("f_new", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("i", [0, 1])
@@ -133,15 +123,23 @@ class TestRelaxedArmijo:
         """NaN and both infinities fail at every trial index and either sign
         of g.p, on the classical test and on plain decrease alike; -inf
         would pass either comparison."""
-        assert not relaxed_armijo(
-            i, f_new=f_new, f_old=0.5, g_dot_p=g_dot_p, alpha=1.0,
-            eps_f=1e-3, eps_g=eps_g, p_norm=1.0, c1=1e-4,
-        )
+        search = unit_line(f_x=0.5, g_dot_p=g_dot_p, eps_f=1e-3, eps_g=eps_g)
+        assert not search.armijo(i, f_new=f_new, alpha=1.0, c1=1e-4)
+
+    def test_uphill_direction_under_gradient_noise_is_unreliable(self):
+        """g.p = 1 > -eps_g ||p||: only plain decrease passes."""
+        search = unit_line(f_x=0.5, g_dot_p=1.0, eps_g=0.5)
+        assert not search.reliable
+        assert search.armijo(0, f_new=0.5 - 1e-9, alpha=1.0, c1=1e-4)
+
+    @pytest.mark.parametrize("g_dot_p", [-1.0, 0.0, 1.0])
+    def test_zero_eps_g_is_reliable_whatever_the_sign(self, g_dot_p):
+        assert unit_line(f_x=0.5, g_dot_p=g_dot_p).reliable
 
 
 class TestTrialRunDecision:
     """``_trial_run`` stops at the first trial that passes
-    ``relaxed_armijo`` with its index in the whole search, with rows on
+    ``search.armijo`` with its index in the whole search, with rows on
     and off."""
 
     @pytest.mark.parametrize("f_rows", [True, False])
@@ -177,9 +175,10 @@ class TestTrialRunDecision:
                 reliable = eps_g == 0.0 or g < -eps_g * p_norm
                 pick = f_x + c1 * alpha * g + slack if reliable else f_x + slack
             values.append(pick)
+        search = LineSearchOutcome(np.zeros(1), np.ones(1), f_x, np.array([g]), eps_f, eps_g)
         taken, expected = len(picks), (alphas[-1], values[-1] + 0.0, False)
         for i, (value, alpha) in enumerate(zip(values, alphas)):
-            if relaxed_armijo(first + i, value, f_x, g, alpha, eps_f, eps_g, p_norm, c1):
+            if search.armijo(first + i, value, alpha, c1):
                 taken, expected = i + 1, (alpha, value + 0.0, True)
                 break
 
@@ -195,7 +194,6 @@ class TestTrialRunDecision:
             eval_g=np.zeros_like, phi_star=0.0, f_rows=f_rows,
         )
         oracle = NoisyOracle(prob, NoiseSpec())
-        search = LineSearchOutcome(np.zeros(1), np.ones(1), f_x, np.array([g]), eps_f, eps_g)
         search.f_trials = first
         got = _trial_run(oracle, SearchMemory(10), search, start, factor, len(picks), c1)
         assert repr(got) == repr(expected)
@@ -913,6 +911,55 @@ class TestParamsValidation:
         trial."""
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
             LineSearchParams(**{name: True})
+
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+    def test_bool_real_rejected(self, name):
+        """c3 = True once searched with c3 = 1.0."""
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got True$"):
+            LineSearchParams(**{name: True})
+
+    @pytest.mark.parametrize("name", ["n_split", "max_ls_iters"])
+    def test_trial_budget_capped_at_300(self, name):
+        assert getattr(LineSearchParams(**{name: 300}), name) == 300
+        with pytest.raises(ValueError, match=f"^{name} must be <= 300$"):
+            LineSearchParams(**{name: 301})
+
+
+def rising_line_search(search, **params):
+    """Run ``search`` on f(t) = t from t = 0 along p = +1, uphill with
+    g = 1, where no trial steplength above 0.0 passes the classical Armijo
+    test at eps = 0."""
+    oracle = NoisyOracle(scalar_problem(lambda v: v, lambda v: 1.0), NoiseSpec())
+    args = (oracle, np.zeros(1), np.ones(1), LineSearchParams(**params), SearchMemory(10))
+    if search is armijo_wolfe_search:
+        return search(*args, 0.0, np.ones(1))
+    return search(*args, 0.0, np.ones(1), 0.0, 0.0)
+
+
+class TestNoZeroSteplength:
+    """A budget long enough to halve or backtrack a trial steplength down to
+    0.0 once ended a search accepted at alpha = 0.0, where the classical
+    Armijo test holds on any f.  The budget cap rules it out."""
+
+    def test_plain_search_budget_reaching_zero_rejected(self):
+        """1,076 halvings ended INITIAL_ACCEPTED at alpha = 0.0."""
+        with pytest.raises(ValueError, match="^max_ls_iters must be <= 300$"):
+            rising_line_search(armijo_wolfe_search, max_ls_iters=1076)
+
+    def test_split_budget_reaching_zero_rejected(self):
+        """30 halvings and 316 backtracking trials ended SPLIT_COMPLETED at
+        alpha = 0.0."""
+        with pytest.raises(ValueError, match="^max_ls_iters must be <= 300$"):
+            rising_line_search(two_phase_search, n_split=30, max_ls_iters=350)
+
+    def test_plain_search_fails_at_the_cap(self):
+        out = rising_line_search(armijo_wolfe_search, max_ls_iters=300)
+        assert (out.phase, out.alpha, out.f_trials) == (Phase.ALPHA_FAILED, 0.0, 300)
+
+    @pytest.mark.parametrize("n_split", [1, 30, 150, 300])
+    def test_two_phase_search_fails_at_the_cap(self, n_split):
+        out = rising_line_search(two_phase_search, n_split=n_split, max_ls_iters=300)
+        assert (out.phase, out.alpha, out.f_trials) == (Phase.ALPHA_FAILED, 0.0, 300)
 
 
 class TestSearchMemory:

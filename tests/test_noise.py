@@ -55,6 +55,12 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError, match="seed must be an integer"):
             NoiseSpec(seed=seed)
 
+    @pytest.mark.parametrize("name", ["xi_f", "xi_g", "omega"])
+    def test_bool_level_rejected(self, name):
+        """True once drew noise of half-width 1.0."""
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got True$"):
+            NoiseSpec(**{name: True})
+
     def test_bool_n_noise_rejected(self):
         with pytest.raises(ValueError, match="^n_noise must be an integer, got True$"):
             NoiseSpec(schedule="intermittent", n_noise=True)
