@@ -6,8 +6,10 @@
 Finds every ``summary.json`` under each DIR, reads the trace CSV of each of
 its runs (``<key>.csv`` next to it) and prints each violated invariant, one
 line per violation, then one count line per DIR.  Exit code 0 when no trace
-violates an invariant, 1 otherwise.  ``check_trace`` holds the invariants;
-``check_dir`` applies it to an output directory.
+violates an invariant, 1 otherwise.  ``check_trace`` holds the invariants of
+one run; ``check_summary`` applies it to the runs of one ``summary.json`` and
+also checks that each noiseless tolerant run wrote the same bytes as its
+standard twin there; ``check_dir`` does so for an output directory.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import json
 import sys
 from pathlib import Path
 
-TOLERANT_METHODS = {"bfgs-e", "lbfgs-e"}
+# Each tolerant method and the standard method it reduces to without noise.
+TWINS = {"bfgs-e": "bfgs", "lbfgs-e": "lbfgs"}
+TOLERANT_METHODS = set(TWINS)
 LIMITED_MEMORY_METHODS = {"lbfgs", "lbfgs-skip", "lbfgs-e"}
 
 
@@ -35,9 +39,11 @@ def check_trace(rows: list[dict[str, str]], entry: dict) -> list[str]:
     7. the standard and skip methods record beta = alpha whenever beta is set;
     8. L-BFGS rows have no ``kappa_H``;
     9. the summary's ``iterations`` equals the row count, and its ``f_evals``
-       is at least the last ``cum_f_evals``.
+       is at least the last ``cum_f_evals``;
+    10. a run with xi_f = xi_g = 0 has no ``split_active`` row.
     """
     method = entry["method"]
+    noiseless = entry["xi_f"] == 0.0 and entry["xi_g"] == 0.0
     found = []
     previous = None
     for row in rows:
@@ -56,6 +62,8 @@ def check_trace(rows: list[dict[str, str]], entry: dict) -> list[str]:
             found.append(f"{where}: beta {row['beta']} < alpha {row['alpha']}")
         if split and method not in TOLERANT_METHODS:
             found.append(f"{where}: split_active for {method}")
+        if split and noiseless:
+            found.append(f"{where}: split_active without noise")
         if (action == "lengthened" and not split) or (action == "updated" and split):
             found.append(f"{where}: pair action {action!r} with split_active {int(split)}")
         if action != "skipped" and beta is None:
@@ -76,7 +84,9 @@ def check_trace(rows: list[dict[str, str]], entry: dict) -> list[str]:
 
 
 def check_summary(path: Path) -> tuple[int, list[str]]:
-    """(runs checked, violations) for the runs of one ``summary.json``."""
+    """(runs checked, violations) for the runs of one ``summary.json``: each
+    run's ``check_trace``, and for each noiseless tolerant run whose standard
+    twin (same key, ``TWINS`` method) is also there, equal trace bytes."""
     runs = json.loads(path.read_text())["runs"]
     found = []
     for key, entry in sorted(runs.items()):
@@ -87,6 +97,12 @@ def check_summary(path: Path) -> tuple[int, list[str]]:
         with open(trace, newline="") as fh:
             rows = list(csv.DictReader(fh))
         found += [f"{trace}: {line}" for line in check_trace(rows, entry)]
+        method, problem = entry["method"], entry["problem"]
+        if method in TWINS and entry["xi_f"] == 0.0 and entry["xi_g"] == 0.0:
+            twin_key = key.replace(f"{problem}_{method}_", f"{problem}_{TWINS[method]}_", 1)
+            twin = path.parent / f"{twin_key}.csv"
+            if twin_key in runs and twin.is_file() and twin.read_bytes() != trace.read_bytes():
+                found.append(f"{trace}: differs from its noiseless twin {twin.name}")
     return len(runs), found
 
 

@@ -17,10 +17,12 @@ tree's on both sides, so only the program differs.  The report lists
 identical, changed, added and removed files; every change in a
 ``summary.json``'s ``errors``; for each changed CSV column the largest
 relative change; and per output set, how many runs ended with each
-termination reason at the base and now.  Each output set of the working
-tree is also checked with ``scripts/check_traces.py``, and its violations
-are listed.  Exit code 0 when every file is identical and no trace violates
-an invariant, 1 otherwise, 2 when a build fails.
+termination reason, and how many f and g evaluations the runs took in all
+(``f_evals`` and ``g_evals`` of each ``summary.json`` run), at the base and
+now.  Each output set of the working tree is also checked with
+``scripts/check_traces.py``, and its violations are listed.  Exit code 0
+when every file is identical and no trace violates an invariant, 1
+otherwise, 2 when a build fails.
 
 The outputs go to a temporary directory that is removed afterwards, or to
 ``--work DIR`` (empty or absent), where they are kept.
@@ -148,17 +150,19 @@ def summary_errors(path: Path) -> dict:
     return json.loads(path.read_text())["errors"]
 
 
-def termination_reasons(root: Path, files: set[str]) -> dict[str, Counter]:
-    """Per output set (top-level directory), the runs of its summary.json
-    files counted by termination reason."""
-    counts: dict[str, Counter] = {}
+def run_tallies(root: Path, files: set[str]) -> dict[str, tuple[Counter, Counter]]:
+    """Per output set (top-level directory), over the runs of its
+    summary.json files: the runs counted by termination reason, and the
+    summed ``f_evals`` and ``g_evals``."""
+    tallies: dict[str, tuple[Counter, Counter]] = {}
     for name in files:
         if Path(name).name == "summary.json":
             runs = json.loads((root / name).read_text())["runs"].values()
-            counts.setdefault(Path(name).parts[0], Counter()).update(
-                entry["termination_reason"] for entry in runs
-            )
-    return counts
+            reasons, evals = tallies.setdefault(Path(name).parts[0], (Counter(), Counter()))
+            for entry in runs:
+                reasons[entry["termination_reason"]] += 1
+                evals.update({key: entry[key] for key in ("f_evals", "g_evals")})
+    return tallies
 
 
 def compare(base: Path, new: Path) -> tuple[list[str], bool]:
@@ -190,14 +194,15 @@ def compare(base: Path, new: Path) -> tuple[list[str], bool]:
     lines.append(
         f"per-run errors: {errors_in(base, old_files)} at base, {errors_in(new, new_files)} now"
     )
-    old_reasons = termination_reasons(base, old_files)
-    new_reasons = termination_reasons(new, new_files)
-    for output_set in sorted(old_reasons.keys() | new_reasons.keys()):
-        old = old_reasons.get(output_set, Counter())
-        now = new_reasons.get(output_set, Counter())
-        if old or now:
-            counts = (f"{r} {old[r]} -> {now[r]}" for r in sorted(old.keys() | now.keys()))
-            lines.append(f"termination reasons in {output_set}: {', '.join(counts)}")
+    old_tallies, new_tallies = run_tallies(base, old_files), run_tallies(new, new_files)
+    empty = (Counter(), Counter())
+    for output_set in sorted(old_tallies.keys() | new_tallies.keys()):
+        old_counts = old_tallies.get(output_set, empty)
+        new_counts = new_tallies.get(output_set, empty)
+        for label, old, now in zip(("termination reasons", "evaluations"), old_counts, new_counts):
+            if old or now:
+                counts = (f"{r} {old[r]} -> {now[r]}" for r in sorted(old.keys() | now.keys()))
+                lines.append(f"{label} in {output_set}: {', '.join(counts)}")
     identical = not (changed or added or removed)
     lines.append("identical" if identical else "outputs differ")
     return lines, identical

@@ -17,10 +17,11 @@ quasi-Newton update stays informative despite the noise.
 
 With eps_g = 0 the noise machinery is off: relaxed Armijo is the classical
 test (plus the 2 eps_f slack) whatever the sign of g.p, and the bisection
-skips the noise-control test, whose threshold is then zero.  The plain
-bisection Armijo-Wolfe search of the standard method variants is therefore
-the same bisection at eps_f = eps_g = 0, capped at ``max_ls_iters`` trials
-and never split.
+skips the noise-control test, whose threshold is then zero.  With no noise
+bound at all (eps_f = eps_g = 0) the search never splits: the bisection
+takes up to ``max_ls_iters`` trials and fails when none is accepted.  That
+is the plain Armijo-Wolfe search of the standard method variants, so on a
+noiseless oracle the noise-tolerant variants are the standard ones.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ __all__ = [
 class LineSearchParams:
     """Parameters shared by both line searches.
 
-    ``n_split`` caps the initial-phase trials before the search gives up and
-    splits; ``max_ls_iters`` is the total function-trial budget across both
-    phases (and the whole budget of the plain search); ``max_lengthening``
-    caps gradient trials in the beta loop; ``history`` is the window of
-    curvature estimates kept for seeding beta.
+    ``n_split`` caps the initial-phase trials of a search with a noise
+    bound before it gives up and splits; ``max_ls_iters`` is the total
+    function-trial budget across both phases (and the whole budget of a
+    search without a noise bound); ``max_lengthening`` caps gradient trials
+    in the beta loop; ``history`` is the window of curvature estimates kept
+    for seeding beta.
 
     ``n_split`` and ``max_ls_iters`` are at most 300, so no trial steplength
     falls below about 1e-299, a normal float: 2^-299 by halving, 0.1^299 by
@@ -151,10 +153,10 @@ class LineSearchOutcome:
     across the search.  ``armijo`` and ``noise_control`` are the paper's
     two tests of a trial against the search's inputs.
 
-    ``phase`` is None while the search runs, and set when it ends.  Then
-    ``alpha`` is the steplength taken: 0.0 when the phase is
-    ``ALPHA_FAILED``, positive otherwise.
-    ``f_alpha``/``g_alpha`` are evaluations at
+    ``phase`` is None while the search runs, and set when it ends;
+    ``split`` says whether the split phase ran.  Then ``alpha`` is the
+    steplength taken: 0.0 when the phase is ``ALPHA_FAILED``, positive
+    otherwise.  ``f_alpha``/``g_alpha`` are evaluations at
     ``x + alpha p`` the caller can reuse for the next iterate: every result
     with alpha > 0 has ``f_alpha``, and ``g_alpha`` is None only where the
     alpha loop backtracked without a gradient.  ``beta`` is the lengthening
@@ -174,6 +176,7 @@ class LineSearchOutcome:
     p_norm: float = field(init=False)
     reliable: bool = field(init=False)
     phase: Phase | None = None
+    split: bool = False
     alpha: float = 1.0
     beta: float | None = None
     f_alpha: float | None = None
@@ -293,18 +296,17 @@ def initial_phase(
     g_x: np.ndarray,
     eps_f: float,
     eps_g: float,
-    max_trials: int | None = None,
 ) -> LineSearchOutcome:
     """Start a search along x + alpha p with the one bisection loop: from
     alpha = 1, test relaxed Armijo, noise control, then Wolfe.
 
     Ends ``INITIAL_ACCEPTED`` at the first trial passing all three, with
-    beta = alpha and g_beta = g_alpha.  A failed noise-control test, or
-    ``max_trials`` trials (default ``n_split``), returns the search still
-    running (phase None) at its last trial, and the two-phase search splits.
-    At eps_f = eps_g = 0 it is the plain Armijo-Wolfe bisection (see the
-    module docstring).  A trial costs one function value, plus a gradient
-    once it passes Armijo.
+    beta = alpha and g_beta = g_alpha.  With a noise bound (eps_f > 0 or
+    eps_g > 0), a failed noise-control test or ``n_split`` trials return
+    the search still running (phase None) at its last trial, for the split
+    phase.  Without one, ``max_ls_iters`` trials end it ``ALPHA_FAILED``
+    (alpha = 0, no f_alpha or g_alpha): the plain search.  A trial costs
+    one function value, plus a gradient once it passes Armijo.
 
     Until a trial passes relaxed Armijo the steplengths halve from 1, a
     sequence fixed in advance, so those trials are one trial run (on a
@@ -314,7 +316,8 @@ def initial_phase(
     alpha = 1 passed.
     """
     search = LineSearchOutcome(x, p, f_x, g_x, eps_f, eps_g)
-    trials = params.n_split if max_trials is None else max_trials
+    noisy = eps_f > 0.0 or eps_g > 0.0
+    trials = params.n_split if noisy else params.max_ls_iters
     alpha, f_trial, armijo_ok = _trial_run(oracle, memory, search, 1.0, 0.5, trials, params.c1)
     low, high = 0.0, 2.0 * alpha if search.f_trials > 1 else math.inf
     while True:
@@ -338,6 +341,9 @@ def initial_phase(
             high = alpha
             alpha = 0.5 * (low + high)
         if search.f_trials >= trials:
+            if not noisy:
+                search.phase = Phase.ALPHA_FAILED
+                search.alpha, search.f_alpha, search.g_alpha = 0.0, None, None
             return search
         f_trial = oracle.noisy_f(x + alpha * p)
         armijo_ok = search.armijo(search.f_trials, f_trial, alpha, params.c1)
@@ -351,7 +357,8 @@ def split_phase(
     search: LineSearchOutcome,
 ) -> LineSearchOutcome:
     """Decoupled steplength / lengthening search for the noisy regime,
-    ending the running ``search`` that the bisection left unaccepted.
+    ending the running ``search`` that the bisection left unaccepted, and
+    marking it ``split``.
 
     The alpha loop reuses the best relaxed-Armijo trial when there is one;
     otherwise it backtracks from the last trial's steplength by factors of
@@ -370,6 +377,7 @@ def split_phase(
     doubles on failure.  Sets the phase and the result fields on ``search``,
     whose trial counts go on covering the whole search, and returns it.
     """
+    search.split = True
     x, p = search.x, search.p
     last, g_last = search.alpha, search.g_alpha
 
@@ -434,7 +442,8 @@ def two_phase_search(
     eps_f: float,
     eps_g: float,
 ) -> LineSearchOutcome:
-    """Run the initial phase and, if it hands off, the split phase.
+    """Run the initial phase and, if it hands off (only with a noise bound),
+    the split phase.
 
     Whatever lengthening step gets accepted is observed by ``memory``,
     gated on the Wolfe condition holding there (noise control always holds
@@ -461,18 +470,7 @@ def armijo_wolfe_search(
     f_x: float,
     g_x: np.ndarray,
 ) -> LineSearchOutcome:
-    """Plain bisection Armijo-Wolfe search on the (possibly noisy) oracle.
-
-    This is the classical search used by the standard method variants: the
-    initial phase at zero noise bounds, capped at ``max_ls_iters`` trials,
-    with no split and pairs built at beta = alpha.  Ends ``ALPHA_FAILED``
-    (alpha = 0, no f_alpha or g_alpha) when no trial satisfies both
-    conditions; ``memory`` sizes its trial blocks.
-    """
-    search = initial_phase(
-        oracle, x, p, params, memory, f_x, g_x, 0.0, 0.0, max_trials=params.max_ls_iters
-    )
-    if search.phase is None:
-        search.phase = Phase.ALPHA_FAILED
-        search.alpha, search.f_alpha, search.g_alpha = 0.0, None, None
-    return search
+    """Plain bisection Armijo-Wolfe search on the (possibly noisy) oracle,
+    used by the standard method variants: the initial phase at zero noise
+    bounds (see ``initial_phase``).  It observes no curvature estimate."""
+    return initial_phase(oracle, x, p, params, memory, f_x, g_x, 0.0, 0.0)

@@ -3,7 +3,9 @@
 Variants: dense BFGS and limited-memory L-BFGS, each in three flavors —
 standard (always update), update-skipping (drop pairs whose observed
 curvature is below the noise floor), and noise-tolerant (two-phase line
-search with curvature-pair lengthening).
+search with curvature-pair lengthening).  Without a noise bound that search
+never splits, so on a noiseless oracle a noise-tolerant variant is its
+standard twin.
 
 The per-iteration trace records true objective values for benchmarking,
 never visible to the method itself.  They are the noiseless values behind
@@ -259,8 +261,7 @@ def iterate(
     else:
         outcome = armijo_wolfe_search(oracle, x, p, config.ls, state.search, f_at_x, g_at_x)
 
-    split_active = variant.noise_tolerant and outcome.phase != Phase.INITIAL_ACCEPTED
-    if split_active and state.first_split_iteration is None:
+    if outcome.split and state.first_split_iteration is None:
         state.first_split_iteration = state.k
 
     stepped = outcome.alpha > 0.0  # alpha = 0.0 on ALPHA_FAILED
@@ -287,9 +288,7 @@ def iterate(
         if not drop:
             _apply_update(state, candidate)
             pair = candidate
-            pair_action = (
-                "updated" if outcome.phase == Phase.INITIAL_ACCEPTED else "lengthened"
-            )
+            pair_action = "lengthened" if outcome.split else "updated"
 
     if stepped:
         state.f_x = outcome.f_alpha
@@ -311,7 +310,7 @@ def iterate(
         f_noisy=f_at_x,
         alpha=outcome.alpha,
         beta=outcome.beta,
-        split_active=split_active,
+        split_active=outcome.split,
         cum_f_evals=oracle.f_evals,
         cum_g_evals=oracle.g_evals,
         kappa_H=kappa,

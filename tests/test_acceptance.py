@@ -33,6 +33,8 @@ from noisyqn.problems import Problem, check_gradient, registered_names, registry
 from noisyqn.solver import SolverConfig, Variant, run, skip_condition
 
 SEEDS = (1, 2, 3, 4, 5)
+# The registry's named problems (the QUAD family is parameterized).
+EQUIVALENCE_PROBLEMS = [name for name in registered_names() if not name.startswith("QUAD(")]
 
 # Theory constants at c3 = 0.5 on QUAD(m=1, M=100): the lengthened-pair
 # curvature is trapped in [m_hat, M_hat], and s.y is sandwiched between
@@ -202,10 +204,11 @@ def report(capsys):
 
 @pytest.fixture(scope="module")
 def equivalence_paths():
-    """Noiseless 200-iteration iterate paths for both variant pairs."""
+    """Noiseless 200-iteration iterate paths for both variant pairs, on every
+    registry problem."""
     noiseless = NoiseSpec()
     paths = {}
-    for prob_name in ("TRIDIA", "GENROSE"):
+    for prob_name in EQUIVALENCE_PROBLEMS:
         problem = registry_lookup(prob_name)
         for variant in (Variant.BFGS, Variant.BFGS_E, Variant.LBFGS, Variant.LBFGS_E):
             xs: list[np.ndarray] = []
@@ -296,7 +299,7 @@ def intermittent_traces():
 def test_criterion_01_noiseless_equivalence(equivalence_paths, report):
     worst = 0.0
     mismatched = []
-    for prob_name in ("TRIDIA", "GENROSE"):
+    for prob_name in EQUIVALENCE_PROBLEMS:
         for std, tolerant in (("bfgs", "bfgs-e"), ("lbfgs", "lbfgs-e")):
             a = equivalence_paths[prob_name, std]
             b = equivalence_paths[prob_name, tolerant]

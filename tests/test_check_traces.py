@@ -12,9 +12,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "check_traces.py"
 GOLDEN = ROOT / "tests" / "golden"
-# A noiseless bfgs-e run whose search fails at k = 11 (alpha = 0) and which
-# is split from there on.
+# A noiseless bfgs-e run whose search fails, without splitting, at k = 11
+# and 12 (alpha = 0); its trace is that of its bfgs twin.
 KEY = "ARWHEAD_bfgs-e_xif0_xig0_om1_seed1"
+TWIN_KEY = "ARWHEAD_bfgs_xif0_xig0_om1_seed1"
+# A bfgs-e run under gradient noise that is split from k = 10 on.
+NOISY_KEY = "ARWHEAD_bfgs-e_xif0_xig0.1_om1_seed1"
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +28,18 @@ def tool():
     return module
 
 
-def golden_run():
-    with open(GOLDEN / f"{KEY}.csv", newline="") as fh:
+def golden_run(key):
+    with open(GOLDEN / f"{key}.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    entry = json.loads((GOLDEN / "summary.json").read_text())["runs"][KEY]
+    entry = json.loads((GOLDEN / "summary.json").read_text())["runs"][key]
     return rows, entry
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def test_goldens_hold_every_invariant(tool):
@@ -51,17 +61,43 @@ def mutate_split_row_updated(rows):
     return "row k=11: pair action 'updated' with split_active 1"
 
 
-@pytest.mark.parametrize("mutate", [mutate_phi_after_failed_step, mutate_split_row_updated])
-def test_seeded_mutation_caught(tool, tmp_path, mutate):
-    rows, entry = golden_run()
+def mutate_noiseless_split(rows):
+    row = rows[11]
+    assert row["split_active"] == "0" and row["pair_action"] == "skipped"
+    row["split_active"] = "1"
+    return "row k=11: split_active without noise"
+
+
+@pytest.mark.parametrize(
+    "key, mutate",
+    [
+        pytest.param(KEY, mutate_phi_after_failed_step, id="mutate_phi_after_failed_step"),
+        pytest.param(NOISY_KEY, mutate_split_row_updated, id="mutate_split_row_updated"),
+        pytest.param(KEY, mutate_noiseless_split, id="mutate_noiseless_split"),
+    ],
+)
+def test_seeded_mutation_caught(tool, tmp_path, key, mutate):
+    rows, entry = golden_run(key)
     assert tool.check_trace(rows, entry) == []
     expected = mutate(rows)
     assert tool.check_trace(rows, entry) == [expected]
 
     out = tmp_path / "out"
     shutil.copytree(GOLDEN, out)
-    with open(out / f"{KEY}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    write_rows(out / f"{key}.csv", rows)
+    assert tool.main([str(out)]) == 1
+
+
+def test_noiseless_twin_bytes_differ(tool, tmp_path):
+    """A noiseless bfgs-e trace that differs from its bfgs twin only in how
+    one float is written keeps every per-run invariant, and is still
+    caught."""
+    out = tmp_path / "out"
+    shutil.copytree(GOLDEN, out)
+    rows, _ = golden_run(TWIN_KEY)
+    assert rows[2]["alpha"] == "1"
+    rows[2]["alpha"] = "1.0"
+    write_rows(out / f"{TWIN_KEY}.csv", rows)
+    trace, twin = out / f"{KEY}.csv", out / f"{TWIN_KEY}.csv"
+    assert tool.check_dir(out) == (36, [f"{trace}: differs from its noiseless twin {twin.name}"])
     assert tool.main([str(out)]) == 1

@@ -89,7 +89,10 @@ def test_changes_are_reported(tool, tmp_path):
 def test_termination_reasons_are_counted_per_output_set(tool, tmp_path):
     def runs(*reasons):
         return json.dumps({
-            "runs": {f"R{i}": {"termination_reason": r} for i, r in enumerate(reasons)},
+            "runs": {
+                f"R{i}": {"termination_reason": r, "f_evals": 10, "g_evals": 4}
+                for i, r in enumerate(reasons)
+            },
             "errors": {},
         })
 
@@ -103,10 +106,44 @@ def test_termination_reasons_are_counted_per_output_set(tool, tmp_path):
     lines, _ = tool.compare(
         write_tree(tmp_path / "base", base_files), write_tree(tmp_path / "new", new_files)
     )
-    assert lines[-3:] == [
+    assert lines[-5:] == [
         "termination reasons in golden: line_search_stagnation 0 -> 1, max_iterations 2 -> 1",
+        "evaluations in golden: f_evals 20 -> 20, g_evals 8 -> 8",
         "termination reasons in workloads: gradient_budget 2 -> 2",
+        "evaluations in workloads: f_evals 20 -> 20, g_evals 8 -> 8",
         "outputs differ",
+    ]
+
+
+def test_evaluations_are_summed_per_output_set(tool, tmp_path):
+    """The f and g evaluations of every run in an output set's summary.json
+    files are summed, at the base and now; a set only one side has counts 0
+    on the other."""
+    def runs(*evals):
+        return json.dumps({
+            "runs": {
+                f"R{i}": {"termination_reason": "max_iterations", "f_evals": f, "g_evals": g}
+                for i, (f, g) in enumerate(evals)
+            },
+            "errors": {},
+        })
+
+    base_files = {
+        "matrix/summary.json": runs((5216, 201), (159, 16)),
+        "workloads/a/00/summary.json": runs((100, 30)),
+    }
+    new_files = {
+        "matrix/summary.json": runs((159, 16), (159, 16)),
+        "workloads/a/00/summary.json": runs((100, 30)),
+        "workloads/b/00/summary.json": runs((7, 3)),
+    }
+    lines, _ = tool.compare(
+        write_tree(tmp_path / "base", base_files), write_tree(tmp_path / "new", new_files)
+    )
+    evaluations = [line for line in lines if line.startswith("evaluations")]
+    assert evaluations == [
+        "evaluations in matrix: f_evals 5375 -> 318, g_evals 217 -> 32",
+        "evaluations in workloads: f_evals 100 -> 107, g_evals 30 -> 33",
     ]
 
 

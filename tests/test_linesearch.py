@@ -275,12 +275,14 @@ class TestInitialPhase:
         """f = -t up to t = 0.9, then 10, with slope -1 throughout: alpha = 1
         fails Armijo, 0.5 passes it but not Wolfe.  The bisection then goes
         on inside [0.5, 1], the halving run's last failure being its upper
-        end: 0.75, 0.875, then 0.9375, which fails Armijo again."""
+        end: 0.75, 0.875, then 0.9375, which fails Armijo again.  With an f
+        noise bound (its 2 eps_f slack decides none of these trials) the
+        search stops there at ``n_split`` = 5 trials, still running."""
         prob = scalar_problem(lambda t: -t if t < 0.9 else 10.0, lambda t: -1.0)
         oracle = NoisyOracle(prob, NoiseSpec())
         res = initial_phase(
-            oracle, np.zeros(1), np.ones(1), LineSearchParams(), SearchMemory(10),
-            f_x=0.0, g_x=np.array([-1.0]), eps_f=0.0, eps_g=0.0, max_trials=5,
+            oracle, np.zeros(1), np.ones(1), LineSearchParams(n_split=5), SearchMemory(10),
+            f_x=0.0, g_x=np.array([-1.0]), eps_f=1e-3, eps_g=0.0,
         )
         assert res.phase is None and res.f_trials == 5 and res.g_trials == 3
         assert res.alpha == 0.9375 and res.alpha_best == 0.875
@@ -509,6 +511,19 @@ class TestTwoPhaseSearch:
             assert two.phase == Phase.INITIAL_ACCEPTED
             assert two.beta == two.alpha
             x = x + two.alpha * p
+
+    def test_noiseless_failure_does_not_split(self):
+        """Without a noise bound the two-phase search is the plain search
+        also when no trial is accepted: ``n_split`` plays no part, and it
+        ends ``ALPHA_FAILED`` after ``max_ls_iters`` trials, unsplit."""
+        plain = rising_line_search(armijo_wolfe_search, max_ls_iters=40)
+        two = rising_line_search(two_phase_search, n_split=5, max_ls_iters=40)
+        for out in (plain, two):
+            assert not out.split
+            assert (out.phase, out.alpha, out.beta, out.f_alpha) == (
+                Phase.ALPHA_FAILED, 0.0, None, None
+            )
+            assert (out.f_trials, out.g_trials) == (40, 0)
 
     def test_returned_beta_satisfies_signed_control(self):
         """On a noisy quadratic every returned beta passes the signed
@@ -925,15 +940,16 @@ class TestParamsValidation:
             LineSearchParams(**{name: 301})
 
 
-def rising_line_search(search, **params):
+def rising_line_search(search, eps_g=0.0, **params):
     """Run ``search`` on f(t) = t from t = 0 along p = +1, uphill with
     g = 1, where no trial steplength above 0.0 passes the classical Armijo
-    test at eps = 0."""
+    test at eps = 0, nor the plain decrease test that an unreliable
+    direction (g.p = 1 > eps_g > 0) gets at eps_f = 0."""
     oracle = NoisyOracle(scalar_problem(lambda v: v, lambda v: 1.0), NoiseSpec())
     args = (oracle, np.zeros(1), np.ones(1), LineSearchParams(**params), SearchMemory(10))
     if search is armijo_wolfe_search:
         return search(*args, 0.0, np.ones(1))
-    return search(*args, 0.0, np.ones(1), 0.0, 0.0)
+    return search(*args, 0.0, np.ones(1), 0.0, eps_g)
 
 
 class TestNoZeroSteplength:
@@ -958,7 +974,12 @@ class TestNoZeroSteplength:
 
     @pytest.mark.parametrize("n_split", [1, 30, 150, 300])
     def test_two_phase_search_fails_at_the_cap(self, n_split):
-        out = rising_line_search(two_phase_search, n_split=n_split, max_ls_iters=300)
+        """With a gradient noise bound the search splits after ``n_split``
+        halvings, and its backtracking spends the rest of the budget."""
+        out = rising_line_search(
+            two_phase_search, eps_g=0.5, n_split=n_split, max_ls_iters=300
+        )
+        assert out.split
         assert (out.phase, out.alpha, out.f_trials) == (Phase.ALPHA_FAILED, 0.0, 300)
 
 

@@ -449,19 +449,25 @@ class TestTermination:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_stagnation_on_exhausted_search(self, variant):
-        """f is flat at 0 while g is not, so no step passes Armijo: without
-        noise two failed searches stop any variant; with gradient noise the
-        retries see fresh draws and the run goes on."""
-        flat = Problem(
-            name="FLAT", dim=2, x0=np.zeros(2),
-            eval_f=lambda x: 0.0, eval_g=lambda x: np.array([1.0, -2.0]),
-            phi_star=0.0,
-        )
-        trace = run(flat, NOISELESS, quick_config(variant))
-        assert trace.termination_reason == "line_search_stagnation"
-        assert [r.alpha for r in trace.records] == [0.0, 0.0]
-        noisy = run(flat, NoiseSpec(xi_g=1e-3, seed=1), quick_config(variant, max_iters=20))
-        assert noisy.termination_reason == "max_iterations"
+        """f is flat while g is not, so no step lowers f: without noise two
+        failed searches of ``max_ls_iters`` trials stop any variant, after
+        1 + 2 (60 + 1) f-evaluations; with gradient noise the retries see
+        fresh draws and the run goes on.  At f = 1 the Armijo test passes by
+        rounding once c1 alpha g.p is below half an ulp of f, and the
+        Wolfe test then fails, so the search still fails."""
+        config = quick_config(variant)
+        for value in (0.0, 1.0):
+            flat = Problem(
+                name="FLAT", dim=2, x0=np.zeros(2),
+                eval_f=lambda x, value=value: value, eval_g=lambda x: np.array([1.0, -2.0]),
+                phi_star=value,
+            )
+            trace = run(flat, NOISELESS, config)
+            assert trace.termination_reason == "line_search_stagnation"
+            assert [r.alpha for r in trace.records] == [0.0, 0.0]
+            assert trace.f_evals == 1 + 2 * (config.ls.max_ls_iters + 1)
+            noisy = run(flat, NoiseSpec(xi_g=1e-3, seed=1), quick_config(variant, max_iters=20))
+            assert noisy.termination_reason == "max_iterations"
 
     @pytest.mark.parametrize("variant", [v for v in Variant if not v.noise_tolerant])
     def test_noiseless_standard_variant_stops_after_two_failures(self, variant):
