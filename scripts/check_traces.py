@@ -40,7 +40,9 @@ def check_trace(rows: list[dict[str, str]], entry: dict) -> list[str]:
     8. L-BFGS rows have no ``kappa_H``;
     9. the summary's ``iterations`` equals the row count, and its ``f_evals``
        is at least the last ``cum_f_evals``;
-    10. a run with xi_f = xi_g = 0 has no ``split_active`` row.
+    10. a run with xi_f = xi_g = 0 has no ``split_active`` row;
+    11. the summary's ``first_split_iteration`` is the ``k`` of the first
+        ``split_active`` row, or null when there is none.
     """
     method = entry["method"]
     noiseless = entry["xi_f"] == 0.0 and entry["xi_g"] == 0.0
@@ -79,6 +81,12 @@ def check_trace(rows: list[dict[str, str]], entry: dict) -> list[str]:
         found.append(
             f"summary: f_evals {entry['f_evals']} below the last cum_f_evals "
             f"{rows[-1]['cum_f_evals']}"
+        )
+    first_split = next((int(row["k"]) for row in rows if row["split_active"] == "1"), None)
+    if entry["first_split_iteration"] != first_split:
+        found.append(
+            f"summary: first_split_iteration {entry['first_split_iteration']}, "
+            f"first split_active row {first_split}"
         )
     return found
 

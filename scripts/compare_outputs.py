@@ -20,9 +20,10 @@ relative change; and per output set, how many runs ended with each
 termination reason, and how many f and g evaluations the runs took in all
 (``f_evals`` and ``g_evals`` of each ``summary.json`` run), at the base and
 now.  Each output set of the working tree is also checked with
-``scripts/check_traces.py``, and its violations are listed.  Exit code 0
-when every file is identical and no trace violates an invariant, 1
-otherwise, 2 when a build fails.
+``scripts/check_traces.py``, and its violations are listed.  The last line
+gives the total lines of the ``*.py`` files of ``src/noisyqn`` at the base
+and now.  Exit code 0 when every file is identical and no trace violates an
+invariant, 1 otherwise, 2 when a build fails.
 
 The outputs go to a temporary directory that is removed afterwards, or to
 ``--work DIR`` (empty or absent), where they are kept.
@@ -208,6 +209,16 @@ def compare(base: Path, new: Path) -> tuple[list[str], bool]:
     return lines, identical
 
 
+def source_lines(base_src: Path, new_src: Path) -> str:
+    """``src/noisyqn lines: A -> B``, A and B counting the lines (as
+    ``wc -l`` does) of the ``*.py`` files under ``noisyqn`` in each ``src``."""
+    a, b = (
+        sum(path.read_bytes().count(b"\n") for path in (src / "noisyqn").rglob("*.py"))
+        for src in (base_src, new_src)
+    )
+    return f"src/noisyqn lines: {a} -> {b}"
+
+
 def trace_check(root: Path) -> tuple[list[str], int]:
     """(report lines, violation count) of the trace check of each output
     set (top-level directory) under ``root``."""
@@ -252,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         lines, identical = compare(work / "base", work / "new")
         check_lines, violations = trace_check(work / "new")
+        check_lines.append(source_lines(sources["base"], sources["new"]))
     print("\n".join(lines + check_lines))
     return 0 if identical and not violations else 1
 

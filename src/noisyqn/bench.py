@@ -130,6 +130,10 @@ class ExperimentConfig:
     out: str = "qn_noise_out"
 
     def validate(self) -> None:
+        out = Path(self.out)
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"out {self.out!r}: {existing} is not a directory")
         for name in RUN_AXES:
             if not getattr(self, name):
                 raise ConfigError(f"no {name} given")

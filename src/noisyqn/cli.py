@@ -8,7 +8,7 @@ Subcommands:
 Every experiment key can come from a flat ``key = value`` config file
 (``--config``); explicit CLI flags override file values, which override
 defaults.  Exit codes: 0 all runs completed, 3 some runs failed, 2 bad
-configuration.
+configuration or input.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ _KEYS = {key: name for name in SETTING_TYPES for key in (name, setting_name(name
 
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat key=value config file into ExperimentConfig kwargs."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -124,14 +128,14 @@ def _flag(name: str) -> str:
     return "--" + setting_name(name).replace("_", "-")
 
 
-def _add_experiment_flags(parser: argparse.ArgumentParser, single: bool) -> None:
+def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per ExperimentConfig field, named after its setting name.
 
     Defaults are all None so that "flag was given" is detectable; actual
     defaults live on ExperimentConfig.  Each flag stores to its field name.
     A list field takes a repeatable flag (repeatable even for `run`, so that
     a repeated flag is caught by its exactly-one check instead of silently
-    keeping the last value); `sweep` also takes --seeds N...
+    keeping the last value).
     """
     for name, field_type in SETTING_TYPES.items():
         item, origin = _item_type(field_type), get_origin(field_type)
@@ -144,10 +148,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser, single: bool) -> None
         if origin is list:
             extra.update(action="append", help="repeatable (run takes one)")
         parser.add_argument(_flag(name), dest=name, **extra)
-    if not single:
-        parser.add_argument(
-            "--seeds", dest="seed_list", type=int, nargs="+", metavar="N", help="seed list"
-        )
     parser.add_argument("--config", metavar="FILE", help="key = value config file")
 
 
@@ -161,10 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="single run, one CSV")
-    _add_experiment_flags(run_p, single=True)
+    _add_experiment_flags(run_p)
 
     sweep_p = sub.add_parser("sweep", help="full experiment matrix")
-    _add_experiment_flags(sweep_p, single=False)
+    _add_experiment_flags(sweep_p)
 
     prof_p = sub.add_parser("profile", help="compare two methods from a sweep")
     prof_p.add_argument("--summary", required=True, metavar="JSON")
@@ -179,24 +179,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_config(args: argparse.Namespace, single: bool) -> ExperimentConfig:
+def _collect_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config is not None:
         values.update(load_config_file(args.config))
     for name in SETTING_TYPES:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
-    if not single and args.seed_list is not None:
-        values["seeds"] = args.seed_list + (args.seeds or [])
     try:
         return ExperimentConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _cmd_run_or_sweep(args: argparse.Namespace, single: bool) -> int:
-    config = _collect_config(args, single)
-    if single:
+def _cmd_run_or_sweep(args: argparse.Namespace) -> int:
+    config = _collect_config(args)
+    if args.command == "run":
         for name in RUN_AXES:
             if len(getattr(config, name)) != 1:
                 raise ConfigError(f"run takes exactly one {_flag(name)} value")
@@ -221,10 +219,23 @@ def _matches(entry: dict, args: argparse.Namespace) -> bool:
     return all(value is None or entry[name] == value for name, value in wanted.items())
 
 
+def _summary_runs(path: str) -> list[dict]:
+    """The run entries of a sweep's summary.json."""
+    try:
+        with open(path) as fh:
+            summary = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read summary {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"summary {path} is not JSON: {exc}") from exc
+    runs = summary.get("runs", {}) if isinstance(summary, dict) else None
+    if not isinstance(runs, dict) or not all(isinstance(e, dict) for e in runs.values()):
+        raise ConfigError(f"summary {path} has no object of runs")
+    return list(runs.values())
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
-    with open(args.summary) as fh:
-        summary = json.load(fh)
-    runs = list(summary.get("runs", {}).values())
+    runs = _summary_runs(args.summary)
 
     def select(method: str) -> list[dict]:
         chosen = [e for e in runs if e["method"] == method and _matches(e, args)]
@@ -242,6 +253,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         points = morales_profile(
             select(args.new_method), select(args.old_method), mode=args.mode
         )
+    except KeyError as exc:
+        raise ConfigError(f"a run in {args.summary} has no {exc} entry") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"# log2 ratio, {args.new_method} vs {args.old_method}, mode={args.mode}")
@@ -257,11 +270,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run_or_sweep(args, single=True)
-        if args.command == "sweep":
-            return _cmd_run_or_sweep(args, single=False)
-        return _cmd_profile(args)
+        if args.command == "profile":
+            return _cmd_profile(args)
+        return _cmd_run_or_sweep(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

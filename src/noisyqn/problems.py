@@ -14,7 +14,7 @@ finite differences in the test suite rather than by trusting transcription.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -268,60 +268,40 @@ def _cragglvy_start(dim):
     return x0
 
 
-class _Standard(NamedTuple):
-    eval_f: Callable[[np.ndarray], float]
-    eval_g: Callable[[np.ndarray], np.ndarray]
-    start: Callable[[int], np.ndarray]
-    phi_star: float
-    f_rows: bool = False
-
-
-# One entry per registry name.  Zeros and GENROSE's 1.0 are exact minima; the
-# ENGVAL1 and CRAGGLVY constants come from scripts/compute_reference_minima.py.
-_STANDARD = {
-    "ARWHEAD": _Standard(_arwhead_f, _arwhead_g, np.ones, 0.0, f_rows=True),
-    "ENGVAL1": _Standard(
-        _engval1_f, _engval1_g, lambda d: np.full(d, 2.0), 109.08813614309216
-    ),
-    "CRAGGLVY": _Standard(
-        _cragglvy_f, _cragglvy_g, _cragglvy_start, 25.206129463129866, f_rows=True
-    ),
-    "TRIDIA": _Standard(_tridia_f, _tridia_g, np.ones, 0.0),
-    "DQDRTIC": _Standard(_dqdrtic_f, _dqdrtic_g, lambda d: np.full(d, 3.0), 0.0),
-    "WOODS": _Standard(_woods_f, _woods_g, lambda d: np.tile([-3.0, -1.0], d // 2), 0.0),
-    "NONDIA": _Standard(_nondia_f, _nondia_g, lambda d: np.full(d, -1.0), 0.0),
-    "GENROSE": _Standard(
-        _genrose_f, _genrose_g, lambda d: np.arange(1, d + 1, dtype=float) / (d + 1), 1.0
-    ),
-}
-
-_STANDARD_DIM = 100
-
-
-def _make_standard(name: str, dim: int = _STANDARD_DIM) -> Problem:
-    entry = _STANDARD[name]
-    return Problem(
-        name=name,
-        dim=dim,
-        eval_f=entry.eval_f,
-        eval_g=entry.eval_g,
-        x0=entry.start(dim),
-        phi_star=entry.phi_star,
-        f_rows=entry.f_rows,
-    )
-
-
-_REGISTRY: dict[str, Callable[[], Problem]] = {
-    name: (lambda n=name: _make_standard(n)) for name in _STANDARD
-}
+_REGISTRY: dict[str, Callable[[], Problem]] = {}
 
 
 def register(name: str, factory: Callable[[], Problem]) -> None:
-    """Add a problem factory under a new name."""
+    """Add a problem factory under a new name.  The registry's own problems
+    are added through it too."""
     key = name.upper()
     if key in _REGISTRY:
         raise ValueError(f"problem {key!r} is already registered")
     _REGISTRY[key] = factory
+
+
+def _register_standard(name, eval_f, eval_g, start, phi_star, f_rows=False) -> None:
+    """Register one of the registry's own problems, all of dimension 100,
+    starting from ``start(100)``."""
+    register(name, lambda: Problem(name, 100, eval_f, eval_g, start(100), phi_star, f_rows))
+
+
+# Zeros and GENROSE's 1.0 are exact minima; the ENGVAL1 and CRAGGLVY
+# constants come from scripts/compute_reference_minima.py.
+_register_standard("ARWHEAD", _arwhead_f, _arwhead_g, np.ones, 0.0, f_rows=True)
+_register_standard(
+    "ENGVAL1", _engval1_f, _engval1_g, lambda d: np.full(d, 2.0), 109.08813614309216
+)
+_register_standard(
+    "CRAGGLVY", _cragglvy_f, _cragglvy_g, _cragglvy_start, 25.206129463129866, f_rows=True
+)
+_register_standard("TRIDIA", _tridia_f, _tridia_g, np.ones, 0.0)
+_register_standard("DQDRTIC", _dqdrtic_f, _dqdrtic_g, lambda d: np.full(d, 3.0), 0.0)
+_register_standard("WOODS", _woods_f, _woods_g, lambda d: np.tile([-3.0, -1.0], d // 2), 0.0)
+_register_standard("NONDIA", _nondia_f, _nondia_g, lambda d: np.full(d, -1.0), 0.0)
+_register_standard(
+    "GENROSE", _genrose_f, _genrose_g, lambda d: np.arange(1, d + 1, dtype=float) / (d + 1), 1.0
+)
 
 
 def registered_names() -> list[str]:

@@ -120,7 +120,6 @@ class SolverState:
     memory: LimitedMemory | None
     search: SearchMemory
     k: int = 0
-    first_split_iteration: int | None = None
 
 
 @dataclass
@@ -170,6 +169,7 @@ class RunTrace:
     variant: str
     records: list[IterationRecord]
     termination_reason: str
+    # The k of the first split_active record; None if none is.
     first_split_iteration: int | None
     final_x: np.ndarray
     final_phi_true: float
@@ -260,9 +260,6 @@ def iterate(
         )
     else:
         outcome = armijo_wolfe_search(oracle, x, p, config.ls, state.search, f_at_x, g_at_x)
-
-    if outcome.split and state.first_split_iteration is None:
-        state.first_split_iteration = state.k
 
     stepped = outcome.alpha > 0.0  # alpha = 0.0 on ALPHA_FAILED
     x_new = x + outcome.alpha * p if stepped else x
@@ -410,7 +407,7 @@ def run(
         variant=variant.value,
         records=records,
         termination_reason=reason,
-        first_split_iteration=state.first_split_iteration,
+        first_split_iteration=next((r.k for r in records if r.split_active), None),
         final_x=state.x,
         final_phi_true=final_phi,
         final_gap=final_phi - problem.phi_star,

@@ -512,7 +512,7 @@ class TestCli:
         code = main([
             "sweep", "--problem", "TRIDIA", "--problem", "ARWHEAD",
             "--method", "bfgs", "--method", "bfgs-e",
-            "--xi-g", "1e-3", "--seeds", "1", "2",
+            "--xi-g", "1e-3", "--seed", "1", "--seed", "2",
             "--max-iters", "4", "--out", str(tmp_path),
         ])
         assert code == 0
@@ -539,7 +539,7 @@ class TestCli:
     def test_bad_inline_quadratic_is_config_error(self, tmp_path, capsys, spec, message):
         out = tmp_path / "out"
         code = main([
-            "sweep", "--problem", spec, "--method", "bfgs", "--seeds", "1", "--out", str(out),
+            "sweep", "--problem", spec, "--method", "bfgs", "--seed", "1", "--out", str(out),
         ])
         assert code == 2
         assert capsys.readouterr().err == f"error: problem {spec!r}: {message}\n"
@@ -576,7 +576,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "axes",
-        [["--xi-g", "1e-3", "--xi-g", "1.0000001e-3", "--seeds", "1"], ["--xi-g", "1e-3", "--seeds", "1", "1"]],
+        [
+            ["--xi-g", "1e-3", "--xi-g", "1.0000001e-3", "--seed", "1"],
+            ["--xi-g", "1e-3", "--seed", "1", "--seed", "1"],
+        ],
         ids=["noise-level", "seed"],
     )
     def test_shared_run_key_is_config_error(self, tmp_path, capsys, axes):
@@ -614,7 +617,7 @@ class TestCli:
         out = tmp_path / "runs"
         assert main([
             "sweep", "--problem", "TRIDIA", "--method", "bfgs",
-            "--method", "bfgs-e", "--xi-g", "1e-2", "--seeds", "1", "2",
+            "--method", "bfgs-e", "--xi-g", "1e-2", "--seed", "1", "--seed", "2",
             "--max-iters", "40", "--out", str(out),
         ]) == 0
         capsys.readouterr()
@@ -628,6 +631,43 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "TRIDIA" in printed
         assert profile_csv.exists()
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read config file {cfg}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read summary {path}: No such file or directory"),
+            ("nope", "summary {path} is not JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("[1, 2]", "summary {path} has no object of runs"),
+            ('{"runs": {"A": {"method": "bfgs"}}}', "a run in {path} has no 'xi_f' entry"),
+        ],
+        ids=["missing", "not-json", "not-an-object", "missing-key"],
+    )
+    def test_bad_profile_summary_is_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "summary.json"
+        if text is not None:
+            path.write_text(text)
+        code = main([
+            "profile", "--summary", str(path), "--new-method", "bfgs", "--old-method", "bfgs",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        code = main([
+            "run", "--problem", "TRIDIA", "--method", "bfgs", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: out {str(out)!r}: {out} is not a directory\n"
+        assert out.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc_info:
@@ -701,7 +741,7 @@ class TestSettingNames:
         options = set(subparsers.choices[command]._option_string_actions)
         settings_flags = {_flag(name) for name in _SETTING_TYPES}
         assert _EXPERIMENT_FLAGS <= settings_flags <= options
-        assert ("--seeds" in options) == (command == "sweep")
+        assert "--seeds" not in options
 
     @pytest.mark.parametrize("name", list(_SETTING_TYPES))
     def test_flag_and_config_keys_agree(self, name, tmp_path, collected):

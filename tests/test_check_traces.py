@@ -51,21 +51,25 @@ def mutate_phi_after_failed_step(rows):
     row = rows[12]
     assert float(rows[11]["alpha"]) == 0.0
     row["phi_true"] = repr(float(row["phi_true"]) * (1 + 1e-15))
-    return "row k=12: phi_true changed after a row with alpha = 0"
+    return ["row k=12: phi_true changed after a row with alpha = 0"]
 
 
 def mutate_split_row_updated(rows):
     row = rows[11]
     assert row["split_active"] == "1" and row["pair_action"] != "updated"
     row["pair_action"] = "updated"
-    return "row k=11: pair action 'updated' with split_active 1"
+    return ["row k=11: pair action 'updated' with split_active 1"]
 
 
 def mutate_noiseless_split(rows):
     row = rows[11]
     assert row["split_active"] == "0" and row["pair_action"] == "skipped"
     row["split_active"] = "1"
-    return "row k=11: split_active without noise"
+    # The summary, which names no split iteration, now disagrees too.
+    return [
+        "row k=11: split_active without noise",
+        "summary: first_split_iteration None, first split_active row 11",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -80,7 +84,7 @@ def test_seeded_mutation_caught(tool, tmp_path, key, mutate):
     rows, entry = golden_run(key)
     assert tool.check_trace(rows, entry) == []
     expected = mutate(rows)
-    assert tool.check_trace(rows, entry) == [expected]
+    assert tool.check_trace(rows, entry) == expected
 
     out = tmp_path / "out"
     shutil.copytree(GOLDEN, out)
@@ -100,4 +104,22 @@ def test_noiseless_twin_bytes_differ(tool, tmp_path):
     write_rows(out / f"{TWIN_KEY}.csv", rows)
     trace, twin = out / f"{KEY}.csv", out / f"{TWIN_KEY}.csv"
     assert tool.check_dir(out) == (36, [f"{trace}: differs from its noiseless twin {twin.name}"])
+    assert tool.main([str(out)]) == 1
+
+
+def test_first_split_iteration_mismatch_caught(tool, tmp_path):
+    """A summary whose first_split_iteration is not the k of the run's
+    first split_active row is caught, in the summary and in its directory."""
+    rows, entry = golden_run(NOISY_KEY)
+    assert entry["first_split_iteration"] == 10
+    entry["first_split_iteration"] = 11
+    expected = "summary: first_split_iteration 11, first split_active row 10"
+    assert tool.check_trace(rows, entry) == [expected]
+
+    out = tmp_path / "out"
+    shutil.copytree(GOLDEN, out)
+    summary = json.loads((out / "summary.json").read_text())
+    summary["runs"][NOISY_KEY]["first_split_iteration"] = 11
+    (out / "summary.json").write_text(json.dumps(summary))
+    assert tool.check_dir(out) == (36, [f"{out / NOISY_KEY}.csv: {expected}"])
     assert tool.main([str(out)]) == 1

@@ -173,3 +173,19 @@ def test_trace_check_per_output_set(tool, tmp_path):
         "trace check in matrix: 1 violations in 1 runs",
         f"  {new / 'matrix' / 'A_seed1.csv'}: no trace",
     ]
+
+
+def test_source_lines(tool, tmp_path):
+    """The lines of every ``*.py`` file under ``noisyqn``, subpackages
+    included, on each side; other files do not count."""
+    base = write_tree(tmp_path / "base", {
+        "noisyqn/__init__.py": "a\nb\n",
+        "noisyqn/solver.py": "c\nd\ne\n",
+        "noisyqn/README.md": "not\ncounted\n",
+    })
+    new = write_tree(tmp_path / "new", {
+        "noisyqn/__init__.py": "a\n",
+        "noisyqn/sub/module.py": "b\nc\n",
+        "other/outside.py": "not\ncounted\n",
+    })
+    assert tool.source_lines(base, new) == "src/noisyqn lines: 5 -> 3"

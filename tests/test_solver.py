@@ -388,6 +388,24 @@ class TestSplitTracking:
         trace = run(prob, NOISELESS, quick_config(Variant.BFGS_E, max_iters=30))
         assert trace.first_split_iteration is None
 
+    def test_split_iteration_without_a_row_is_not_the_first_split(self, monkeypatch):
+        """A split iteration whose step overflows the iterate ends the run
+        before it gets a row, so no split iteration is reported."""
+
+        def split_to_overflow(oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g):
+            outcome = LineSearchOutcome(x, p, f_x, g_x, eps_f, eps_g)
+            outcome.phase, outcome.split, outcome.alpha = Phase.SPLIT_COMPLETED, True, 1e308
+            return outcome
+
+        monkeypatch.setattr(solver, "two_phase_search", split_to_overflow)
+        c = np.array([1e3, -1e3])
+        linear = Problem("LINEAR", 2, lambda x: float(c @ x), lambda x: c.copy(), np.zeros(2), 0.0)
+        with np.errstate(over="ignore"):
+            trace = run(linear, NoiseSpec(xi_g=1e-3, seed=1), quick_config(Variant.BFGS_E))
+        assert trace.termination_reason == "numerical_failure"
+        assert trace.records == []
+        assert trace.first_split_iteration is None
+
 
 class TestTermination:
     def test_max_iterations(self):
