@@ -209,14 +209,23 @@ def compare(base: Path, new: Path) -> tuple[list[str], bool]:
     return lines, identical
 
 
-def source_lines(base_src: Path, new_src: Path) -> str:
+def source_lines(base_src: Path, new_src: Path) -> list[str]:
     """``src/noisyqn lines: A -> B``, A and B counting the lines (as
-    ``wc -l`` does) of the ``*.py`` files under ``noisyqn`` in each ``src``."""
+    ``wc -l`` does) of the ``*.py`` files under ``noisyqn`` in each ``src``,
+    then ``src/noisyqn/<module>.py: A -> B`` for each file whose count
+    changed (0 on a side without the file)."""
     a, b = (
-        sum(path.read_bytes().count(b"\n") for path in (src / "noisyqn").rglob("*.py"))
+        {
+            path.relative_to(src).as_posix(): path.read_bytes().count(b"\n")
+            for path in (src / "noisyqn").rglob("*.py")
+        }
         for src in (base_src, new_src)
     )
-    return f"src/noisyqn lines: {a} -> {b}"
+    lines = [f"src/noisyqn lines: {sum(a.values())} -> {sum(b.values())}"]
+    for name in sorted(a.keys() | b.keys()):
+        if a.get(name, 0) != b.get(name, 0):
+            lines.append(f"  src/{name}: {a.get(name, 0)} -> {b.get(name, 0)}")
+    return lines
 
 
 def trace_check(root: Path) -> tuple[list[str], int]:
@@ -263,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         lines, identical = compare(work / "base", work / "new")
         check_lines, violations = trace_check(work / "new")
-        check_lines.append(source_lines(sources["base"], sources["new"]))
+        check_lines += source_lines(sources["base"], sources["new"])
     print("\n".join(lines + check_lines))
     return 0 if identical and not violations else 1
 

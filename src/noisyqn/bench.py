@@ -36,7 +36,6 @@ __all__ = [
     "morales_profile",
     "write_trace_csv",
     "read_trace_csv",
-    "TRACE_HEADER",
 ]
 
 # Seventeen significant digits give back every bit of a float.
@@ -130,6 +129,8 @@ class ExperimentConfig:
     out: str = "qn_noise_out"
 
     def validate(self) -> None:
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigError(f"out must be a path, got {self.out!r}")
         out = Path(self.out)
         existing = next(path for path in (out, *out.parents) if path.exists())
         if not existing.is_dir():

@@ -257,13 +257,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         raise ConfigError(f"a run in {args.summary} has no {exc} entry") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(f"# log2 ratio, {args.new_method} vs {args.old_method}, mode={args.mode}")
-    for pt in points:
-        print(f"{pt.problem} {pt.value:.6f}")
     if args.out is not None:
         lines = ["problem,value"]
         lines += [f"{pt.problem},{pt.value:.17g}" for pt in points]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        try:
+            Path(args.out).write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"out {args.out!r}: {exc.strerror}") from exc
+    print(f"# log2 ratio, {args.new_method} vs {args.old_method}, mode={args.mode}")
+    for pt in points:
+        print(f"{pt.problem} {pt.value:.6f}")
     return 0
 
 

@@ -21,14 +21,12 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "norm",
     "SymmetricMatrix",
     "CurvaturePair",
     "LimitedMemory",
     "bfgs_inverse_update",
     "two_loop_direction",
     "eigen_extremes",
-    "blas_threads_for",
 ]
 
 

@@ -42,8 +42,6 @@ __all__ = [
     "SearchMemory",
     "Phase",
     "LineSearchOutcome",
-    "initial_phase",
-    "split_phase",
     "two_phase_search",
     "armijo_wolfe_search",
 ]
@@ -369,17 +367,19 @@ def split_phase(
     evaluates them in blocks, the first sized from the previous backtracking
     run in ``memory``; only the trials up to the first pass are counted.
 
-    The beta loop grows beta from the last trial's steplength until the
-    signed noise-control condition holds.  With a curvature estimate mu in
-    ``memory`` the first candidate jumps to max(2 beta, beta_bar) where
-    beta_bar = 2 (1 + c3) eps_g / (mu ||p||); without one, the start itself
-    is tested first (with the bisection's gradient there, if any) and beta
-    doubles on failure.  Sets the phase and the result fields on ``search``,
-    whose trial counts go on covering the whole search, and returns it.
+    The beta loop starts at the last trial's steplength, first testing the
+    bisection's gradient there when there is one.  With a curvature
+    estimate mu in ``memory`` it jumps to max(2 beta, beta_bar) instead,
+    where beta_bar = 2 (1 + c3) eps_g / (mu ||p||).  Then beta doubles until
+    the signed noise-control condition holds, for at most
+    ``max_lengthening`` gradient evaluations.  Sets the phase and the result
+    fields on ``search``, whose trial counts go on covering the whole
+    search, and returns it.
     """
     search.split = True
     x, p = search.x, search.p
-    last, g_last = search.alpha, search.g_alpha
+    # Both loops start from the last trial: its steplength and gradient.
+    beta, g_beta = search.alpha, search.g_alpha
 
     # --- alpha loop: pick the steplength by relaxed-Armijo backtracking ---
     alpha_ok = search.alpha_best is not None
@@ -390,35 +390,26 @@ def split_phase(
     else:
         budget = params.max_ls_iters - search.f_trials
         alpha, f_trial, alpha_ok = _trial_run(
-            oracle, memory, search, last, 0.1, budget, params.c1
+            oracle, memory, search, beta, 0.1, budget, params.c1
         )
         search.alpha, search.f_alpha, search.g_alpha = (
             (alpha, f_trial, None) if alpha_ok else (0.0, None, None)
         )
 
     # --- beta loop: lengthen until the signed noise-control test holds ---
-    beta = last
     estimate = memory.estimate
-    beta_bar = None
-    g_beta = g_last
     if estimate is not None and search.p_norm > 0.0:
         beta_bar = 2.0 * (1.0 + params.c3) * search.eps_g / (estimate * search.p_norm)
-        beta = max(2.0 * beta, beta_bar)
-        g_beta = None
-    beta_ok = False
-    lengthenings = 0
-    while True:
-        if g_beta is None:
-            if lengthenings >= params.max_lengthening:
-                break
-            g_beta = oracle.noisy_g(x + beta * p)
-            search.g_trials += 1
-            lengthenings += 1
-        if search.noise_control(g_beta, params.c3, symmetric=False):
-            beta_ok = True
+        beta, g_beta = max(2.0 * beta, beta_bar), None
+    beta_ok = g_beta is not None and search.noise_control(g_beta, params.c3, symmetric=False)
+    for _ in range(params.max_lengthening):
+        if beta_ok:
             break
-        beta = max(2.0 * beta, beta_bar) if beta_bar is not None else 2.0 * beta
-        g_beta = None
+        if g_beta is not None:
+            beta *= 2.0
+        g_beta = oracle.noisy_g(x + beta * p)
+        search.g_trials += 1
+        beta_ok = search.noise_control(g_beta, params.c3, symmetric=False)
 
     if beta_ok:
         search.beta, search.g_beta = beta, g_beta

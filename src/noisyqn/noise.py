@@ -39,7 +39,7 @@ import numpy as np
 from .linalg import norm
 from .problems import Problem
 
-__all__ = ["NoiseSpec", "NoisyOracle", "Schedule"]
+__all__ = ["NoiseSpec", "NoisyOracle"]
 
 Schedule = Literal["constant", "intermittent"]
 
@@ -86,6 +86,8 @@ class NoiseSpec:
             raise ValueError("xi_g must be finite and >= 0")
         if self.schedule not in get_args(Schedule):
             raise ValueError(f"schedule must be one of {get_args(Schedule)}")
+        if not isinstance(self.start_noisy, bool):
+            raise ValueError(f"start_noisy must be a bool, got {self.start_noisy!r}")
         # bool is an Integral: True would key the same noise as 1, and is no
         # block length.
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):

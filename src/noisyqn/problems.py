@@ -316,6 +316,8 @@ def registry_lookup(name: str) -> Problem:
     part picks the generator seed (``QUAD(50,1,100,7)`` or
     ``QUAD(50,1,100,seed=7)``); it defaults to 0.
     """
+    if not isinstance(name, str):
+        raise UnknownProblemError(name, registered_names())
     key = name.strip().upper()
     if key.startswith("QUAD(") and key.endswith(")"):
         parts = [part.strip() for part in key[5:-1].split(",")]

@@ -45,14 +45,10 @@ from .problems import Problem
 __all__ = [
     "Variant",
     "SolverConfig",
-    "SolverState",
     "IterationRecord",
     "IterationContext",
     "RunTrace",
-    "NumericalFailureError",
     "skip_condition",
-    "search_direction",
-    "iterate",
     "run",
 ]
 

@@ -114,6 +114,17 @@ class TestConfigValidation:
             run_experiment(tiny_config(out, seeds=[1, 1.5]))
         assert not out.exists()
 
+    def test_non_string_problem_rejected_before_output(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="unknown problem 5"):
+            run_experiment(tiny_config(out, problems=[5]))
+        assert not out.exists()
+
+    def test_non_path_out_is_config_error(self):
+        config = ExperimentConfig(problems=["TRIDIA"], methods=["bfgs"], seeds=[1], out=5)
+        with pytest.raises(ConfigError, match="out must be a path, got 5"):
+            config.validate()
+
     def test_bool_seed_is_config_error(self):
         """seeds [True, 1] would run seed 1's noise twice, under the keys
         ``..._seedTrue`` and ``..._seed1``."""
@@ -668,6 +679,32 @@ class TestCli:
         assert capsys.readouterr().err == f"error: out {str(out)!r}: {out} is not a directory\n"
         assert out.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize(
+        "parent, reason",
+        [("nodir", "No such file or directory"), ("afile", "Not a directory")],
+        ids=["missing-directory", "under-a-file"],
+    )
+    def test_profile_out_that_cannot_be_written_is_config_error(
+        self, tmp_path, capsys, parent, reason
+    ):
+        """The profile is neither printed nor written."""
+        runs = {
+            method: {**run_entry("A", 1, 1e-3), "method": method, "xi_f": 0.0, "xi_g": 1e-3,
+                     "omega": 1.0}
+            for method in ("bfgs", "bfgs-e")
+        }
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"runs": runs}))
+        (tmp_path / "afile").write_text("kept\n")
+        out = tmp_path / parent / "p.csv"
+        code = main([
+            "profile", "--summary", str(summary), "--new-method", "bfgs-e",
+            "--old-method", "bfgs", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: out {str(out)!r}: {reason}\n")
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc_info:

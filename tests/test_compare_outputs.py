@@ -177,15 +177,23 @@ def test_trace_check_per_output_set(tool, tmp_path):
 
 def test_source_lines(tool, tmp_path):
     """The lines of every ``*.py`` file under ``noisyqn``, subpackages
-    included, on each side; other files do not count."""
+    included, on each side, then each file whose count changed, a missing
+    file counting 0; other files do not count."""
     base = write_tree(tmp_path / "base", {
         "noisyqn/__init__.py": "a\nb\n",
+        "noisyqn/noise.py": "f\n",
         "noisyqn/solver.py": "c\nd\ne\n",
         "noisyqn/README.md": "not\ncounted\n",
     })
     new = write_tree(tmp_path / "new", {
         "noisyqn/__init__.py": "a\n",
+        "noisyqn/noise.py": "g\n",
         "noisyqn/sub/module.py": "b\nc\n",
         "other/outside.py": "not\ncounted\n",
     })
-    assert tool.source_lines(base, new) == "src/noisyqn lines: 5 -> 3"
+    assert tool.source_lines(base, new) == [
+        "src/noisyqn lines: 6 -> 4",
+        "  src/noisyqn/__init__.py: 2 -> 1",
+        "  src/noisyqn/solver.py: 3 -> 0",
+        "  src/noisyqn/sub/module.py: 0 -> 2",
+    ]

@@ -44,6 +44,12 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError):
             NoiseSpec(omega=0.0)
 
+    @pytest.mark.parametrize("start_noisy", ["yes", None, 1])
+    def test_non_bool_start_noisy_rejected(self, start_noisy):
+        """A truthy "yes" would start the intermittent schedule clean."""
+        with pytest.raises(ValueError, match=f"start_noisy must be a bool, got {start_noisy!r}"):
+            NoiseSpec(xi_g=0.1, schedule="intermittent", n_noise=2, start_noisy=start_noisy)
+
     @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
