@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, fields
 from itertools import product, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import get_origin, get_type_hints
 
 from .linalg import blas_threads_for
 from .linesearch import LineSearchParams
-from .noise import NoiseSpec, Schedule
+from .noise import NoisePhase, NoiseSpec, Schedule
 from .problems import Problem, UnknownProblemError, registry_lookup
 from .solver import IterationRecord, RunTrace, SolverConfig, Variant, run
 
@@ -88,8 +88,6 @@ SETTING_NAMES = {
     "history": "history_h",
 }
 
-NoisePhase = Literal["noisy", "clean"]
-
 
 def setting_name(name: str) -> str:
     """The outside name of the ExperimentConfig field ``name``."""
@@ -114,7 +112,7 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=list)
     schedule: Schedule = NoiseSpec.schedule
     n_noise: int | None = NoiseSpec.n_noise
-    noise_phase: NoisePhase = "noisy"
+    noise_phase: NoisePhase = NoiseSpec.noise_phase
     max_iters: int = SolverConfig.max_iters
     g_eval_budget: int | None = SolverConfig.g_eval_budget
     c1: float = LineSearchParams.c1
@@ -136,15 +134,22 @@ class ExperimentConfig:
         if not existing.is_dir():
             raise ConfigError(f"out {self.out!r}: {existing} is not a directory")
         for name in RUN_AXES:
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {values!r}")
+            if not values:
                 raise ConfigError(f"no {name} given")
+        spelled = {}  # each Problem.name's first spelling in problems
         for name in self.problems:
             try:
-                registry_lookup(name)
+                problem = registry_lookup(name)
             except UnknownProblemError as exc:
                 raise ConfigError(str(exc)) from exc
             except ValueError as exc:
                 raise ConfigError(f"problem {name!r}: {exc}") from exc
+            first = spelled.setdefault(problem.name, name)
+            if first != name:
+                raise ConfigError(f"problems {first!r} and {name!r} name the same problem")
         for method in self.methods:
             try:
                 Variant(method)
@@ -153,20 +158,18 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown method {method!r}; choose from: {known}"
                 ) from exc
-        for name, hint in SETTING_TYPES.items():
-            if get_origin(hint) is Literal and getattr(self, name) not in get_args(hint):
-                raise ConfigError(f"{name} must be one of {get_args(hint)}")
+        cells = self._cells()
         try:
             # Every method shares the solver settings, so one build checks them.
             self.solver_config(self.methods[0])
-            for cell in self.run_matrix():
+            # Before any run key is formatted, which needs real noise levels.
+            for cell in cells:
                 self.noise_spec(cell)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         # One key names one run's CSV and summary entry, and noise levels print
-        # with 6 significant digits; run_matrix sorts by key, so cells sharing
-        # one are neighbours.
-        keys = [_run_key(cell) for cell in self.run_matrix()]
+        # with 6 significant digits; sorted, keys that are shared are neighbours.
+        keys = sorted(map(_run_key, cells))
         for key, following in zip(keys, keys[1:]):
             if key == following:
                 raise ConfigError(f"two run cells share the run key {key!r}")
@@ -185,14 +188,16 @@ class ExperimentConfig:
     def noise_spec(self, cell: dict) -> NoiseSpec:
         """The noise of one run cell."""
         levels = {name: cell[name] for name in ("xi_f", "xi_g", "omega", "seed")}
-        return self._settings_of(NoiseSpec, start_noisy=self.noise_phase == "noisy", **levels)
+        return self._settings_of(NoiseSpec, **levels)
+
+    def _cells(self) -> list[dict]:
+        """All run descriptors, in the order of the axes' product."""
+        axes = [getattr(self, name) for name in RUN_AXES]
+        return [dict(zip(_CELL_KEYS, values)) for values in product(*axes)]
 
     def run_matrix(self) -> list[dict]:
         """All run descriptors in deterministic (sorted-key) order."""
-        axes = [getattr(self, name) for name in RUN_AXES]
-        cells = [dict(zip(_CELL_KEYS, values)) for values in product(*axes)]
-        cells.sort(key=_run_key)
-        return cells
+        return sorted(self._cells(), key=_run_key)
 
 
 # ExperimentConfig's field types, in field order.  Its list fields are the

@@ -186,10 +186,7 @@ def _collect_config(args: argparse.Namespace) -> ExperimentConfig:
     for name in SETTING_TYPES:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
-    try:
-        return ExperimentConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def _cmd_run_or_sweep(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ctypes
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -55,25 +55,19 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CurvaturePair:
-    """A quasi-Newton curvature pair (s, y) with its cached inner product.
-
-    ``sy`` is the value of ``s @ y`` exactly as computed at construction
-    time; downstream consumers reuse it rather than recomputing the dot.
+    """A quasi-Newton curvature pair (s, y) of equal-length 1-D float64
+    arrays.  ``sy`` is no argument: construction computes ``float(s @ y)``,
+    whose bits the update and the limited memory reuse.
     """
 
     s: np.ndarray
     y: np.ndarray
-    sy: float
+    sy: float = field(init=False)
 
     def __post_init__(self):
         if self.s.shape != self.y.shape or self.s.ndim != 1:
             raise ValueError("s and y must be 1-D arrays of equal length")
-
-    @classmethod
-    def from_step(cls, s: np.ndarray, y: np.ndarray) -> "CurvaturePair":
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return cls(s=s, y=y, sy=float(s @ y))
+        object.__setattr__(self, "sy", float(self.s @ self.y))
 
 
 class LimitedMemory:

@@ -42,6 +42,7 @@ from .problems import Problem
 __all__ = ["NoiseSpec", "NoisyOracle"]
 
 Schedule = Literal["constant", "intermittent"]
+NoisePhase = Literal["noisy", "clean"]
 
 # Stream tags keep function and gradient draws on disjoint counters.
 _TAG_F = 0
@@ -61,33 +62,32 @@ class NoiseSpec:
 
     xi_f and xi_g are the half-widths of the uniform errors added to f and
     to each gradient coordinate.  With the "intermittent" schedule the noise
-    toggles on and off every ``n_noise`` iterations; ``start_noisy`` selects
-    which state the first block is in.  ``omega`` scales only the *reported*
-    gradient-noise bound handed to noise-aware methods, never the injected
-    noise itself.  ``seed`` is the Philox key, in [0, 2**128).
+    toggles on and off every ``n_noise`` iterations, and ``noise_phase``
+    ("noisy" or "clean") is the state of its first block.  ``omega`` scales
+    only the *reported* gradient-noise bound handed to noise-aware methods,
+    never the injected noise itself.  ``seed`` is the Philox key, in [0, 2**128).
     """
 
     xi_f: float = 0.0
     xi_g: float = 0.0
     schedule: Schedule = "constant"
     n_noise: int | None = None
-    start_noisy: bool = True
+    noise_phase: NoisePhase = "noisy"
     seed: int = 0
     omega: float = 1.0
 
     def __post_init__(self):
         for name in ("xi_f", "xi_g", "omega"):
             value = getattr(self, name)
-            if isinstance(value, bool):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.xi_f) and self.xi_f >= 0.0):
             raise ValueError("xi_f must be finite and >= 0")
         if not (math.isfinite(self.xi_g) and self.xi_g >= 0.0):
             raise ValueError("xi_g must be finite and >= 0")
-        if self.schedule not in get_args(Schedule):
-            raise ValueError(f"schedule must be one of {get_args(Schedule)}")
-        if not isinstance(self.start_noisy, bool):
-            raise ValueError(f"start_noisy must be a bool, got {self.start_noisy!r}")
+        for name, kind in (("schedule", Schedule), ("noise_phase", NoisePhase)):
+            if getattr(self, name) not in get_args(kind):
+                raise ValueError(f"{name} must be one of {get_args(kind)}")
         # bool is an Integral: True would key the same noise as 1, and is no
         # block length.
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
@@ -143,7 +143,7 @@ class NoisyOracle:
         if spec.schedule == "constant":
             return True
         block = self.iteration // spec.n_noise
-        return (block % 2 == 0) == spec.start_noisy
+        return (block % 2 == 0) == (spec.noise_phase == "noisy")
 
     def _chunk(self, index: int, tag: int, xi: float, width: int) -> np.ndarray:
         """The noise of draws index, index + 1, ... (see the module

@@ -29,9 +29,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Problem:
-    """An unconstrained minimization problem.
+    """An unconstrained minimization problem of dimension ``dim = len(x0)``.
 
     ``f_rows`` declares that ``eval_f`` also takes a (k, d) stack of points
     and returns their k values as an array, each bit-identical to
@@ -44,16 +44,19 @@ class Problem:
 
     The noisy oracle keeps references to the points it evaluates and to the
     values ``eval_f``/``eval_g`` return, so neither may be changed in place
-    afterwards.
+    afterwards.  Every field is passed by keyword.
     """
 
     name: str
-    dim: int
     eval_f: Callable[[np.ndarray], float]
     eval_g: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     phi_star: float
     f_rows: bool = False
+
+    @property
+    def dim(self) -> int:
+        return len(self.x0)
 
 
 class UnknownProblemError(KeyError):
@@ -283,7 +286,8 @@ def register(name: str, factory: Callable[[], Problem]) -> None:
 def _register_standard(name, eval_f, eval_g, start, phi_star, f_rows=False) -> None:
     """Register one of the registry's own problems, all of dimension 100,
     starting from ``start(100)``."""
-    register(name, lambda: Problem(name, 100, eval_f, eval_g, start(100), phi_star, f_rows))
+    shared = dict(name=name, eval_f=eval_f, eval_g=eval_g, phi_star=phi_star, f_rows=f_rows)
+    register(name, lambda: Problem(x0=start(100), **shared))
 
 
 # Zeros and GENROSE's 1.0 are exact minima; the ENGVAL1 and CRAGGLVY
@@ -369,7 +373,6 @@ def make_quadratic(dim: int, m: float, big_m: float, seed: int) -> Problem:
 
     return Problem(
         name=f"QUAD({dim},{m:g},{big_m:g},{seed})",
-        dim=dim,
         eval_f=eval_f,
         eval_g=eval_g,
         x0=x0,

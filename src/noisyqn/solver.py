@@ -271,7 +271,7 @@ def iterate(
     pair_action = "skipped"
     skip_held: bool | None = None
     if outcome.beta is not None:
-        candidate = CurvaturePair.from_step(outcome.beta * p, outcome.g_beta - g_at_x)
+        candidate = CurvaturePair(outcome.beta * p, outcome.g_beta - g_at_x)
         if variant.update_skipping:
             skip_held = skip_condition(outcome.g_beta, g_at_x, p, eps_g)
         y_norm = norm(candidate.y)

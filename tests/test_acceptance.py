@@ -121,7 +121,7 @@ def _intermittent_jobs():
                     xi_g=1e-1,
                     schedule="intermittent",
                     n_noise=50,
-                    start_noisy=True,
+                    noise_phase="noisy",
                     seed=seed,
                 ),
                 SolverConfig(variant=variant, max_iters=1000),
@@ -421,7 +421,7 @@ def test_criterion_07_two_loop_matches_dense(report):
             y = rng.standard_normal(d)
             # shift y along s until the pair has solidly positive curvature
             y += s * (abs(float(s @ y)) / float(s @ s) + rng.uniform(0.5, 1.5))
-            pair = CurvaturePair.from_step(s, y)
+            pair = CurvaturePair(s, y)
             memory.push(pair)
             pairs.append(pair)
         dense = SymmetricMatrix(memory.gamma * np.eye(d))
@@ -594,7 +594,7 @@ def test_runtime_warning_in_a_worker_fails():
     """A RuntimeWarning raised inside a pooled run reaches the test as an
     error, as it would in pytest's own process."""
     problem = Problem(
-        name="LOG0", dim=1, x0=np.zeros(1), eval_f=_log_of_zero,
+        name="LOG0", x0=np.zeros(1), eval_f=_log_of_zero,
         eval_g=np.zeros_like, phi_star=0.0,
     )
     job = (problem, NoiseSpec(), SolverConfig(variant=Variant.BFGS, max_iters=1))

@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
@@ -118,6 +119,42 @@ class TestConfigValidation:
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="unknown problem 5"):
             run_experiment(tiny_config(out, problems=[5]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "problems, message",
+        [
+            (["ARWHEAD", "arwhead", "QUAD(8,1,10)", "QUAD(8,1,1e1)"], "'ARWHEAD' and 'arwhead'"),
+            (("QUAD(8,1,10)", "QUAD(8,1,1e1)"), "'QUAD(8,1,10)' and 'QUAD(8,1,1e1)'"),
+        ],
+        ids=["case", "number-in-a-tuple"],
+    )
+    def test_two_spellings_of_one_problem_rejected_before_output(self, tmp_path, problems, message):
+        """Each spelling would run the same problem under a run key and a
+        CSV of its own; on a case-insensitive file system two of the CSVs
+        would be one file."""
+        out = tmp_path / "out"
+        expected = re.escape(f"problems {message} name the same problem")
+        with pytest.raises(ConfigError, match=f"^{expected}$"):
+            run_experiment(tiny_config(out, problems=problems, seeds=[1]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(problems="TRIDIA"), "problems must be a list, got 'TRIDIA'"),
+            (dict(methods="bfgs"), "methods must be a list, got 'bfgs'"),
+            (dict(xi_f=["0.1"]), "xi_f must be a real number, got '0.1'"),
+            (dict(seeds=5), "seeds must be a list, got 5"),
+        ],
+        ids=["problems", "methods", "xi_f", "seeds"],
+    )
+    def test_wrongly_shaped_setting_named_before_output(self, tmp_path, setting, message):
+        """A string was iterated letter by letter, and a string noise level
+        failed in the run key's format."""
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_experiment(tiny_config(out, **setting))
         assert not out.exists()
 
     def test_non_path_out_is_config_error(self):

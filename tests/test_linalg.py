@@ -110,15 +110,35 @@ class TestSymmetricMatrix:
 
 
 class TestCurvaturePair:
-    def test_from_step_caches_dot(self):
+    def test_sy_is_computed_from_s_and_y(self):
         s = np.array([1.0, 2.0])
         y = np.array([3.0, -1.0])
-        pair = CurvaturePair.from_step(s, y)
+        pair = CurvaturePair(s, y)
         assert pair.sy == float(s @ y)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda d: st.tuples(
+                arrays(np.float64, d, elements=st.floats(allow_nan=True, allow_infinity=True)),
+                arrays(np.float64, d, elements=st.floats(allow_nan=True, allow_infinity=True)),
+            )
+        )
+    )
+    def test_sy_has_the_bits_of_the_dot(self, pair_arrays):
+        s, y = pair_arrays
+        with np.errstate(all="ignore"):
+            expected = float(s @ y)
+            sy = CurvaturePair(s, y).sy
+        assert np.float64(sy).tobytes() == np.float64(expected).tobytes()
+
+    def test_sy_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            CurvaturePair(np.ones(2), np.ones(2), sy=1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            CurvaturePair.from_step(np.ones(2), np.ones(3))
+            CurvaturePair(np.ones(2), np.ones(3))
 
 
 class TestLimitedMemory:
@@ -133,7 +153,7 @@ class TestLimitedMemory:
             s = y + 0.1 * rng.standard_normal(4)
             if float(s @ y) <= 0:
                 continue
-            pair = CurvaturePair.from_step(s, y)
+            pair = CurvaturePair(s, y)
             mem.push(pair)
             assert mem.gamma == pytest.approx(pair.sy / float(y @ y), rel=1e-15)
 
@@ -146,7 +166,7 @@ class TestLimitedMemory:
         while len(pairs) < 3:
             s, y = rng.standard_normal(4), rng.standard_normal(4)
             if float(s @ y) > 0.0:
-                pairs.append(CurvaturePair.from_step(s, y))
+                pairs.append(CurvaturePair(s, y))
         evicted, fresh, full = LimitedMemory(2), LimitedMemory(2), LimitedMemory(3)
         for p in pairs:
             evicted.push(p)
@@ -161,7 +181,7 @@ class TestLimitedMemory:
     def test_rejects_nonpositive_curvature(self):
         mem = LimitedMemory(2)
         with pytest.raises(ValueError):
-            mem.push(CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([-1.0, 0.0])))
+            mem.push(CurvaturePair(np.array([1.0, 0.0]), np.array([-1.0, 0.0])))
 
     def test_gamma_needs_a_nonzero_y_norm(self):
         """s = (1e10, 0), y = (1e-170, 0): s.y = 1e-160 > 0 but y.y
@@ -169,7 +189,7 @@ class TestLimitedMemory:
         1 / v.v and the direction are finite, and the direction matches a
         long-double two-loop.  The solver's pair rule still keeps such a
         pair out (see ``test_solver.py::TestPairRule``)."""
-        pair = CurvaturePair.from_step(np.array([1e10, 0.0]), np.array([1e-170, 0.0]))
+        pair = CurvaturePair(np.array([1e10, 0.0]), np.array([1e-170, 0.0]))
         assert pair.sy == 1e-160 and norm(pair.y) == 0.0
         mem = LimitedMemory(2)
         mem.push(pair)
@@ -189,12 +209,12 @@ class TestBfgsInverseUpdate:
     def test_identity_fixed_point(self):
         """s = y = e1 collapses the update back to the identity."""
         e1 = np.array([1.0, 0.0])
-        h = updated(identity(2), CurvaturePair.from_step(e1, e1))
+        h = updated(identity(2), CurvaturePair(e1, e1))
         np.testing.assert_allclose(h.dense, np.eye(2), atol=1e-15)
 
     def test_hand_worked_2d(self):
         """s = (1,0), y = (2,0) on H = I gives diag(1/2, 1)."""
-        pair = CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        pair = CurvaturePair(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         h = updated(identity(2), pair)
         np.testing.assert_allclose(h.dense, np.diag([0.5, 1.0]), atol=1e-15)
         np.testing.assert_allclose(h.matvec(pair.y), pair.s, atol=1e-15)
@@ -202,7 +222,7 @@ class TestBfgsInverseUpdate:
     def test_updates_the_array_in_place(self):
         h = identity(2)
         array = h.dense
-        pair = CurvaturePair.from_step(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        pair = CurvaturePair(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         assert bfgs_inverse_update(h, pair) is None
         assert h.dense is array
         np.testing.assert_allclose(array, np.diag([0.5, 1.0]), atol=1e-15)
@@ -215,7 +235,7 @@ class TestBfgsInverseUpdate:
             h = SymmetricMatrix(random_spd(rng, 5))
             s = rng.standard_normal(5)
             y = a @ s
-            bfgs_inverse_update(h, CurvaturePair.from_step(s, y))
+            bfgs_inverse_update(h, CurvaturePair(s, y))
             err = np.linalg.norm(h.matvec(y) - s) / np.linalg.norm(s)
             assert err <= 1e-10
 
@@ -228,7 +248,7 @@ class TestBfgsInverseUpdate:
                 y = s + 0.5 * rng.standard_normal(d)
                 if float(s @ y) <= 1e-8:
                     continue
-                bfgs_inverse_update(h, CurvaturePair.from_step(s, y))
+                bfgs_inverse_update(h, CurvaturePair(s, y))
                 lo, _ = eigen_extremes(h)
                 assert lo > 0.0
 
@@ -237,7 +257,7 @@ class TestBfgsInverseUpdate:
         h = SymmetricMatrix(random_spd(rng, 6))
         s = rng.standard_normal(6)
         y = s + 0.1 * rng.standard_normal(6)
-        bfgs_inverse_update(h, CurvaturePair.from_step(s, y))
+        bfgs_inverse_update(h, CurvaturePair(s, y))
         assert np.array_equal(h.dense, h.dense.T)
 
     @pytest.mark.parametrize(
@@ -252,7 +272,7 @@ class TestBfgsInverseUpdate:
         h = SymmetricMatrix(random_spd(np.random.default_rng(31), 2))
         before = h.dense.tobytes()
         with pytest.raises(ValueError):
-            bfgs_inverse_update(h, CurvaturePair.from_step(np.array(s), np.array(y)))
+            bfgs_inverse_update(h, CurvaturePair(np.array(s), np.array(y)))
         assert h.dense.tobytes() == before
 
 
@@ -267,7 +287,7 @@ def spd_and_pair(draw):
     assume(np.linalg.norm(s) >= 0.1 and np.linalg.norm(y) > 0.0)
     assume(float(s @ y) >= 0.1 * np.linalg.norm(s) * np.linalg.norm(y))
     h = SymmetricMatrix(a @ a.T + 0.5 * np.eye(d))
-    return h, CurvaturePair.from_step(s, y)
+    return h, CurvaturePair(s, y)
 
 
 @st.composite
@@ -347,9 +367,9 @@ class TestDenseUpdateProperties:
         s.y of the scaled pair is below 1e-154 or above 1e154."""
         dense, s, y = case
         h = SymmetricMatrix(dense.copy())
-        bfgs_inverse_update(h, CurvaturePair.from_step(s, y))
+        bfgs_inverse_update(h, CurvaturePair(s, y))
         scaled = SymmetricMatrix(dense.copy())
-        bfgs_inverse_update(scaled, CurvaturePair.from_step(2.0**k * s, 2.0**k * y))
+        bfgs_inverse_update(scaled, CurvaturePair(2.0**k * s, 2.0**k * y))
         assert np.array_equal(scaled.dense, h.dense)
 
 
@@ -358,7 +378,7 @@ def orthogonal_complement_pair(rng, d):
     y = rng.standard_normal(d)
     v = rng.standard_normal(d)
     v -= (v @ y) / (y @ y) * y
-    return CurvaturePair.from_step(y + v, y)
+    return CurvaturePair(y + v, y)
 
 
 class TestTwoLoopDirection:
@@ -385,7 +405,7 @@ class TestTwoLoopDirection:
         while len(pairs) < 8:
             s = rng.standard_normal(6)
             y = a @ s
-            pair = CurvaturePair.from_step(s, y)
+            pair = CurvaturePair(s, y)
             pairs.append(pair)
             mem.push(pair)
         dense = dense_from_pairs(pairs, mem.gamma, 6)
@@ -408,7 +428,7 @@ class TestTwoLoopDirection:
             while len(pairs) < k:
                 s = rng.standard_normal(d)
                 y = a @ s
-                pair = CurvaturePair.from_step(s, y)
+                pair = CurvaturePair(s, y)
                 pairs.append(pair)
                 mem.push(pair)
             dense = dense_from_pairs(pairs, mem.gamma, d)
@@ -452,7 +472,7 @@ class TestCompactProduct:
         for scale in (1.0, 2.0**k):
             mem = LimitedMemory(capacity)
             for s, y in pairs:
-                mem.push(CurvaturePair.from_step(scale * s, scale * y))
+                mem.push(CurvaturePair(scale * s, scale * y))
             directions.append(two_loop_direction(mem, g))
         assert directions[0].tobytes() == directions[1].tobytes()
 

@@ -31,7 +31,6 @@ from noisyqn.solver import SolverConfig, Variant, run
 def scalar_problem(f, g, name="SCALAR"):
     return Problem(
         name=name,
-        dim=1,
         x0=np.zeros(1),
         eval_f=lambda x: float(f(x[0])),
         eval_g=lambda x: np.array([g(x[0])]),
@@ -190,7 +189,7 @@ class TestTrialRunDecision:
             return next(queue)
 
         prob = Problem(
-            name="TABLE", dim=1, x0=np.zeros(1), eval_f=eval_f,
+            name="TABLE", x0=np.zeros(1), eval_f=eval_f,
             eval_g=np.zeros_like, phi_star=0.0, f_rows=f_rows,
         )
         oracle = NoisyOracle(prob, NoiseSpec())

@@ -3,6 +3,7 @@ intermittent schedules, and evaluation accounting."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,11 +45,13 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError):
             NoiseSpec(omega=0.0)
 
-    @pytest.mark.parametrize("start_noisy", ["yes", None, 1])
-    def test_non_bool_start_noisy_rejected(self, start_noisy):
-        """A truthy "yes" would start the intermittent schedule clean."""
-        with pytest.raises(ValueError, match=f"start_noisy must be a bool, got {start_noisy!r}"):
-            NoiseSpec(xi_g=0.1, schedule="intermittent", n_noise=2, start_noisy=start_noisy)
+    @pytest.mark.parametrize("noise_phase", ["yes", None, 1, True])
+    def test_unknown_noise_phase_rejected(self, noise_phase):
+        """Only "noisy" and "clean" name the intermittent schedule's first
+        block; a truthy value is neither."""
+        message = re.escape("noise_phase must be one of ('noisy', 'clean')")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NoiseSpec(xi_g=0.1, schedule="intermittent", n_noise=2, noise_phase=noise_phase)
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
     def test_non_integer_seed_rejected(self, seed):
@@ -66,6 +69,11 @@ class TestNoiseSpecValidation:
         """True once drew noise of half-width 1.0."""
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got True$"):
             NoiseSpec(**{name: True})
+
+    @pytest.mark.parametrize("name", ["xi_f", "xi_g", "omega"])
+    def test_non_number_level_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got '0.1'$"):
+            NoiseSpec(**{name: "0.1"})
 
     def test_bool_n_noise_rejected(self):
         with pytest.raises(ValueError, match="^n_noise must be an integer, got True$"):
@@ -244,7 +252,7 @@ class TestChunkedDraws:
         also equals a fresh generator's at its counter."""
         n, dim, seed = 25_000, 4, 6
         zero = Problem(
-            name="ZERO", dim=dim, x0=np.zeros(dim), eval_f=lambda x: 0.0,
+            name="ZERO", x0=np.zeros(dim), eval_f=lambda x: 0.0,
             eval_g=np.zeros_like, phi_star=0.0,
         )
         oracle = NoisyOracle(zero, NoiseSpec(xi_f=xi, xi_g=xi, seed=seed))
@@ -303,7 +311,7 @@ class TestSchedules:
             xi_f=1e-3,
             schedule="intermittent",
             n_noise=5,
-            start_noisy=False,
+            noise_phase="clean",
             seed=6,
         )
         oracle.set_iteration(2)

@@ -1,6 +1,7 @@
 """Test-problem registry: objective values, analytic gradients, synthetic
 quadratics, and the finite-difference gradient audit."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -81,6 +82,19 @@ class TestRegistry:
         for name in ALL_NAMES:
             assert registry_lookup(name).dim == 100
 
+    @pytest.mark.parametrize("name", [*ALL_NAMES, "QUAD(5,1,10)"])
+    def test_dim_is_read_from_x0(self, name):
+        prob = registry_lookup(name)
+        assert prob.dim == len(prob.x0)
+        assert dataclasses.replace(prob, x0=prob.x0[:3]).dim == 3
+
+    def test_positional_problem_is_a_type_error(self):
+        """A dimension given before the callables would shift every later
+        argument by one."""
+        prob = registry_lookup("TRIDIA")
+        with pytest.raises(TypeError):
+            Problem("X", 3, prob.eval_f, prob.eval_g, np.zeros(3), 0.0)
+
     def test_lookup_is_case_sensitive_contract(self):
         prob = registry_lookup("ARWHEAD")
         assert prob.name == "ARWHEAD"
@@ -144,7 +158,6 @@ class TestGradients:
     def test_constant_function_audit_is_zero(self):
         flat = Problem(
             name="FLAT",
-            dim=3,
             x0=np.zeros(3),
             eval_f=lambda x: 7.0,
             eval_g=lambda x: np.zeros(3),

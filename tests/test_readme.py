@@ -5,6 +5,7 @@ import argparse
 import re
 from pathlib import Path
 
+from noisyqn import problems
 from noisyqn.cli import build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -18,6 +19,17 @@ def test_library_quick_start_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert "lengthened pairs" in capsys.readouterr().out
+
+
+def test_register_example_runs(monkeypatch):
+    """The example of a problem of one's own builds a keyword-only Problem
+    whose dim is read from x0; it registers into a copy of the registry."""
+    monkeypatch.setattr(problems, "_REGISTRY", dict(problems._REGISTRY))
+    section = README.split("A problem of your\nown is added with `register`", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    sphere = problems.registry_lookup("SPHERE")
+    assert sphere.dim == 10 and sphere.eval_f(sphere.x0) == 10.0
 
 
 def test_every_flag_is_accepted_by_the_cli():

@@ -71,7 +71,7 @@ class TestSearchDirection:
         pairs = []
         for _ in range(5):
             s = rng.standard_normal(5)
-            pairs.append(CurvaturePair.from_step(s, a @ s))
+            pairs.append(CurvaturePair(s, a @ s))
 
         mem = LimitedMemory(10)
         for pair in pairs:
@@ -118,7 +118,7 @@ class TestSingleIteration:
         prob = make_quadratic(2, 1.0, 1.0, seed=0)
         start = np.array([3.0, 4.0])
         prob = Problem(
-            name=prob.name, dim=2, x0=start,
+            name=prob.name, x0=start,
             eval_f=prob.eval_f, eval_g=prob.eval_g,
             phi_star=0.0,
         )
@@ -247,7 +247,7 @@ class TestPairRule:
         monkeypatch.setattr(solver, "two_phase_search", search)
         monkeypatch.setattr(solver, "armijo_wolfe_search", search)
         flat = Problem(
-            name="FLAT", dim=2, x0=np.zeros(2),
+            name="FLAT", x0=np.zeros(2),
             eval_f=lambda x: 0.0, eval_g=lambda x: g_x, phi_star=0.0,
         )
         seen = []
@@ -282,7 +282,7 @@ class TestPairRule:
         monkeypatch.setattr(solver, "two_phase_search", search)
         monkeypatch.setattr(solver, "armijo_wolfe_search", search)
         flat = Problem(
-            name="FLAT", dim=2, x0=np.zeros(2),
+            name="FLAT", x0=np.zeros(2),
             eval_f=lambda x: 0.0, eval_g=lambda x: g_x, phi_star=0.0,
         )
         seen = []
@@ -399,7 +399,10 @@ class TestSplitTracking:
 
         monkeypatch.setattr(solver, "two_phase_search", split_to_overflow)
         c = np.array([1e3, -1e3])
-        linear = Problem("LINEAR", 2, lambda x: float(c @ x), lambda x: c.copy(), np.zeros(2), 0.0)
+        linear = Problem(
+            name="LINEAR", eval_f=lambda x: float(c @ x), eval_g=lambda x: c.copy(),
+            x0=np.zeros(2), phi_star=0.0,
+        )
         with np.errstate(over="ignore"):
             trace = run(linear, NoiseSpec(xi_g=1e-3, seed=1), quick_config(Variant.BFGS_E))
         assert trace.termination_reason == "numerical_failure"
@@ -424,7 +427,7 @@ class TestTermination:
 
     def test_stationary_point(self):
         flat = Problem(
-            name="CONST", dim=2, x0=np.zeros(2),
+            name="CONST", x0=np.zeros(2),
             eval_f=lambda x: 3.0, eval_g=lambda x: np.zeros(2),
             phi_star=3.0,
         )
@@ -476,7 +479,7 @@ class TestTermination:
         config = quick_config(variant)
         for value in (0.0, 1.0):
             flat = Problem(
-                name="FLAT", dim=2, x0=np.zeros(2),
+                name="FLAT", x0=np.zeros(2),
                 eval_f=lambda x, value=value: value, eval_g=lambda x: np.array([1.0, -2.0]),
                 phi_star=value,
             )
@@ -648,7 +651,9 @@ class TestTraceValues:
             calls.append("g")
             return base.eval_g(x)
 
-        prob = Problem(base.name, base.dim, eval_f, eval_g, base.x0, base.phi_star)
+        prob = Problem(
+            name=base.name, eval_f=eval_f, eval_g=eval_g, x0=base.x0, phi_star=base.phi_star
+        )
         spec = NoiseSpec(xi_f=1e-3, xi_g=1e-3, seed=8)
         trace = run(prob, spec, quick_config(variant, max_iters=30))
         assert len(trace.records) > 0
