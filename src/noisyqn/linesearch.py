@@ -75,7 +75,7 @@ class LineSearchParams:
     def __post_init__(self):
         for name in ("c1", "c2", "c3"):
             value = getattr(self, name)
-            if isinstance(value, bool):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0.0 < self.c1 < self.c2 < 1.0):
             raise ValueError("need 0 < c1 < c2 < 1")

@@ -54,6 +54,17 @@ class Problem:
     phi_star: float
     f_rows: bool = False
 
+    def __post_init__(self):
+        try:
+            x0 = np.asarray(self.x0)
+        except ValueError:  # a ragged nested sequence
+            x0 = np.asarray(self.x0, dtype=object)
+        if not (x0.ndim == 1 and x0.size > 0 and x0.dtype.kind in "iuf"):
+            raise ValueError(
+                "x0 must be a non-empty 1-D array of real numbers, "
+                f"got shape {x0.shape} of {x0.dtype}"
+            )
+
     @property
     def dim(self) -> int:
         return len(self.x0)

@@ -33,8 +33,8 @@ from .linalg import (
     two_loop_direction,
 )
 from .linesearch import (
+    LineSearchOutcome,
     LineSearchParams,
-    Phase,
     SearchMemory,
     armijo_wolfe_search,
     two_phase_search,
@@ -145,16 +145,17 @@ class IterationRecord:
 
 @dataclass
 class IterationContext:
-    """An iteration's trace record plus the vectors behind it, handed to an
-    observer callback (analysis hooks in tests; not part of the CSV trace)."""
+    """An iteration's trace record plus what lies behind it, handed to an
+    observer callback (analysis hooks in tests; not part of the CSV trace).
+
+    ``search`` is the iteration's line search, whose ``x``, ``p`` and
+    ``g_x`` are the iterate, direction and observed gradient it started
+    from.
+    """
 
     record: IterationRecord
-    x: np.ndarray
-    p: np.ndarray
-    g_x: np.ndarray
-    g_beta: np.ndarray | None
+    search: LineSearchOutcome
     pair: CurvaturePair | None
-    phase: Phase
     skip_rule_held: bool | None
     x_new: np.ndarray
 
@@ -312,19 +313,7 @@ def iterate(
         pair_action=pair_action,
     )
     if observer is not None:
-        observer(
-            IterationContext(
-                record=record,
-                x=x,
-                p=p,
-                g_x=g_at_x,
-                g_beta=outcome.g_beta,
-                pair=pair,
-                phase=outcome.phase,
-                skip_rule_held=skip_held,
-                x_new=x_new,
-            )
-        )
+        observer(IterationContext(record, outcome, pair, skip_held, x_new))
     state.k += 1
     return record
 
@@ -349,7 +338,6 @@ def run(
     does not end the run.
     """
     oracle = NoisyOracle(problem, noise_spec)
-    oracle.set_iteration(0)
     x0 = np.array(problem.x0, dtype=float, copy=True)
     f0 = oracle.noisy_f(x0)
     g0 = oracle.noisy_g(x0)

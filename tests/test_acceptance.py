@@ -241,14 +241,14 @@ def quad_pair_data():
             first_pair_k = [None]
 
             def obs(ctx, run_cos=run_cos, first_pair_k=first_pair_k):
-                gp = float(ctx.g_x @ ctx.p)
-                denom = float(np.linalg.norm(ctx.g_x) * np.linalg.norm(ctx.p))
+                gp = float(ctx.search.g_x @ ctx.search.p)
+                denom = float(np.linalg.norm(ctx.search.g_x) * np.linalg.norm(ctx.search.p))
                 if denom > 0.0:
                     run_cos.append((ctx.record.k, -gp / denom))
                 if ctx.pair is not None:
                     y_true = problem.eval_g(
-                        ctx.x + ctx.record.beta * ctx.p
-                    ) - problem.eval_g(ctx.x)
+                        ctx.search.x + ctx.record.beta * ctx.search.p
+                    ) - problem.eval_g(ctx.search.x)
                     pair_rows.append(
                         (
                             ctx.pair.sy,

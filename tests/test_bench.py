@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisyqn import bench, cli
+from noisyqn import bench, cli, problems
 from noisyqn.bench import (
     ConfigError,
     ExperimentConfig,
@@ -224,6 +224,15 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match="must be a real number, got True$"):
             config.validate()
+
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+    def test_string_line_search_constant_rejected_before_output(self, tmp_path, name):
+        """A string once failed in the ordering test, with a message that
+        named no setting."""
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number, got '0.1'$"):
+            run_experiment(tiny_config(out, **{name: "0.1"}))
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["n_split", "max_ls_iters"])
     def test_trial_budget_above_300_rejected_before_output(self, tmp_path, name):
@@ -510,6 +519,26 @@ class TestMoralesProfile:
             points = morales_profile(new, old)
         assert points[0].value == pytest.approx(math.log2(1e-16 / 1e-2))
 
+    def test_unknown_mode_rejected(self):
+        runs = [run_entry("A", 1, 1e-3)]
+        with pytest.raises(ValueError, match="^unknown profile mode 'gap'$"):
+            morales_profile(runs, runs, mode="gap")
+
+    def test_different_seed_sets_error(self):
+        with pytest.raises(ConfigError, match="^seed sets differ for A$"):
+            morales_profile([run_entry("A", 1, 1e-3)], [run_entry("A", 2, 1e-3)])
+
+    @pytest.mark.parametrize("side", ["new", "old", "both"])
+    def test_eval_mode_counts_a_run_that_never_reached_it_at_its_g_evals(self, side):
+        new = {**run_entry("A", 1, 1e-3, evals=300), "g_evals": 10**6}
+        old = {**run_entry("A", 1, 1e-3, evals=600), "g_evals": 10**6}
+        if side in ("new", "both"):
+            new.update(evals_to_threshold=None, g_evals=300)
+        if side in ("old", "both"):
+            old.update(evals_to_threshold=None, g_evals=600)
+        points = morales_profile([new], [old], mode="evals-to-threshold")
+        assert points[0].value == pytest.approx(-1.0)
+
 
 class TestConfigFile:
     def test_flat_key_value_parsing(self, tmp_path):
@@ -542,6 +571,36 @@ class TestConfigFile:
         cfg.write_text("turbo = yes\n")
         with pytest.raises(ConfigError):
             load_config_file(cfg)
+
+    def test_line_without_equals_reports_location(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = ARWHEAD\nmethod bfgs  # no equals sign\n")
+        message = f"{cfg}:2: expected key = value, got 'method bfgs  # no equals sign'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config_file(cfg)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1", True), ("yes", True), ("On", True), ("0", False), ("false", False),
+         ("No", False), (" off ", False)],
+    )
+    def test_bool_setting_values(self, tmp_path, text, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"diagnostics ={text}\n")
+        assert load_config_file(cfg) == {"diagnostics": value}
+
+    def test_bool_setting_rejects_other_text(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("diagnostics = maybe\n")
+        with pytest.raises(ConfigError, match="^expected a boolean, got 'maybe'$"):
+            load_config_file(cfg)
+
+    @pytest.mark.parametrize("text", ["none", "None", ""])
+    @pytest.mark.parametrize("key", ["g_eval_budget", "n_noise"])
+    def test_none_for_an_optional_setting(self, tmp_path, key, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        assert load_config_file(cfg) == {key: None}
 
 
 class TestCli:
@@ -599,6 +658,38 @@ class TestCli:
             "--seed", "1", "--out", str(tmp_path),
         ])
         assert code == 2
+
+    def test_registered_problem_with_bad_start_point_is_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A 2-D x0 once failed every run of the problem with a TypeError."""
+        monkeypatch.setattr(problems, "_REGISTRY", dict(problems._REGISTRY))
+        tridia = registry_lookup("TRIDIA")
+        problems.register("FLAT", lambda: replace(tridia, name="FLAT", x0=np.ones((10, 10))))
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--problem", "FLAT", "--method", "bfgs", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: problem 'FLAT': x0 must be a non-empty 1-D array of real numbers, "
+            "got shape (10, 10) of float64\n"
+        )
+        assert not out.exists()
+
+    def test_failed_run_is_reported_on_stderr(self, tmp_path, capsys):
+        """A run that raises is named with its error, and the others run on;
+        here a directory takes the path of one run's CSV."""
+        blocked = "TRIDIA_bfgs_xif0_xig0_om1_seed1"
+        (tmp_path / f"{blocked}.csv").mkdir()
+        code = main([
+            "sweep", "--problem", "TRIDIA", "--method", "bfgs", "--seed", "1", "--seed", "2",
+            "--max-iters", "3", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert re.fullmatch(f"{blocked}: FAILED \\(IsADirectoryError: .*\\)\n", err)
+        assert "TRIDIA_bfgs_xif0_xig0_om1_seed2: termination=max_iterations" in out
 
     def test_bad_later_noise_value_is_config_error(self, tmp_path, capsys):
         code = main([
@@ -742,6 +833,31 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: out {str(out)!r}: {reason}\n")
         assert (tmp_path / "afile").read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "narrow, message",
+        [
+            (["--new-method", "lbfgs"], "no runs for method 'lbfgs' in {path}"),
+            (["--xi-g", "0.5"], "no runs for method 'bfgs-e' in {path}"),
+            ([], "method 'bfgs-e' spans several noise settings "
+                 "[(0.0, 0.001, 1.0), (0.0, 0.1, 1.0)]; narrow with --xi-f/--xi-g/--omega"),
+        ],
+        ids=["unknown-method", "no-such-noise", "several-noise-settings"],
+    )
+    def test_profile_run_selection_errors(self, tmp_path, capsys, narrow, message):
+        runs = {
+            f"{method}{xi_g}": {**run_entry("A", 1, 1e-3), "method": method, "xi_f": 0.0,
+                                "xi_g": xi_g, "omega": 1.0}
+            for method in ("bfgs", "bfgs-e") for xi_g in (1e-3, 1e-1)
+        }
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"runs": runs}))
+        args = ["profile", "--summary", str(summary), "--new-method", "bfgs-e",
+                "--old-method", "bfgs"]
+        assert main([*args, "--xi-g", "1e-3"]) == 0
+        capsys.readouterr()
+        assert main([*args, *narrow]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(path=summary)}\n")
 
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -494,7 +494,7 @@ class TestCompactProduct:
                 pushed = []
 
                 def observe(ctx):
-                    seen.append((len(pushed), ctx.g_x, -ctx.p))
+                    seen.append((len(pushed), ctx.search.g_x, -ctx.search.p))
                     if ctx.pair is not None:
                         pushed.append(ctx.pair)
 

@@ -6,6 +6,7 @@ lengths sizing the next run's first block."""
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -931,6 +932,15 @@ class TestParamsValidation:
         """c3 = True once searched with c3 = 1.0."""
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got True$"):
             LineSearchParams(**{name: True})
+
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+    @pytest.mark.parametrize("value", ["0.1", None, 1j])
+    def test_non_number_real_rejected(self, name, value):
+        """A string once failed in the ordering test, as a TypeError that
+        named no setting."""
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LineSearchParams(**{name: value})
 
     @pytest.mark.parametrize("name", ["n_split", "max_ls_iters"])
     def test_trial_budget_capped_at_300(self, name):

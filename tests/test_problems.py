@@ -3,6 +3,7 @@ quadratics, and the finite-difference gradient audit."""
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,39 @@ class TestRegistry:
     def test_lookup_is_case_sensitive_contract(self):
         prob = registry_lookup("ARWHEAD")
         assert prob.name == "ARWHEAD"
+
+
+class TestStartPoint:
+    """A Problem's x0 is a non-empty 1-D array of real numbers."""
+
+    @pytest.mark.parametrize(
+        "x0, described",
+        [
+            (np.zeros((2, 2)), "shape (2, 2) of float64"),
+            (np.array([]), "shape (0,) of float64"),
+            (np.array([1.0 + 2.0j, 3.0]), "shape (2,) of complex128"),
+            (np.array([True, False]), "shape (2,) of bool"),
+            ([[1.0, 2.0], [3.0]], "shape (2,) of object"),
+            (5.0, "shape () of float64"),
+        ],
+        ids=["2-d", "empty", "complex", "bool", "ragged", "scalar"],
+    )
+    def test_bad_x0_is_named(self, x0, described):
+        """A 2-D x0 ended in a TypeError inside the run, an empty one as a
+        stationary point after 0 iterations, and a complex one lost its
+        imaginary part with a ComplexWarning."""
+        prob = registry_lookup("TRIDIA")
+        message = f"x0 must be a non-empty 1-D array of real numbers, got {described}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(prob, x0=x0)
+
+    @pytest.mark.parametrize(
+        "x0", [[1.0, 2.0, 3.0], np.arange(3), np.arange(3, dtype=np.uint8)],
+        ids=["list", "int", "uint8"],
+    )
+    def test_list_and_integer_x0_pass(self, x0):
+        prob = dataclasses.replace(registry_lookup("TRIDIA"), x0=x0)
+        assert prob.dim == 3
 
 
 class TestObjectiveValues:
@@ -413,3 +447,10 @@ class TestQuadratic:
     def test_malformed_inline_spec(self):
         with pytest.raises(UnknownProblemError):
             registry_lookup("QUAD(50)")
+
+    @pytest.mark.parametrize(
+        "spec", ["QUAD(x,1,10)", "QUAD(5,1,ten)", "QUAD(5,1,10,seven)", "QUAD(5,1,10,seed=)"]
+    )
+    def test_part_that_is_no_number(self, spec):
+        with pytest.raises(UnknownProblemError, match=re.escape(f"unknown problem {spec!r}")):
+            registry_lookup(spec)

@@ -1,12 +1,15 @@
-"""README.md agrees with the code: its library quick start runs, and every
-``--flag`` it shows is one the CLI accepts."""
+"""README.md agrees with the code: its library quick start runs, every
+``--flag`` it shows is one the CLI accepts, and the observer fields it lists
+are those of ``IterationContext``."""
 
 import argparse
+import dataclasses
 import re
 from pathlib import Path
 
 from noisyqn import problems
 from noisyqn.cli import build_parser
+from noisyqn.solver import IterationContext
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -45,3 +48,10 @@ def test_every_flag_is_accepted_by_the_cli():
     shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README)) - OTHER_TOOLS.keys()
     assert {"--problem", "--summary", "--config"} <= shown
     assert shown - accepted == set()
+
+
+def test_observer_fields_are_those_of_iteration_context():
+    prose = " ".join(README.split())
+    sentence = prose.split("The observer's `ctx` has the fields ", 1)[1].split(".", 1)[0]
+    listed = re.findall(r"`(\w+)`", sentence)
+    assert listed == [f.name for f in dataclasses.fields(IterationContext)]

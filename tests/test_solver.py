@@ -212,8 +212,8 @@ class TestSkippingVariant:
 
         def observer(ctx):
             if ctx.pair is not None and ctx.record.pair_action == "updated":
-                dg_p = float(ctx.pair.y @ ctx.p)
-                threshold = 2.0 * eps_g * float(np.linalg.norm(ctx.p))
+                dg_p = float(ctx.pair.y @ ctx.search.p)
+                threshold = 2.0 * eps_g * float(np.linalg.norm(ctx.search.p))
                 would_skip.append(dg_p < threshold)
 
         run(prob, spec, quick_config(Variant.BFGS, max_iters=80), observer)
@@ -289,8 +289,8 @@ class TestPairRule:
         trace = run(flat, NOISELESS, quick_config(variant, max_iters=2), seen.append)
         assert trace.termination_reason == "max_iterations"
         assert [ctx.record.pair_action for ctx in seen] == ["skipped", "skipped"]
-        np.testing.assert_array_equal(seen[0].p, s / 1e170)
-        np.testing.assert_array_equal(seen[1].p, s / 1e170)
+        np.testing.assert_array_equal(seen[0].search.p, s / 1e170)
+        np.testing.assert_array_equal(seen[1].search.p, s / 1e170)
 
 
 class TestDiagnostics:
@@ -584,7 +584,7 @@ class TestTraceShape:
         def observer(ctx):
             out, f_delta, g_delta = searches[-1]
             assert (out.f_trials, out.g_trials) == (f_delta, g_delta)
-            assert out.phase == ctx.phase
+            assert ctx.search is out
             stepped = out.phase != Phase.ALPHA_FAILED and out.alpha > 0.0
             f_after = int(not stepped or out.f_alpha is None)
             g_after = int(not stepped or out.g_alpha is None)
@@ -623,9 +623,9 @@ class TestTraceValues:
 
         def observer(ctx):
             record = ctx.record
-            assert bits(record.phi_true) == bits(prob.eval_f(ctx.x))
-            assert bits(record.gap) == bits(prob.eval_f(ctx.x) - prob.phi_star)
-            norm = np.linalg.norm(prob.eval_g(ctx.x))
+            assert bits(record.phi_true) == bits(prob.eval_f(ctx.search.x))
+            assert bits(record.gap) == bits(prob.eval_f(ctx.search.x) - prob.phi_star)
+            norm = np.linalg.norm(prob.eval_g(ctx.search.x))
             assert bits(record.grad_norm_true) == bits(norm)
             seen.append(record.k)
 
