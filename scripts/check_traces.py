@@ -8,7 +8,7 @@ its runs (``<key>.csv`` next to it) and prints each violated invariant, one
 line per violation, then one count line per DIR.  Exit code 0 when no trace
 violates an invariant, 1 otherwise.  ``check_trace`` holds the invariants of
 one run; ``check_summary`` applies it to the runs of one ``summary.json`` and
-also checks that each noiseless tolerant run wrote the same bytes as its
+also checks that each run with a ``TWINS`` entry wrote the same bytes as its
 standard twin there; ``check_dir`` does so for an output directory.
 """
 
@@ -20,9 +20,17 @@ import json
 import sys
 from pathlib import Path
 
-# Each tolerant method and the standard method it reduces to without noise.
-TWINS = {"bfgs-e": "bfgs", "lbfgs-e": "lbfgs"}
-TOLERANT_METHODS = set(TWINS)
+# Each method that writes a standard method's trace bytes: (that method, the
+# noise levels at which it must, the twin's name in a violation).  Without a
+# noise bound a tolerant method's search never splits.  At xi_g = 0 the skip
+# rule's threshold is 0, and the curvature guard drops every pair it drops.
+TWINS = {
+    "bfgs-e": ("bfgs", ("xi_f", "xi_g"), "noiseless"),
+    "lbfgs-e": ("lbfgs", ("xi_f", "xi_g"), "noiseless"),
+    "bfgs-skip": ("bfgs", ("xi_g",), "xi_g = 0"),
+    "lbfgs-skip": ("lbfgs", ("xi_g",), "xi_g = 0"),
+}
+TOLERANT_METHODS = {"bfgs-e", "lbfgs-e"}
 LIMITED_MEMORY_METHODS = {"lbfgs", "lbfgs-skip", "lbfgs-e"}
 
 
@@ -93,8 +101,9 @@ def check_trace(rows: list[dict[str, str]], entry: dict) -> list[str]:
 
 def check_summary(path: Path) -> tuple[int, list[str]]:
     """(runs checked, violations) for the runs of one ``summary.json``: each
-    run's ``check_trace``, and for each noiseless tolerant run whose standard
-    twin (same key, ``TWINS`` method) is also there, equal trace bytes."""
+    run's ``check_trace``, and for each run at its ``TWINS`` noise levels
+    whose standard twin (same key, ``TWINS`` method) is also there, equal
+    trace bytes."""
     runs = json.loads(path.read_text())["runs"]
     found = []
     for key, entry in sorted(runs.items()):
@@ -106,11 +115,14 @@ def check_summary(path: Path) -> tuple[int, list[str]]:
             rows = list(csv.DictReader(fh))
         found += [f"{trace}: {line}" for line in check_trace(rows, entry)]
         method, problem = entry["method"], entry["problem"]
-        if method in TWINS and entry["xi_f"] == 0.0 and entry["xi_g"] == 0.0:
-            twin_key = key.replace(f"{problem}_{method}_", f"{problem}_{TWINS[method]}_", 1)
+        if method not in TWINS:
+            continue
+        standard, zero, label = TWINS[method]
+        if all(entry[level] == 0.0 for level in zero):
+            twin_key = key.replace(f"{problem}_{method}_", f"{problem}_{standard}_", 1)
             twin = path.parent / f"{twin_key}.csv"
             if twin_key in runs and twin.is_file() and twin.read_bytes() != trace.read_bytes():
-                found.append(f"{trace}: differs from its noiseless twin {twin.name}")
+                found.append(f"{trace}: differs from its {label} twin {twin.name}")
     return len(runs), found
 
 

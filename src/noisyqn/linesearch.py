@@ -49,7 +49,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LineSearchParams:
-    """Parameters shared by both line searches.
+    """Parameters of the line search.
 
     ``n_split`` caps the initial-phase trials of a search with a noise
     bound before it gives up and splits; ``max_ls_iters`` is the total
@@ -434,17 +434,17 @@ def two_phase_search(
     eps_g: float,
 ) -> LineSearchOutcome:
     """Run the initial phase and, if it hands off (only with a noise bound),
-    the split phase.
+    the split phase: at zero bounds, the plain Armijo-Wolfe search.
 
-    Whatever lengthening step gets accepted is observed by ``memory``,
-    gated on the Wolfe condition holding there (noise control always holds
-    at an accepted lengthening step, and the initial phase accepts only
-    where Wolfe holds).
+    Only with a noise bound is the accepted lengthening step observed by
+    ``memory``, gated on the Wolfe condition holding there (noise control
+    always holds at an accepted lengthening step, and the initial phase
+    accepts only where Wolfe holds).
     """
     search = initial_phase(oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g)
     if search.phase is None:
         split_phase(oracle, params, memory, search)
-    if search.beta is not None:
+    if search.beta is not None and (eps_f > 0.0 or eps_g > 0.0):
         wolfe = search.phase is Phase.INITIAL_ACCEPTED or (
             float(search.g_beta @ p) >= params.c2 * search.g_dot_p
         )
@@ -461,7 +461,8 @@ def armijo_wolfe_search(
     f_x: float,
     g_x: np.ndarray,
 ) -> LineSearchOutcome:
-    """Plain bisection Armijo-Wolfe search on the (possibly noisy) oracle,
-    used by the standard method variants: the initial phase at zero noise
-    bounds (see ``initial_phase``).  It observes no curvature estimate."""
+    """The initial phase at zero noise bounds (see ``initial_phase``).
+    Nothing calls it: the standard variants run ``two_phase_search`` at zero
+    bounds, the same search.  It stays only because ``perfbench/tracing.py``
+    patches ``solver``'s import of it."""
     return initial_phase(oracle, x, p, params, memory, f_x, g_x, 0.0, 0.0)

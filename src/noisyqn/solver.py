@@ -36,7 +36,7 @@ from .linesearch import (
     LineSearchOutcome,
     LineSearchParams,
     SearchMemory,
-    armijo_wolfe_search,
+    armijo_wolfe_search,  # noqa: F401  uncalled; perfbench/tracing.py patches it here
     two_phase_search,
 )
 from .noise import NoiseSpec, NoisyOracle
@@ -84,6 +84,10 @@ class Variant(str, enum.Enum):
 
 @dataclass
 class SolverConfig:
+    """A run's method settings.  ``memory``, the pairs L-BFGS keeps, is at
+    most 1000: ``LimitedMemory`` allocates two memory-by-memory arrays up
+    front (16 MB at 1000), so a larger value could fail every run."""
+
     variant: Variant
     memory: int = 10
     ls: LineSearchParams = field(default_factory=LineSearchParams)
@@ -101,19 +105,27 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.memory > 1000:
+            raise ValueError("memory must be <= 1000")
         if not isinstance(self.diagnostics, bool):
             raise ValueError(f"diagnostics must be a bool, got {self.diagnostics!r}")
 
 
 @dataclass
 class SolverState:
-    """Mutable per-run state owned by a single run() invocation."""
+    """Mutable per-run state owned by a single run() invocation.  ``inverse``
+    is the inverse Hessian H, a dense ``SymmetricMatrix`` or an L-BFGS
+    ``LimitedMemory``; ``direction(inverse, g)`` returns H g
+    (``SymmetricMatrix.matvec`` or ``two_loop_direction``) and
+    ``update(inverse, pair)`` adds a curvature pair to it
+    (``bfgs_inverse_update`` or ``LimitedMemory.push``)."""
 
     x: np.ndarray
     f_x: float
     g_x: np.ndarray
-    hessian: SymmetricMatrix | None
-    memory: LimitedMemory | None
+    inverse: SymmetricMatrix | LimitedMemory
+    direction: Callable[[SymmetricMatrix | LimitedMemory, np.ndarray], np.ndarray]
+    update: Callable[[SymmetricMatrix | LimitedMemory, CurvaturePair], None]
     search: SearchMemory
     k: int = 0
 
@@ -199,20 +211,6 @@ def _threshold_reached(gap: float, grad_norm: float, eps_f: float, eps_g: float)
     return (eps_f > 0.0 and gap <= eps_f) or grad_norm <= eps_g
 
 
-def search_direction(state: SolverState, g: np.ndarray) -> np.ndarray:
-    """p = -H g from either the dense matrix or the two-loop recursion."""
-    if state.hessian is not None:
-        return -state.hessian.matvec(g)
-    return -two_loop_direction(state.memory, g)
-
-
-def _apply_update(state: SolverState, pair: CurvaturePair) -> None:
-    if state.hessian is not None:
-        bfgs_inverse_update(state.hessian, pair)
-    else:
-        state.memory.push(pair)
-
-
 def iterate(
     state: SolverState,
     oracle: NoisyOracle,
@@ -233,14 +231,14 @@ def iterate(
     grad_norm_true = norm(oracle.true_g(x))
 
     f_at_x, g_at_x = state.f_x, state.g_x
-    p = search_direction(state, g_at_x)
+    p = -state.direction(state.inverse, g_at_x)
     if not np.isfinite(p).all():
         raise NumericalFailureError(f"non-finite search direction at iteration {state.k}")
 
     kappa = lambda_min_b = lambda_max_b = None
-    if state.hessian is not None and config.diagnostics:
+    if config.diagnostics and isinstance(state.inverse, SymmetricMatrix):
         try:
-            lo, hi = eigen_extremes(state.hessian)
+            lo, hi = eigen_extremes(state.inverse)
         except np.linalg.LinAlgError:
             pass  # leave the diagnostic fields empty, keep running
         else:
@@ -251,19 +249,15 @@ def iterate(
 
     variant = config.variant
     eps_f, eps_g = oracle.reported_bounds()
-    if variant.noise_tolerant:
-        outcome = two_phase_search(
-            oracle, x, p, config.ls, state.search, f_at_x, g_at_x, eps_f, eps_g
-        )
-    else:
-        outcome = armijo_wolfe_search(oracle, x, p, config.ls, state.search, f_at_x, g_at_x)
+    bounds = (eps_f, eps_g) if variant.noise_tolerant else (0.0, 0.0)
+    outcome = two_phase_search(oracle, x, p, config.ls, state.search, f_at_x, g_at_x, *bounds)
 
     stepped = outcome.alpha > 0.0  # alpha = 0.0 on ALPHA_FAILED
     x_new = x + outcome.alpha * p if stepped else x
     if stepped and not np.isfinite(x_new).all():
         raise NumericalFailureError(f"non-finite iterate at iteration {state.k}")
 
-    # Both searches report the pair's step as beta (= alpha on an accepted
+    # The search reports the pair's step as beta (= alpha on an accepted
     # step) with its gradient.  Every variant drops a pair whose s.y is not
     # above the curvature guard, a NaN s.y included, or whose ||y|| is 0 (y.y
     # can underflow while s.y > 0, and L-BFGS's gamma divides by y.y); the
@@ -280,7 +274,7 @@ def iterate(
             y_norm > 0.0 and candidate.sy > _CURVATURE_GUARD * (norm(candidate.s) * y_norm)
         )
         if not drop:
-            _apply_update(state, candidate)
+            state.update(state.inverse, candidate)
             pair = candidate
             pair_action = "lengthened" if outcome.split else "updated"
 
@@ -339,15 +333,19 @@ def run(
     """
     oracle = NoisyOracle(problem, noise_spec)
     x0 = np.array(problem.x0, dtype=float, copy=True)
-    f0 = oracle.noisy_f(x0)
-    g0 = oracle.noisy_g(x0)
     variant = config.variant
+    # Read per run, not at import: perfbench/tracing.py wraps these names.
+    if variant.limited_memory:
+        inverse = LimitedMemory(config.memory)
+        direction, update = two_loop_direction, LimitedMemory.push
+    else:
+        inverse = SymmetricMatrix(np.eye(problem.dim))
+        direction, update = SymmetricMatrix.matvec, bfgs_inverse_update
     state = SolverState(
         x=x0,
-        f_x=f0,
-        g_x=g0,
-        hessian=None if variant.limited_memory else SymmetricMatrix(np.eye(problem.dim)),
-        memory=LimitedMemory(config.memory) if variant.limited_memory else None,
+        f_x=oracle.noisy_f(x0),
+        g_x=oracle.noisy_g(x0),
+        inverse=inverse, direction=direction, update=update,
         search=SearchMemory(config.ls.history),
     )
     records: list[IterationRecord] = []

@@ -701,7 +701,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--memory", "0"), ("--max-iters", "0"), ("--g-eval-budget", "0"),
+        [("--memory", "0"), ("--memory", "1180591620717411303424"), ("--memory", "1000000"),
+         ("--max-iters", "0"), ("--g-eval-budget", "0"),
          ("--history-h", "0"), ("--c3", "nan"), ("--c3", "inf")],
     )
     def test_bad_solver_setting_is_config_error(self, tmp_path, flag, value):

@@ -98,13 +98,36 @@ def test_noiseless_twin_bytes_differ(tool, tmp_path):
     caught."""
     out = tmp_path / "out"
     shutil.copytree(GOLDEN, out)
-    rows, _ = golden_run(TWIN_KEY)
+    rows, _ = golden_run(KEY)
     assert rows[2]["alpha"] == "1"
     rows[2]["alpha"] = "1.0"
-    write_rows(out / f"{TWIN_KEY}.csv", rows)
+    write_rows(out / f"{KEY}.csv", rows)
     trace, twin = out / f"{KEY}.csv", out / f"{TWIN_KEY}.csv"
     assert tool.check_dir(out) == (36, [f"{trace}: differs from its noiseless twin {twin.name}"])
     assert tool.main([str(out)]) == 1
+
+
+@pytest.mark.parametrize("method, standard", [("bfgs-skip", "bfgs"), ("lbfgs-skip", "lbfgs")])
+def test_skip_twin_bytes_differ(tool, tmp_path, method, standard):
+    """At xi_g = 0 a skip run writes its standard twin's bytes, whatever
+    xi_f; a skip trace that differs only in how one float is written is
+    caught, and so is one at xi_f > 0."""
+    out = tmp_path / "out"
+    shutil.copytree(GOLDEN, out)
+    key = f"ARWHEAD_{method}_xif0_xig0_om1_seed1"
+    rows, _ = golden_run(key)
+    assert rows[2]["alpha"] == "1"
+    rows[2]["alpha"] = "1.0"
+    write_rows(out / f"{key}.csv", rows)
+    twin_key = f"ARWHEAD_{standard}_xif0_xig0_om1_seed1"
+    expected = (36, [f"{out / key}.csv: differs from its xi_g = 0 twin {twin_key}.csv"])
+    assert tool.check_dir(out) == expected
+
+    summary = json.loads((out / "summary.json").read_text())
+    for name in (key, twin_key):
+        summary["runs"][name]["xi_f"] = 1e-3
+    (out / "summary.json").write_text(json.dumps(summary))
+    assert tool.check_dir(out) == expected
 
 
 def test_first_split_iteration_mismatch_caught(tool, tmp_path):

@@ -576,6 +576,42 @@ class TestTwoPhaseSearch:
             if out.alpha > 0.0:
                 x = x + out.alpha * p
 
+    def test_unreliable_direction_accepts_plain_decrease(self):
+        """Observed g.p = -0.5 lies within eps_g ||p|| = 1 of zero, so the
+        direction is unreliable: the first trial, f(1) = -1e-6, passes
+        relaxed Armijo as plain decrease though it misses
+        c1 alpha g.p = -5e-5.  Its gradient fails noise control, and the
+        split phase takes it as the best trial: the step is 1 after one
+        f trial.  Judged by the classical test, no trial of the halving or
+        the backtracking passes, and the search fails without a step."""
+        prob = scalar_problem(lambda v: -1e-6 * v, lambda v: -1e-6)
+        oracle = NoisyOracle(prob, NoiseSpec())
+        out = two_phase_search(
+            oracle, np.zeros(1), np.ones(1), LineSearchParams(), SearchMemory(10),
+            f_x=0.0, g_x=np.array([-0.5]), eps_f=0.0, eps_g=1.0,
+        )
+        assert not out.reliable
+        assert (out.phase, out.alpha, out.f_alpha) == (Phase.BETA_FAILED, 1.0, -1e-6)
+        assert out.f_trials == 1
+
+    def test_split_lengthening_needs_a_positive_change(self):
+        """On f = -v - 5 v^2 along p = 1, each trial passes Armijo and the
+        symmetric noise control, |(g - g_x).p| = 10 alpha >= 0.3, and fails
+        Wolfe; the bisection doubles to alpha = 4 and hands off after
+        ``n_split`` = 3 trials.  The split phase's signed test never holds on
+        the negative change -10 beta, so beta keeps doubling until
+        ``max_lengthening`` runs out: BETA_FAILED, no pair."""
+        prob = scalar_problem(lambda v: -v - 5.0 * v * v, lambda v: -1.0 - 10.0 * v)
+        oracle = NoisyOracle(prob, NoiseSpec())
+        out = two_phase_search(
+            oracle, np.zeros(1), np.ones(1),
+            LineSearchParams(n_split=3, max_lengthening=4), SearchMemory(10),
+            f_x=0.0, g_x=np.array([-1.0]), eps_f=0.0, eps_g=0.1,
+        )
+        assert out.split
+        assert (out.phase, out.alpha, out.beta, out.g_beta) == (Phase.BETA_FAILED, 4.0, None, None)
+        assert (out.f_trials, out.g_trials) == (3, 3 + 4)
+
     def test_trial_counters_match_oracle_deltas(self):
         prob = make_quadratic(10, 1.0, 20.0, seed=1)
         oracle = NoisyOracle(prob, NoiseSpec(xi_f=1e-3, xi_g=1e-3, seed=2))

@@ -15,6 +15,7 @@ from noisyqn.linalg import (
     LimitedMemory,
     SymmetricMatrix,
     bfgs_inverse_update,
+    two_loop_direction,
 )
 from noisyqn.linesearch import LineSearchOutcome, LineSearchParams, Phase, SearchMemory
 from noisyqn.noise import NoiseSpec, NoisyOracle
@@ -25,7 +26,6 @@ from noisyqn.solver import (
     SolverState,
     Variant,
     run,
-    search_direction,
     skip_condition,
 )
 
@@ -49,22 +49,28 @@ def threshold_evals(trace, eps_f, eps_g):
     return None
 
 
-def dense_state(x, hessian):
+def operator_state(inverse, direction, update):
     return SolverState(
-        x=x, f_x=0.0, g_x=np.zeros_like(x),
-        hessian=hessian, memory=None, search=SearchMemory(10),
+        x=np.zeros(5), f_x=0.0, g_x=np.zeros(5), inverse=inverse,
+        direction=direction, update=update, search=SearchMemory(10),
     )
 
 
 class TestSearchDirection:
     def test_identity_gives_negated_gradient(self):
-        state = dense_state(np.zeros(3), SymmetricMatrix(np.eye(3)))
-        g = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(search_direction(state, g), -g)
+        """H starts as the identity, dense or as an empty limited memory, so
+        every variant's first direction is -g."""
+        for variant in Variant:
+            seen = []
+            run(make_quadratic(3, 1.0, 10.0, seed=1), NOISELESS,
+                quick_config(variant, max_iters=1), seen.append)
+            [ctx] = seen
+            np.testing.assert_array_equal(ctx.search.p, -ctx.search.g_x)
 
     def test_limited_memory_matches_dense_with_full_history(self):
         """d = 5, every pair kept, H0 matched via gamma: the two-loop
-        direction agrees with the dense update chain to 1e-10."""
+        direction agrees with the dense update chain to 1e-10, each state
+        updated and applied through its own two functions."""
         rng = np.random.default_rng(5)
         a = rng.standard_normal((5, 5))
         a = a @ a.T + 0.5 * np.eye(5)
@@ -73,23 +79,52 @@ class TestSearchDirection:
             s = rng.standard_normal(5)
             pairs.append(CurvaturePair(s, a @ s))
 
-        mem = LimitedMemory(10)
+        lm = operator_state(LimitedMemory(10), two_loop_direction, LimitedMemory.push)
         for pair in pairs:
-            mem.push(pair)
-        lm_state = SolverState(
-            x=np.zeros(5), f_x=0.0, g_x=np.zeros(5),
-            hessian=None, memory=mem, search=SearchMemory(10),
+            lm.update(lm.inverse, pair)
+        dense = operator_state(
+            SymmetricMatrix(lm.inverse.gamma * np.eye(5)),
+            SymmetricMatrix.matvec, bfgs_inverse_update,
         )
-
-        h = SymmetricMatrix(mem.gamma * np.eye(5))
         for pair in pairs:
-            bfgs_inverse_update(h, pair)
-        dstate = dense_state(np.zeros(5), h)
+            dense.update(dense.inverse, pair)
 
         g = rng.standard_normal(5)
-        p_lm = search_direction(lm_state, g)
-        p_dense = search_direction(dstate, g)
+        p_lm = lm.direction(lm.inverse, g)
+        p_dense = dense.direction(dense.inverse, g)
         assert np.linalg.norm(p_lm - p_dense) / np.linalg.norm(p_dense) <= 1e-10
+
+
+class TestOneSearch:
+    """Every variant runs ``two_phase_search``; the standard and skip
+    variants at zero noise bounds, where it observes no curvature."""
+
+    SPEC = NoiseSpec(xi_f=1e-3, xi_g=1e-2, seed=3)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_no_variant_calls_the_plain_search(self, variant, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("armijo_wolfe_search called")
+
+        monkeypatch.setattr(solver, "armijo_wolfe_search", refuse)
+        trace = run(registry_lookup("ARWHEAD"), self.SPEC, quick_config(variant, max_iters=20))
+        assert len(trace.records) == 20
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_only_a_noise_bound_observes(self, variant, monkeypatch):
+        """Under noise, a tolerant run keeps curvature estimates; the
+        others search at zero bounds and keep none."""
+        memories = []
+
+        class Kept(SearchMemory):
+            def __init__(self, history):
+                super().__init__(history)
+                memories.append(self)
+
+        monkeypatch.setattr(solver, "SearchMemory", Kept)
+        run(registry_lookup("ARWHEAD"), self.SPEC, quick_config(variant, max_iters=20))
+        [memory] = memories
+        assert (memory.estimate is not None) is variant.noise_tolerant
 
 
 class TestSkipCondition:
@@ -686,6 +721,12 @@ class TestConfigValidation:
     def test_bad_memory(self):
         with pytest.raises(ValueError):
             SolverConfig(variant=Variant.LBFGS, memory=0)
+
+    @pytest.mark.parametrize("memory", [1001, 2**70])
+    def test_memory_above_the_cap(self, memory):
+        with pytest.raises(ValueError, match="memory must be <= 1000"):
+            SolverConfig(variant=Variant.LBFGS, memory=memory)
+        assert SolverConfig(variant=Variant.LBFGS, memory=1000).memory == 1000
 
     def test_bad_max_iters(self):
         with pytest.raises(ValueError):
