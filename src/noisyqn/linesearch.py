@@ -43,7 +43,6 @@ __all__ = [
     "Phase",
     "LineSearchOutcome",
     "two_phase_search",
-    "armijo_wolfe_search",
 ]
 
 
@@ -286,23 +285,19 @@ def _trial_run(
 
 def initial_phase(
     oracle: NoisyOracle,
-    x: np.ndarray,
-    p: np.ndarray,
     params: LineSearchParams,
     memory: SearchMemory,
-    f_x: float,
-    g_x: np.ndarray,
-    eps_f: float,
-    eps_g: float,
+    search: LineSearchOutcome,
 ) -> LineSearchOutcome:
-    """Start a search along x + alpha p with the one bisection loop: from
-    alpha = 1, test relaxed Armijo, noise control, then Wolfe.
+    """Run the one bisection loop of a new ``search`` along x + alpha p,
+    with its x, p and noise bounds: from alpha = 1, test relaxed Armijo,
+    noise control, then Wolfe.  Returns ``search``.
 
     Ends ``INITIAL_ACCEPTED`` at the first trial passing all three, with
     beta = alpha and g_beta = g_alpha.  With a noise bound (eps_f > 0 or
-    eps_g > 0), a failed noise-control test or ``n_split`` trials return
-    the search still running (phase None) at its last trial, for the split
-    phase.  Without one, ``max_ls_iters`` trials end it ``ALPHA_FAILED``
+    eps_g > 0), a failed noise-control test or ``n_split`` trials leave
+    the search running (phase None) at its last trial, for ``split_phase``.
+    Without one, ``max_ls_iters`` trials end it ``ALPHA_FAILED``
     (alpha = 0, no f_alpha or g_alpha): the plain search.  A trial costs
     one function value, plus a gradient once it passes Armijo.
 
@@ -313,8 +308,8 @@ def initial_phase(
     [0, 2 alpha] (the halvings are exact powers of two) or [0, inf) when
     alpha = 1 passed.
     """
-    search = LineSearchOutcome(x, p, f_x, g_x, eps_f, eps_g)
-    noisy = eps_f > 0.0 or eps_g > 0.0
+    x, p = search.x, search.p
+    noisy = search.eps_f > 0.0 or search.eps_g > 0.0
     trials = params.n_split if noisy else params.max_ls_iters
     alpha, f_trial, armijo_ok = _trial_run(oracle, memory, search, 1.0, 0.5, trials, params.c1)
     low, high = 0.0, 2.0 * alpha if search.f_trials > 1 else math.inf
@@ -326,7 +321,7 @@ def initial_phase(
             search.g_alpha = g_trial
             if search.f_best is None or f_trial < search.f_best:
                 search.alpha_best, search.f_best, search.g_best = alpha, f_trial, g_trial
-            if eps_g != 0.0 and not search.noise_control(g_trial, params.c3, symmetric=True):
+            if search.eps_g != 0.0 and not search.noise_control(g_trial, params.c3, symmetric=True):
                 return search
             if not float(g_trial @ p) < params.c2 * search.g_dot_p:
                 # Wolfe holds (or g.p is NaN)
@@ -433,15 +428,17 @@ def two_phase_search(
     eps_f: float,
     eps_g: float,
 ) -> LineSearchOutcome:
-    """Run the initial phase and, if it hands off (only with a noise bound),
-    the split phase: at zero bounds, the plain Armijo-Wolfe search.
+    """The line search every variant runs: build the search once, run
+    ``initial_phase`` on it and, if it hands off (only with a noise bound),
+    ``split_phase``.  At zero bounds it is the plain Armijo-Wolfe search.
 
     Only with a noise bound is the accepted lengthening step observed by
     ``memory``, gated on the Wolfe condition holding there (noise control
     always holds at an accepted lengthening step, and the initial phase
     accepts only where Wolfe holds).
     """
-    search = initial_phase(oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g)
+    search = LineSearchOutcome(x, p, f_x, g_x, eps_f, eps_g)
+    initial_phase(oracle, params, memory, search)
     if search.phase is None:
         split_phase(oracle, params, memory, search)
     if search.beta is not None and (eps_f > 0.0 or eps_g > 0.0):
@@ -461,8 +458,6 @@ def armijo_wolfe_search(
     f_x: float,
     g_x: np.ndarray,
 ) -> LineSearchOutcome:
-    """The initial phase at zero noise bounds (see ``initial_phase``).
-    Nothing calls it: the standard variants run ``two_phase_search`` at zero
-    bounds, the same search.  It stays only because ``perfbench/tracing.py``
-    patches ``solver``'s import of it."""
-    return initial_phase(oracle, x, p, params, memory, f_x, g_x, 0.0, 0.0)
+    """``two_phase_search`` at zero bounds, unexported and uncalled: kept
+    only under the name that ``perfbench/tracing.py`` patches in ``solver``."""
+    return initial_phase(oracle, params, memory, LineSearchOutcome(x, p, f_x, g_x, 0.0, 0.0))

@@ -13,6 +13,8 @@ finite differences in the test suite rather than by trusting transcription.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,7 +46,8 @@ class Problem:
 
     The noisy oracle keeps references to the points it evaluates and to the
     values ``eval_f``/``eval_g`` return, so neither may be changed in place
-    afterwards.  Every field is passed by keyword.
+    afterwards.  Every field is passed by keyword; ``phi_star`` must be a
+    finite real number and ``f_rows`` a bool.
     """
 
     name: str
@@ -64,6 +67,11 @@ class Problem:
                 "x0 must be a non-empty 1-D array of real numbers, "
                 f"got shape {x0.shape} of {x0.dtype}"
             )
+        real = isinstance(self.phi_star, numbers.Real) and not isinstance(self.phi_star, bool)
+        if not (real and math.isfinite(self.phi_star)):
+            raise ValueError(f"phi_star must be a finite real number, got {self.phi_star!r}")
+        if not isinstance(self.f_rows, bool):
+            raise ValueError(f"f_rows must be a bool, got {self.f_rows!r}")
 
     @property
     def dim(self) -> int:

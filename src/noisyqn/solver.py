@@ -186,8 +186,8 @@ class RunTrace:
     final_grad_norm_true: float
     f_evals: int
     g_evals: int
-    # Gradient evaluations made before the first iterate that meets
-    # ``_threshold_reached`` at the true noise levels; None if none did.
+    # Gradient evaluations made before the first iterate within the true
+    # noise levels (see ``run``); None if none was.
     evals_to_threshold: int | None
     max_f_noise: float
     max_g_noise_norm: float
@@ -202,13 +202,6 @@ def skip_condition(
     """
     change = float((g_new - g_old) @ p)
     return change < 2.0 * eps_g * norm(p)
-
-
-def _threshold_reached(gap: float, grad_norm: float, eps_f: float, eps_g: float) -> bool:
-    """The noise-level test behind ``evals_to_threshold``, on an iterate's true
-    gap and gradient norm.  At eps_f = 0 only the gradient counts: a gap
-    <= 0 is then rounding."""
-    return (eps_f > 0.0 and gap <= eps_f) or grad_norm <= eps_g
 
 
 def iterate(
@@ -350,11 +343,6 @@ def run(
     )
     records: list[IterationRecord] = []
     reason = "max_iterations"
-    # evals_to_threshold measures true solution quality against the actual
-    # noise levels; the omega-scaled estimate is only for the method's own
-    # tests.
-    eps_f, eps_g = oracle.true_bounds()
-    evals_to_threshold = None
     noiseless = noise_spec.xi_f == 0.0 and noise_spec.xi_g == 0.0
     failures = 0  # consecutive iterations with alpha = 0
     while state.k < config.max_iters:
@@ -364,17 +352,12 @@ def run(
         if norm(state.g_x) == 0.0:
             reason = "stationary_point"
             break
-        g_evals = oracle.g_evals
         try:
             record = iterate(state, oracle, config, observer)
         except NumericalFailureError:
             reason = "numerical_failure"
             break
         records.append(record)
-        if evals_to_threshold is None and _threshold_reached(
-            record.gap, record.grad_norm_true, eps_f, eps_g
-        ):
-            evals_to_threshold = g_evals
         # With a deterministic oracle a failed iteration replays itself
         # exactly, so two failures in a row prove permanent stagnation.  Under
         # injected noise each retry sees fresh draws (and intermittent noise
@@ -384,6 +367,17 @@ def run(
             reason = "line_search_stagnation"
             break
     final_phi = float(oracle.true_f(state.x))
+    # The gradients spent before the first iterate within the true noise
+    # levels (not the omega-scaled ones the method sees): a true gap <= eps_f
+    # when eps_f > 0 (at 0 a gap <= 0 is rounding), or a gradient norm <= eps_g.
+    # An iteration starts at the previous record's count, the first at x0's 1.
+    eps_f, eps_g = oracle.true_bounds()
+    starts = [1] + [r.cum_g_evals for r in records]
+    evals_to_threshold = next(
+        (start for start, r in zip(starts, records)
+         if (eps_f > 0.0 and r.gap <= eps_f) or r.grad_norm_true <= eps_g),
+        None,
+    )
     return RunTrace(
         problem=problem.name,
         variant=variant.value,

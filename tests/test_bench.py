@@ -677,6 +677,30 @@ class TestCli:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("phi_star", "0", "phi_star must be a finite real number, got '0'"),
+            ("f_rows", "no", "f_rows must be a bool, got 'no'"),
+        ],
+        ids=["phi_star", "f_rows"],
+    )
+    def test_registered_problem_with_bad_reference_field_is_config_error(
+        self, tmp_path, capsys, monkeypatch, field, value, message
+    ):
+        """phi_star = "0" once failed every run with a TypeError, and
+        f_rows = "no" sent TRIDIA's kernel a stack of points it cannot take."""
+        monkeypatch.setattr(problems, "_REGISTRY", dict(problems._REGISTRY))
+        tridia = registry_lookup("TRIDIA")
+        problems.register("BAD", lambda: replace(tridia, name="BAD", **{field: value}))
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--problem", "BAD", "--method", "bfgs", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: problem 'BAD': {message}\n"
+        assert not out.exists()
+
     def test_failed_run_is_reported_on_stderr(self, tmp_path, capsys):
         """A run that raises is named with its error, and the others run on;
         here a directory takes the path of one run's CSV."""

@@ -18,7 +18,6 @@ from noisyqn.linesearch import (
     LineSearchParams,
     Phase,
     SearchMemory,
-    armijo_wolfe_search,
     initial_phase,
     split_phase,
     two_phase_search,
@@ -51,11 +50,14 @@ def half_square_oracle(**noise_kwargs):
     return NoisyOracle(prob, NoiseSpec(**noise_kwargs))
 
 
+def scalar_line(x, p, f_x, g_x, eps_f=0.0, eps_g=0.0):
+    """A new search from the scalar x along the scalar p."""
+    return LineSearchOutcome(np.array([x]), np.array([p]), f_x, np.array([g_x]), eps_f, eps_g)
+
+
 def unit_line(f_x=0.0, g_dot_p=0.0, eps_f=0.0, eps_g=0.0):
     """A search from x = 0 along p = 1 (so ||p|| = 1) with g_x = g.p."""
-    return LineSearchOutcome(
-        np.zeros(1), np.ones(1), f_x, np.array([g_dot_p]), eps_f, eps_g
-    )
+    return scalar_line(0.0, 1.0, f_x, g_dot_p, eps_f, eps_g)
 
 
 class TestNoiseControl:
@@ -281,8 +283,8 @@ class TestInitialPhase:
         prob = scalar_problem(lambda t: -t if t < 0.9 else 10.0, lambda t: -1.0)
         oracle = NoisyOracle(prob, NoiseSpec())
         res = initial_phase(
-            oracle, np.zeros(1), np.ones(1), LineSearchParams(n_split=5), SearchMemory(10),
-            f_x=0.0, g_x=np.array([-1.0]), eps_f=1e-3, eps_g=0.0,
+            oracle, LineSearchParams(n_split=5), SearchMemory(10),
+            scalar_line(0.0, 1.0, 0.0, -1.0, eps_f=1e-3),
         )
         assert res.phase is None and res.f_trials == 5 and res.g_trials == 3
         assert res.alpha == 0.9375 and res.alpha_best == 0.875
@@ -292,9 +294,7 @@ class TestInitialPhase:
         minimizer and passes all three gates on the first trial."""
         oracle = half_square_oracle()
         res = initial_phase(
-            oracle, np.array([1.0]), np.array([-1.0]),
-            LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
-            eps_f=0.0, eps_g=0.0,
+            oracle, LineSearchParams(), SearchMemory(10), scalar_line(1.0, -1.0, 0.5, 1.0)
         )
         assert res.phase is Phase.INITIAL_ACCEPTED
         assert res.alpha == 1.0
@@ -307,9 +307,7 @@ class TestInitialPhase:
         shrinking, three function trials in all."""
         oracle = half_square_oracle()
         res = initial_phase(
-            oracle, np.array([1.0]), np.array([-4.0]),
-            LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
-            eps_f=0.0, eps_g=0.0,
+            oracle, LineSearchParams(), SearchMemory(10), scalar_line(1.0, -4.0, 0.5, 1.0)
         )
         assert res.phase is Phase.INITIAL_ACCEPTED
         assert res.alpha == 0.25
@@ -320,9 +318,7 @@ class TestInitialPhase:
         alpha >= 3.6, so the search doubles 1 -> 2 -> 4 and accepts 4."""
         oracle = half_square_oracle()
         res = initial_phase(
-            oracle, np.array([4.0]), np.array([-1.0]),
-            LineSearchParams(c2=0.1), SearchMemory(10), f_x=8.0, g_x=np.array([4.0]),
-            eps_f=0.0, eps_g=0.0,
+            oracle, LineSearchParams(c2=0.1), SearchMemory(10), scalar_line(4.0, -1.0, 8.0, 4.0)
         )
         assert res.phase is Phase.INITIAL_ACCEPTED
         assert res.alpha == 4.0
@@ -334,9 +330,8 @@ class TestInitialPhase:
         evaluation."""
         oracle = half_square_oracle()
         res = initial_phase(
-            oracle, np.array([1.0]), np.array([-1.0]),
-            LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
-            eps_f=0.0, eps_g=10.0,
+            oracle, LineSearchParams(), SearchMemory(10),
+            scalar_line(1.0, -1.0, 0.5, 1.0, eps_g=10.0),
         )
         assert res.phase is None
         assert res.g_trials == 1
@@ -344,9 +339,8 @@ class TestInitialPhase:
     def test_best_trial_tracked_for_split(self):
         oracle = half_square_oracle()
         res = initial_phase(
-            oracle, np.array([1.0]), np.array([-1.0]),
-            LineSearchParams(), SearchMemory(10), f_x=0.5, g_x=np.array([1.0]),
-            eps_f=0.0, eps_g=10.0,
+            oracle, LineSearchParams(), SearchMemory(10),
+            scalar_line(1.0, -1.0, 0.5, 1.0, eps_g=10.0),
         )
         assert res.alpha_best == 1.0
         assert res.f_best == pytest.approx(0.0)
@@ -457,9 +451,9 @@ class TestPlainSearch:
         f_new <= f_x + c1 alpha g.p holds at alpha = 1, and so does Wolfe,
         so one trial suffices (strict decrease would never be met)."""
         oracle = NoisyOracle(flat_problem(), NoiseSpec())
-        out = armijo_wolfe_search(
+        out = two_phase_search(
             oracle, np.zeros(1), np.ones(1), LineSearchParams(), SearchMemory(10),
-            f_x=0.0, g_x=np.array([1e-17]),
+            f_x=0.0, g_x=np.array([1e-17]), eps_f=0.0, eps_g=0.0,
         )
         assert out.phase == Phase.INITIAL_ACCEPTED
         assert out.alpha == 1.0
@@ -471,9 +465,9 @@ class TestPlainSearch:
         ``max_ls_iters`` function trials the search reports ALPHA_FAILED."""
         prob = scalar_problem(lambda v: v, lambda v: -1.0, name="RISE")
         oracle = NoisyOracle(prob, NoiseSpec())
-        out = armijo_wolfe_search(
+        out = two_phase_search(
             oracle, np.zeros(1), np.ones(1), LineSearchParams(max_ls_iters=7),
-            SearchMemory(10), f_x=0.0, g_x=np.array([-1.0]),
+            SearchMemory(10), f_x=0.0, g_x=np.array([-1.0]), eps_f=0.0, eps_g=0.0,
         )
         assert out.phase == Phase.ALPHA_FAILED
         assert (out.alpha, out.beta, out.f_alpha, out.g_alpha) == (0.0, None, None, None)
@@ -484,10 +478,10 @@ class TestPlainSearch:
 class TestTwoPhaseSearch:
     @pytest.mark.parametrize("name", ["ARWHEAD", "TRIDIA", "ENGVAL1", "FLAT"])
     def test_noiseless_reduction_to_plain_bisection(self, name):
-        """With both noise bounds at zero the two-phase search returns the
-        plain Armijo-Wolfe steplength, trial for trial.  FLAT searches
-        uphill (g.p > 0) on a constant objective: both searches apply the
-        classical Armijo test there and take the unit step."""
+        """With both noise bounds at zero the two-phase search is its
+        initial phase alone, the plain Armijo-Wolfe bisection, trial for
+        trial.  FLAT searches uphill (g.p > 0) on a constant objective: both
+        apply the classical Armijo test there and take the unit step."""
         prob = flat_problem() if name == "FLAT" else registry_lookup(name)
         params = LineSearchParams()
         x = prob.x0.copy()
@@ -503,8 +497,9 @@ class TestTwoPhaseSearch:
                 oracle_a, x, p, params, SearchMemory(10),
                 f_x=f_x, g_x=g_x, eps_f=0.0, eps_g=0.0,
             )
-            plain = armijo_wolfe_search(
-                oracle_b, x, p, params, SearchMemory(10), f_x=f_x, g_x=g_x
+            plain = initial_phase(
+                oracle_b, params, SearchMemory(10),
+                LineSearchOutcome(x, p, f_x, g_x, eps_f=0.0, eps_g=0.0),
             )
             assert two.alpha == plain.alpha
             assert two.f_trials == plain.f_trials
@@ -516,8 +511,8 @@ class TestTwoPhaseSearch:
         """Without a noise bound the two-phase search is the plain search
         also when no trial is accepted: ``n_split`` plays no part, and it
         ends ``ALPHA_FAILED`` after ``max_ls_iters`` trials, unsplit."""
-        plain = rising_line_search(armijo_wolfe_search, max_ls_iters=40)
-        two = rising_line_search(two_phase_search, n_split=5, max_ls_iters=40)
+        plain = rising_line_search(max_ls_iters=40)
+        two = rising_line_search(n_split=5, max_ls_iters=40)
         for out in (plain, two):
             assert not out.split
             assert (out.phase, out.alpha, out.beta, out.f_alpha) == (
@@ -667,12 +662,8 @@ class TestSearchResultContract:
             f_x, g_x = oracle.noisy_f(x), oracle.noisy_g(x)
             p = -scale * g_x
             f0, g0 = oracle.f_evals, oracle.g_evals
-            if plain:
-                out = armijo_wolfe_search(oracle, x, p, params, memory, f_x, g_x)
-            else:
-                out = two_phase_search(
-                    oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g
-                )
+            bounds = (0.0, 0.0) if plain else (eps_f, eps_g)
+            out = two_phase_search(oracle, x, p, params, memory, f_x, g_x, *bounds)
             assert out.phase is not None
             assert (out.alpha == 0.0) == (out.phase is Phase.ALPHA_FAILED)
             if out.alpha > 0.0:
@@ -704,8 +695,10 @@ def minimizer_estimate(name):
 
 
 def row_search(name, search, x, p, xi_f, xi_g, f_rows, count_calls=None):
-    """One ``search`` along p from x on a registry problem with block
-    evaluation of the fixed trial runs on or off; returns (outcome, oracle).
+    """One ``two_phase_search`` along p from x on a registry problem with
+    block evaluation of the fixed trial runs on or off, at the oracle's
+    noise bounds for ``search`` = "two_phase" and at zero bounds (the plain
+    Armijo-Wolfe search) for "armijo_wolfe"; returns (outcome, oracle).
     ``count_calls`` gets one entry per ``eval_f`` call: None for a single
     point, the number of rows for a block."""
     prob = dataclasses.replace(registry_lookup(name), f_rows=f_rows)
@@ -720,11 +713,8 @@ def row_search(name, search, x, p, xi_f, xi_g, f_rows, count_calls=None):
     oracle = NoisyOracle(prob, NoiseSpec(xi_f=xi_f, xi_g=xi_g, seed=4))
     f_x, g_x = oracle.noisy_f(x), oracle.noisy_g(x)
     params, memory = LineSearchParams(), SearchMemory(10)
-    if search == "two_phase":
-        eps_f, eps_g = oracle.reported_bounds()
-        out = two_phase_search(oracle, x, p, params, memory, f_x, g_x, eps_f, eps_g)
-    else:
-        out = armijo_wolfe_search(oracle, x, p, params, memory, f_x, g_x)
+    bounds = oracle.reported_bounds() if search == "two_phase" else (0.0, 0.0)
+    out = two_phase_search(oracle, x, p, params, memory, f_x, g_x, *bounds)
     return out, oracle
 
 
@@ -856,10 +846,8 @@ class TestBlockTrialsInvisible:
         rows = []
         oracle, _, (f_x, g_x, eps_f, eps_g) = self.exhausted_arwhead_search(rows)
         x, params, memory = oracle.problem.x0.copy(), LineSearchParams(), SearchMemory(10)
-        if search == "two_phase":
-            out = two_phase_search(oracle, x, -g_x, params, memory, f_x, g_x, eps_f, eps_g)
-        else:
-            out = armijo_wolfe_search(oracle, x, -g_x, params, memory, f_x, g_x)
+        bounds = (eps_f, eps_g) if search == "two_phase" else (0.0, 0.0)
+        out = two_phase_search(oracle, x, -g_x, params, memory, f_x, g_x, *bounds)
         assert out.phase == Phase.INITIAL_ACCEPTED and out.f_trials == 10
         assert rows == [8, 16]
         assert memory.run_trials == {0.5: 10}
@@ -985,16 +973,16 @@ class TestParamsValidation:
             LineSearchParams(**{name: 301})
 
 
-def rising_line_search(search, eps_g=0.0, **params):
-    """Run ``search`` on f(t) = t from t = 0 along p = +1, uphill with
-    g = 1, where no trial steplength above 0.0 passes the classical Armijo
-    test at eps = 0, nor the plain decrease test that an unreliable
-    direction (g.p = 1 > eps_g > 0) gets at eps_f = 0."""
+def rising_line_search(eps_g=0.0, **params):
+    """Run ``two_phase_search`` at eps_f = 0 on f(t) = t from t = 0 along
+    p = +1, uphill with g = 1, where no trial steplength above 0.0 passes
+    the classical Armijo test at eps = 0, nor the plain decrease test that
+    an unreliable direction (g.p = 1 > eps_g > 0) gets at eps_f = 0."""
     oracle = NoisyOracle(scalar_problem(lambda v: v, lambda v: 1.0), NoiseSpec())
-    args = (oracle, np.zeros(1), np.ones(1), LineSearchParams(**params), SearchMemory(10))
-    if search is armijo_wolfe_search:
-        return search(*args, 0.0, np.ones(1))
-    return search(*args, 0.0, np.ones(1), 0.0, eps_g)
+    return two_phase_search(
+        oracle, np.zeros(1), np.ones(1), LineSearchParams(**params), SearchMemory(10),
+        0.0, np.ones(1), 0.0, eps_g,
+    )
 
 
 class TestNoZeroSteplength:
@@ -1005,25 +993,23 @@ class TestNoZeroSteplength:
     def test_plain_search_budget_reaching_zero_rejected(self):
         """1,076 halvings ended INITIAL_ACCEPTED at alpha = 0.0."""
         with pytest.raises(ValueError, match="^max_ls_iters must be <= 300$"):
-            rising_line_search(armijo_wolfe_search, max_ls_iters=1076)
+            rising_line_search(max_ls_iters=1076)
 
     def test_split_budget_reaching_zero_rejected(self):
         """30 halvings and 316 backtracking trials ended SPLIT_COMPLETED at
         alpha = 0.0."""
         with pytest.raises(ValueError, match="^max_ls_iters must be <= 300$"):
-            rising_line_search(two_phase_search, n_split=30, max_ls_iters=350)
+            rising_line_search(n_split=30, max_ls_iters=350)
 
     def test_plain_search_fails_at_the_cap(self):
-        out = rising_line_search(armijo_wolfe_search, max_ls_iters=300)
+        out = rising_line_search(max_ls_iters=300)
         assert (out.phase, out.alpha, out.f_trials) == (Phase.ALPHA_FAILED, 0.0, 300)
 
     @pytest.mark.parametrize("n_split", [1, 30, 150, 300])
     def test_two_phase_search_fails_at_the_cap(self, n_split):
         """With a gradient noise bound the search splits after ``n_split``
         halvings, and its backtracking spends the rest of the budget."""
-        out = rising_line_search(
-            two_phase_search, eps_g=0.5, n_split=n_split, max_ls_iters=300
-        )
+        out = rising_line_search(eps_g=0.5, n_split=n_split, max_ls_iters=300)
         assert out.split
         assert (out.phase, out.alpha, out.f_trials) == (Phase.ALPHA_FAILED, 0.0, 300)
 

@@ -134,6 +134,36 @@ class TestStartPoint:
         assert prob.dim == 3
 
 
+class TestReferenceFields:
+    """``phi_star`` is a finite real number and ``f_rows`` a bool."""
+
+    @pytest.mark.parametrize(
+        "phi_star", ["0", None, True, math.nan, math.inf, -math.inf, 1j],
+        ids=["str", "none", "bool", "nan", "inf", "-inf", "complex"],
+    )
+    def test_bad_phi_star_is_named(self, phi_star):
+        """A string phi_star once ended every run in a TypeError at the first
+        gap; a NaN one would make every gap NaN."""
+        message = f"phi_star must be a finite real number, got {phi_star!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(registry_lookup("TRIDIA"), phi_star=phi_star)
+
+    @pytest.mark.parametrize("phi_star", [0, -3, 2.5, np.float64(1.0)])
+    def test_real_phi_star_passes(self, phi_star):
+        prob = dataclasses.replace(registry_lookup("TRIDIA"), phi_star=phi_star)
+        assert prob.phi_star == phi_star
+
+    @pytest.mark.parametrize(
+        "f_rows", ["no", 1, 0, None, np.bool_(True)], ids=["str", "1", "0", "none", "numpy"]
+    )
+    def test_non_bool_f_rows_is_named(self, f_rows):
+        """The truthy string "no" once sent a kernel that cannot take a stack
+        of points down the block path, where it raised a ValueError."""
+        message = f"f_rows must be a bool, got {f_rows!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(registry_lookup("TRIDIA"), f_rows=f_rows)
+
+
 class TestObjectiveValues:
     def test_arwhead_at_ones(self):
         """All-ones is the ARWHEAD standard start; f there is known in closed

@@ -280,7 +280,6 @@ class TestPairRule:
             )
 
         monkeypatch.setattr(solver, "two_phase_search", search)
-        monkeypatch.setattr(solver, "armijo_wolfe_search", search)
         flat = Problem(
             name="FLAT", x0=np.zeros(2),
             eval_f=lambda x: 0.0, eval_g=lambda x: g_x, phi_star=0.0,
@@ -315,7 +314,6 @@ class TestPairRule:
             )
 
         monkeypatch.setattr(solver, "two_phase_search", search)
-        monkeypatch.setattr(solver, "armijo_wolfe_search", search)
         flat = Problem(
             name="FLAT", x0=np.zeros(2),
             eval_f=lambda x: 0.0, eval_g=lambda x: g_x, phi_star=0.0,
@@ -631,7 +629,6 @@ class TestTraceShape:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "two_phase_search", counted(solver.two_phase_search))
-            patch.setattr(solver, "armijo_wolfe_search", counted(solver.armijo_wolfe_search))
             trace = run(
                 registry_lookup(name),
                 NoiseSpec(xi_f=xi_f, xi_g=xi_g, seed=seed),
