@@ -158,21 +158,33 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown method {method!r}; choose from: {known}"
                 ) from exc
-        cells = self._cells()
         try:
-            # Every method shares the solver settings, so one build checks them.
-            self.solver_config(self.methods[0])
             # Before any run key is formatted, which needs real noise levels.
-            for cell in cells:
-                self.noise_spec(cell)
+            self._check_settings()
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         # One key names one run's CSV and summary entry, and noise levels print
         # with 6 significant digits; sorted, keys that are shared are neighbours.
-        keys = sorted(map(_run_key, cells))
+        keys = sorted(map(_run_key, self._cells()))
         for key, following in zip(keys, keys[1:]):
             if key == following:
                 raise ConfigError(f"two run cells share the run key {key!r}")
+
+    def _check_settings(self) -> None:
+        """Give each field the value its settings class holds, so that a
+        numeric setting is a Python number.  Every method shares the solver
+        settings, and no noise setting depends on another, so each value of
+        a run axis is checked once, with the other axes at their first."""
+        solver = self.solver_config(self.methods[0])
+        first = dict(zip(_CELL_KEYS, (getattr(self, name)[0] for name in RUN_AXES)))
+        for settings in (solver, solver.ls, self.noise_spec(first)):
+            for f in fields(settings):
+                if f.name in SETTING_TYPES and f.name not in RUN_AXES:
+                    setattr(self, f.name, getattr(settings, f.name))
+        for name, key in zip(RUN_AXES, _CELL_KEYS):
+            if key in _NOISE_LEVELS:
+                specs = [self.noise_spec({**first, key: value}) for value in getattr(self, name)]
+                setattr(self, name, [getattr(spec, key) for spec in specs])
 
     def _settings_of(self, cls, **given):
         """A ``cls`` built from the given values and this config's fields
@@ -187,7 +199,7 @@ class ExperimentConfig:
 
     def noise_spec(self, cell: dict) -> NoiseSpec:
         """The noise of one run cell."""
-        levels = {name: cell[name] for name in ("xi_f", "xi_g", "omega", "seed")}
+        levels = {name: cell[name] for name in _NOISE_LEVELS}
         return self._settings_of(NoiseSpec, **levels)
 
     def _cells(self) -> list[dict]:
@@ -205,6 +217,7 @@ class ExperimentConfig:
 SETTING_TYPES = get_type_hints(ExperimentConfig)
 RUN_AXES = tuple(name for name, hint in SETTING_TYPES.items() if get_origin(hint) is list)
 _CELL_KEYS = tuple(map(setting_name, RUN_AXES))
+_NOISE_LEVELS = ("xi_f", "xi_g", "omega", "seed")  # the cell keys NoiseSpec takes
 
 # The settings that summary.json records.
 _SUMMARY_SETTINGS = (

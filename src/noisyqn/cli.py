@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Literal, get_args, get_origin
@@ -73,28 +74,6 @@ def load_config_file(path: str | Path) -> dict:
     return values
 
 
-def _split_names(text: str) -> list[str]:
-    """Split a list on commas/whitespace, but not inside parentheses, so
-    inline quadratic specs like QUAD(50,1,100) survive intact."""
-    parts: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if depth == 0 and (ch == "," or ch.isspace()):
-            if buf:
-                parts.append("".join(buf))
-                buf = []
-            continue
-        buf.append(ch)
-    if buf:
-        parts.append("".join(buf))
-    return parts
-
-
 def _item_type(field_type):
     """The type of one value of a field: float for ``list[float]``, int for
     ``int | None``, str for a ``Literal`` of strings, the field type itself
@@ -108,7 +87,9 @@ def _convert(field_type, text: str):
     """Parse config-file text into a value of the given field type."""
     item = _item_type(field_type)
     if get_origin(field_type) is list:
-        return [item(part) for part in _split_names(text)]
+        # Split on commas and spaces outside parentheses, so that inline
+        # quadratic specs like QUAD(50,1,100) survive intact.
+        return [item(part) for part in re.split(r"[\s,]+(?![^(]*\))", text) if part]
     if field_type is bool:
         return _parse_bool(text)
     if type(None) in get_args(field_type) and text.lower() in ("", "none"):

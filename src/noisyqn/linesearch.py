@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -36,6 +35,7 @@ import numpy as np
 
 from .linalg import norm
 from .noise import NoisyOracle
+from .problems import integer_setting, real_setting
 
 __all__ = [
     "LineSearchParams",
@@ -72,23 +72,14 @@ class LineSearchParams:
     history: int = 10
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        for name, low in (("c1", None), ("c2", None), ("c3", 0.0)):
+            value = real_setting(name, getattr(self, name), low, strict=True)
+            object.__setattr__(self, name, value)
         if not (0.0 < self.c1 < self.c2 < 1.0):
             raise ValueError("need 0 < c1 < c2 < 1")
-        if not (math.isfinite(self.c3) and self.c3 > 0.0):
-            raise ValueError("c3 must be finite and > 0")
         for name in ("n_split", "max_ls_iters", "max_lengthening", "history"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("n_split", "max_ls_iters"):
-            if getattr(self, name) > 300:
-                raise ValueError(f"{name} must be <= 300")
+            high = 300 if name in ("n_split", "max_ls_iters") else None
+            object.__setattr__(self, name, integer_setting(name, getattr(self, name), 1, high))
 
 
 class SearchMemory:

@@ -29,7 +29,6 @@ counter.  No generator state lives between chunks.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Literal, get_args
@@ -37,7 +36,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .linalg import norm
-from .problems import Problem
+from .problems import Problem, integer_setting, real_setting
 
 __all__ = ["NoiseSpec", "NoisyOracle"]
 
@@ -63,9 +62,10 @@ class NoiseSpec:
     xi_f and xi_g are the half-widths of the uniform errors added to f and
     to each gradient coordinate.  With the "intermittent" schedule the noise
     toggles on and off every ``n_noise`` iterations, and ``noise_phase``
-    ("noisy" or "clean") is the state of its first block.  ``omega`` scales
-    only the *reported* gradient-noise bound handed to noise-aware methods,
-    never the injected noise itself.  ``seed`` is the Philox key, in [0, 2**128).
+    ("noisy" or "clean") is the state of its first block; the constant
+    schedule takes no ``n_noise``.  ``omega`` scales only the *reported*
+    gradient-noise bound handed to noise-aware methods, never the injected
+    noise itself.  ``seed`` is the Philox key, in [0, 2**128).
     """
 
     xi_f: float = 0.0
@@ -77,31 +77,20 @@ class NoiseSpec:
     omega: float = 1.0
 
     def __post_init__(self):
-        for name in ("xi_f", "xi_g", "omega"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(self.xi_f) and self.xi_f >= 0.0):
-            raise ValueError("xi_f must be finite and >= 0")
-        if not (math.isfinite(self.xi_g) and self.xi_g >= 0.0):
-            raise ValueError("xi_g must be finite and >= 0")
+        for name, strict in (("xi_f", False), ("xi_g", False), ("omega", True)):
+            object.__setattr__(self, name, real_setting(name, getattr(self, name), 0.0, strict))
         for name, kind in (("schedule", Schedule), ("noise_phase", NoisePhase)):
             if getattr(self, name) not in get_args(kind):
                 raise ValueError(f"{name} must be one of {get_args(kind)}")
-        # bool is an Integral: True would key the same noise as 1, and is no
-        # block length.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", integer_setting("seed", self.seed))
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
-        if self.n_noise is not None and (
-            isinstance(self.n_noise, bool) or not isinstance(self.n_noise, numbers.Integral)
-        ):
-            raise ValueError(f"n_noise must be an integer, got {self.n_noise!r}")
+        if self.n_noise is not None:
+            object.__setattr__(self, "n_noise", integer_setting("n_noise", self.n_noise))
+            if self.schedule == "constant":
+                raise ValueError("n_noise is only for the intermittent schedule")
         if self.schedule == "intermittent" and (self.n_noise is None or self.n_noise < 1):
             raise ValueError("intermittent schedule needs n_noise >= 1")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError("omega must be finite and > 0")
 
 
 class NoisyOracle:

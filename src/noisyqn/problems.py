@@ -67,15 +67,47 @@ class Problem:
                 "x0 must be a non-empty 1-D array of real numbers, "
                 f"got shape {x0.shape} of {x0.dtype}"
             )
-        real = isinstance(self.phi_star, numbers.Real) and not isinstance(self.phi_star, bool)
-        if not (real and math.isfinite(self.phi_star)):
-            raise ValueError(f"phi_star must be a finite real number, got {self.phi_star!r}")
+        try:
+            object.__setattr__(self, "phi_star", real_setting("phi_star", self.phi_star, -math.inf))
+        except ValueError:
+            message = f"phi_star must be a finite real number, got {self.phi_star!r}"
+            raise ValueError(message) from None
         if not isinstance(self.f_rows, bool):
             raise ValueError(f"f_rows must be a bool, got {self.f_rows!r}")
 
     @property
     def dim(self) -> int:
         return len(self.x0)
+
+
+def real_setting(name: str, value, low: float | None = None, strict: bool = False) -> float:
+    """``value``, a real number but not a bool, as a Python float, -0.0 read as
+    0.0.  Given ``low``, it must be finite and at least ``low`` (above it if
+    ``strict``); ``low = -math.inf`` asks for finiteness alone."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value) + 0.0
+    except OverflowError:  # an int or a Fraction beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if low is not None and not (
+        math.isfinite(number) and (number > low if strict else number >= low)
+    ):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {low:g}")
+    return number
+
+
+def integer_setting(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value``, an integer but not a bool, as a Python int in [low, high]
+    where they are given.  True is no count, and as a seed it keys 1's noise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    number = int(value)
+    if low is not None and number < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if high is not None and number > high:
+        raise ValueError(f"{name} must be <= {high}")
+    return number
 
 
 class UnknownProblemError(KeyError):

@@ -17,7 +17,6 @@ give the same bits.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,7 +39,7 @@ from .linesearch import (
     two_phase_search,
 )
 from .noise import NoiseSpec, NoisyOracle
-from .problems import Problem
+from .problems import Problem, integer_setting
 
 __all__ = [
     "Variant",
@@ -97,16 +96,10 @@ class SolverConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
-        for name in ("memory", "max_iters", "g_eval_budget"):
-            value = getattr(self, name)
-            if value is None and name == "g_eval_budget":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.memory > 1000:
-            raise ValueError("memory must be <= 1000")
+        self.memory = integer_setting("memory", self.memory, 1, 1000)
+        self.max_iters = integer_setting("max_iters", self.max_iters, 1)
+        if self.g_eval_budget is not None:
+            self.g_eval_budget = integer_setting("g_eval_budget", self.g_eval_budget, 1)
         if not isinstance(self.diagnostics, bool):
             raise ValueError(f"diagnostics must be a bool, got {self.diagnostics!r}")
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -244,13 +245,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "axes",
         [dict(xi_g=[1e-3, 1.0000001e-3]), dict(seeds=[1, 1]),
-         dict(xi_g=[1e-3, 1.0000001e-3], seeds=[1, 1])],
-        ids=["noise-level", "seed", "both"],
+         dict(xi_g=[1e-3, 1.0000001e-3], seeds=[1, 1]), dict(xi_f=[0.0, -0.0])],
+        ids=["noise-level", "seed", "both", "negative-zero"],
     )
     def test_shared_run_key_rejected_before_output(self, tmp_path, axes):
         """Noise levels print with 6 significant digits in the run key, so
         two distinct levels, or a repeated seed, would give two cells one
-        CSV and one summary entry."""
+        CSV and one summary entry.  -0.0 is 0.0: it once ran the noiseless
+        cell a second time, under the key ``..._xif-0_...``."""
         out = tmp_path / "out"
         key = "TRIDIA_bfgs_xif0_xig0.001_om1_seed1"
         with pytest.raises(ConfigError, match=f"^two run cells share the run key '{key}'$"):
@@ -261,6 +263,27 @@ class TestConfigValidation:
     def test_non_bool_diagnostics_rejected(self, tmp_path, value):
         with pytest.raises(ConfigError, match="^diagnostics must be a bool, got "):
             tiny_config(tmp_path, diagnostics=value).validate()
+
+    def test_block_length_under_the_constant_schedule_rejected_before_output(self, tmp_path):
+        """n_noise was silently ignored, and the run had constant noise."""
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="^n_noise is only for the intermittent schedule$"):
+            run_experiment(tiny_config(out, n_noise=5))
+        assert not out.exists()
+
+    def test_numeric_settings_are_held_as_python_numbers(self, tmp_path):
+        config = tiny_config(
+            tmp_path, xi_f=[Fraction(1, 1000)], xi_g=[np.float32(0.5)], omega=[np.int64(2)],
+            seeds=[np.int64(3)], max_iters=np.int64(4), c1=Fraction(1, 10), memory=np.int8(5),
+            schedule="intermittent", n_noise=np.uint8(2),
+        )
+        config.validate()
+        assert (config.xi_f, config.xi_g, config.omega) == ([0.001], [0.5], [2.0])
+        numbers = [*config.xi_f, *config.xi_g, *config.omega, config.c1]
+        assert {type(value) for value in numbers} == {float}
+        integers = [*config.seeds, config.max_iters, config.memory, config.n_noise]
+        assert integers == [3, 4, 5, 2]
+        assert {type(value) for value in integers} == {int}
 
     def test_valid_config_passes(self, tmp_path):
         tiny_config(tmp_path).validate()
@@ -369,6 +392,41 @@ class TestRunExperiment:
         for p1 in sorted(out1.glob("*.csv")):
             p2 = out2 / p1.name
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_numpy_settings_write_the_bytes_of_python_ones(self, tmp_path):
+        """summary.json once failed to serialise an np.int64 after every run,
+        and was left truncated."""
+        settings = dict(
+            xi_f=[1e-3], xi_g=[0.1], omega=[0.5], seeds=[1, 2], max_iters=6,
+            g_eval_budget=20, schedule="intermittent", n_noise=2,
+        )
+        as_numpy = dict(
+            xi_f=[np.float64(1e-3)], xi_g=[np.float64(0.1)], omega=[np.float64(0.5)],
+            seeds=[np.int64(1), np.int64(2)], max_iters=np.int64(6),
+            g_eval_budget=np.int64(20), n_noise=np.int64(2),
+        )
+        run_experiment(tiny_config(tmp_path / "python", **settings))
+        run_experiment(tiny_config(tmp_path / "numpy", **{**settings, **as_numpy}))
+        written = {
+            side: {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+            for side in ("python", "numpy")
+        }
+        assert len(written["python"]) == 3
+        assert written["numpy"] == written["python"]
+
+    @pytest.mark.parametrize(
+        "level", [np.float32(1e-3), Fraction(1, 1000)], ids=["float32", "Fraction"]
+    )
+    def test_float32_and_fraction_levels_write_a_readable_summary(self, tmp_path, level):
+        """A Fraction once failed in the run key's format, and a float32 in
+        summary.json."""
+        summary = run_experiment(tiny_config(tmp_path, xi_g=[level]))
+        on_disk = json.loads((tmp_path / "summary.json").read_text())
+        assert on_disk == summary
+        assert summary["errors"] == {}
+        assert summary["config"]["xi_g"] == [float(level)]
+        keys = [f"TRIDIA_bfgs_xif0_xig0.001_om1_seed{seed}" for seed in (1, 2)]
+        assert list(summary["runs"]) == keys
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         out1 = tmp_path / "serial"
@@ -595,6 +653,40 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="^expected a boolean, got 'maybe'$"):
             load_config_file(cfg)
 
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            (
+                "ARWHEAD, CRAGGLVY, DQDRTIC, ENGVAL1, GENROSE, NONDIA, TRIDIA, WOODS, "
+                "QUAD(32,1,1e3)",
+                ["ARWHEAD", "CRAGGLVY", "DQDRTIC", "ENGVAL1", "GENROSE", "NONDIA",
+                 "TRIDIA", "WOODS", "QUAD(32,1,1e3)"],
+            ),
+            ("QUAD(50, 1, 100), ARWHEAD", ["QUAD(50, 1, 100)", "ARWHEAD"]),
+            (",", []),
+            ("a,,b", ["a", "b"]),
+            ("QUAD((5),1,2), X", ["QUAD((5),1,2)", "X"]),
+            ("a b\tc", ["a", "b", "c"]),
+            ("a\t,\t b", ["a", "b"]),
+            ("a,b,", ["a", "b"]),
+            (",a", ["a"]),
+            ("a , b", ["a", "b"]),
+            ("bfgs, lbfgs, bfgs-skip", ["bfgs", "lbfgs", "bfgs-skip"]),
+            ("QUAD( 8 , 1 , 10 )", ["QUAD( 8 , 1 , 10 )"]),
+            ("QUAD(8,1,10) QUAD(4,1,2)", ["QUAD(8,1,10)", "QUAD(4,1,2)"]),
+            ("(a,b),c", ["(a,b)", "c"]),
+        ],
+        ids=[
+            "matrix", "spaced-quad", "comma", "empty-part", "nested", "tab", "tabs-and-comma",
+            "trailing-comma", "leading-comma", "spaced-comma", "methods", "spaces-in-quad",
+            "two-quads", "bare-parentheses",
+        ],
+    )
+    def test_list_splits_on_commas_and_spaces_outside_parentheses(self, tmp_path, text, names):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problems = {text}\n")
+        assert load_config_file(cfg) == {"problems": names}
+
     @pytest.mark.parametrize("text", ["none", "None", ""])
     @pytest.mark.parametrize("key", ["g_eval_budget", "n_noise"])
     def test_none_for_an_optional_setting(self, tmp_path, key, text):
@@ -714,6 +806,36 @@ class TestCli:
         out, err = capsys.readouterr()
         assert re.fullmatch(f"{blocked}: FAILED \\(IsADirectoryError: .*\\)\n", err)
         assert "TRIDIA_bfgs_xif0_xig0_om1_seed2: termination=max_iterations" in out
+
+    def test_unbalanced_parenthesis_in_a_config_list_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problems = QUAD(5,1\nmethods = bfgs\nseeds = 1\n")
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: unknown problem 'QUAD(5")
+        assert not out.exists()
+
+    def test_negative_zero_noise_level_keys_as_zero(self, tmp_path):
+        code = main([
+            "run", "--problem", "TRIDIA", "--method", "bfgs", "--xi-f", "-0.0",
+            "--seed", "1", "--max-iters", "3", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        key = "TRIDIA_bfgs_xif0_xig0_om1_seed1"
+        assert [p.name for p in tmp_path.glob("*.csv")] == [f"{key}.csv"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert math.copysign(1.0, summary["runs"][key]["xi_f"]) == 1.0
+
+    def test_block_length_under_the_constant_schedule_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--problem", "ARWHEAD", "--method", "bfgs", "--seed", "1",
+            "--n-noise", "5", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n_noise is only for the intermittent schedule\n"
+        assert not out.exists()
 
     def test_bad_later_noise_value_is_config_error(self, tmp_path, capsys):
         code = main([

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -965,6 +966,26 @@ class TestParamsValidation:
         message = f"{name} must be a real number, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LineSearchParams(**{name: value})
+
+    def test_settings_are_held_as_python_numbers(self):
+        params = LineSearchParams(
+            c1=Fraction(1, 8), c2=np.float32(0.5), c3=np.int64(2), n_split=np.int64(4),
+            max_ls_iters=np.uint16(9), max_lengthening=np.int8(3), history=np.int32(2),
+        )
+        assert [params.c1, params.c2, params.c3] == [0.125, 0.5, 2.0]
+        counts = [params.n_split, params.max_ls_iters, params.max_lengthening, params.history]
+        assert counts == [4, 9, 3, 2]
+        assert {type(value) for value in (params.c1, params.c2, params.c3)} == {float}
+        assert {type(value) for value in counts} == {int}
+
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), Fraction(10**400, 7)], ids=["int", "-int", "Fraction"]
+    )
+    def test_constant_beyond_the_float_range_rejected(self, value):
+        with pytest.raises(ValueError, match="^need 0 < c1 < c2 < 1$"):
+            LineSearchParams(c1=value)
+        with pytest.raises(ValueError, match="^c3 must be finite and > 0$"):
+            LineSearchParams(c3=value)
 
     @pytest.mark.parametrize("name", ["n_split", "max_ls_iters"])
     def test_trial_budget_capped_at_300(self, name):

@@ -4,6 +4,7 @@ intermittent schedules, and evaluation accounting."""
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,35 @@ class TestNoiseSpecValidation:
 
     def test_numpy_integer_seed_accepted(self):
         assert NoiseSpec(seed=np.int64(4)).seed == 4
+
+    def test_settings_are_held_as_python_numbers(self):
+        spec = NoiseSpec(
+            xi_f=Fraction(1, 4), xi_g=np.float32(0.5), omega=np.int64(2),
+            schedule="intermittent", n_noise=np.int16(3), seed=np.uint64(2**64 - 1),
+        )
+        assert [spec.xi_f, spec.xi_g, spec.omega] == [0.25, 0.5, 2.0]
+        assert {type(v) for v in (spec.xi_f, spec.xi_g, spec.omega)} == {float}
+        assert [spec.n_noise, spec.seed] == [3, 2**64 - 1]
+        assert {type(v) for v in (spec.n_noise, spec.seed)} == {int}
+
+    @pytest.mark.parametrize("name", ["xi_f", "xi_g"])
+    def test_negative_zero_level_is_zero(self, name):
+        """-0.0 would print as -0 in the run key."""
+        assert math.copysign(1.0, getattr(NoiseSpec(**{name: -0.0}), name)) == 1.0
+
+    @pytest.mark.parametrize("name", ["xi_f", "xi_g", "omega"])
+    @pytest.mark.parametrize("value", [10**400, Fraction(10**400, 3)], ids=["int", "Fraction"])
+    def test_level_beyond_the_float_range_is_not_finite(self, name, value):
+        """float() of such a number raises OverflowError, which no caller
+        reported as a setting error."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >"):
+            NoiseSpec(**{name: value})
+
+    @pytest.mark.parametrize("n_noise", [1, 5])
+    def test_block_length_under_the_constant_schedule_rejected(self, n_noise):
+        """The constant schedule has no blocks: n_noise was silently ignored."""
+        with pytest.raises(ValueError, match="^n_noise is only for the intermittent schedule$"):
+            NoiseSpec(xi_g=0.1, n_noise=n_noise)
 
     @pytest.mark.parametrize(
         "seed",

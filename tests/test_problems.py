@@ -138,8 +138,8 @@ class TestReferenceFields:
     """``phi_star`` is a finite real number and ``f_rows`` a bool."""
 
     @pytest.mark.parametrize(
-        "phi_star", ["0", None, True, math.nan, math.inf, -math.inf, 1j],
-        ids=["str", "none", "bool", "nan", "inf", "-inf", "complex"],
+        "phi_star", ["0", None, True, math.nan, math.inf, -math.inf, 1j, -(10**400)],
+        ids=["str", "none", "bool", "nan", "inf", "-inf", "complex", "-10**400"],
     )
     def test_bad_phi_star_is_named(self, phi_star):
         """A string phi_star once ended every run in a TypeError at the first
@@ -148,10 +148,15 @@ class TestReferenceFields:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(registry_lookup("TRIDIA"), phi_star=phi_star)
 
-    @pytest.mark.parametrize("phi_star", [0, -3, 2.5, np.float64(1.0)])
+    @pytest.mark.parametrize(
+        "phi_star",
+        [0, -3, 2.5, np.float64(1.0), pytest.param(np.float32(0.5), id="float32"),
+         pytest.param(Fraction(1, 4), id="Fraction")],
+    )
     def test_real_phi_star_passes(self, phi_star):
         prob = dataclasses.replace(registry_lookup("TRIDIA"), phi_star=phi_star)
         assert prob.phi_star == phi_star
+        assert type(prob.phi_star) is float
 
     @pytest.mark.parametrize(
         "f_rows", ["no", 1, 0, None, np.bool_(True)], ids=["str", "1", "0", "none", "numpy"]

@@ -740,6 +740,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
             SolverConfig(variant=Variant.LBFGS, **{name: True})
 
+    def test_counts_are_held_as_python_integers(self):
+        config = SolverConfig(
+            variant=Variant.LBFGS, memory=np.int8(7), max_iters=np.uint32(50),
+            g_eval_budget=np.int64(90),
+        )
+        counts = [config.memory, config.max_iters, config.g_eval_budget]
+        assert counts == [7, 50, 90]
+        assert {type(value) for value in counts} == {int}
+
     @pytest.mark.parametrize("value", ["no", "", 0, 1, None, np.True_])
     def test_diagnostics_must_be_a_bool(self, value):
         """A string such as "no" would otherwise turn the diagnostics on by
