@@ -43,7 +43,7 @@ def write_rows(path, rows):
 
 
 def test_goldens_hold_every_invariant(tool):
-    assert tool.check_dir(GOLDEN) == (36, [])
+    assert tool.check_dir(GOLDEN) == (72, [])
     assert tool.main([str(GOLDEN)]) == 0
 
 
@@ -103,7 +103,7 @@ def test_noiseless_twin_bytes_differ(tool, tmp_path):
     rows[2]["alpha"] = "1.0"
     write_rows(out / f"{KEY}.csv", rows)
     trace, twin = out / f"{KEY}.csv", out / f"{TWIN_KEY}.csv"
-    assert tool.check_dir(out) == (36, [f"{trace}: differs from its noiseless twin {twin.name}"])
+    assert tool.check_dir(out) == (72, [f"{trace}: differs from its noiseless twin {twin.name}"])
     assert tool.main([str(out)]) == 1
 
 
@@ -120,7 +120,7 @@ def test_skip_twin_bytes_differ(tool, tmp_path, method, standard):
     rows[2]["alpha"] = "1.0"
     write_rows(out / f"{key}.csv", rows)
     twin_key = f"ARWHEAD_{standard}_xif0_xig0_om1_seed1"
-    expected = (36, [f"{out / key}.csv: differs from its xi_g = 0 twin {twin_key}.csv"])
+    expected = (72, [f"{out / key}.csv: differs from its xi_g = 0 twin {twin_key}.csv"])
     assert tool.check_dir(out) == expected
 
     summary = json.loads((out / "summary.json").read_text())
@@ -144,5 +144,5 @@ def test_first_split_iteration_mismatch_caught(tool, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     summary["runs"][NOISY_KEY]["first_split_iteration"] = 11
     (out / "summary.json").write_text(json.dumps(summary))
-    assert tool.check_dir(out) == (36, [f"{out / NOISY_KEY}.csv: {expected}"])
+    assert tool.check_dir(out) == (72, [f"{out / NOISY_KEY}.csv: {expected}"])
     assert tool.main([str(out)]) == 1

@@ -169,7 +169,7 @@ def test_trace_check_per_output_set(tool, tmp_path):
     lines, violations = tool.trace_check(new)
     assert violations == 1
     assert lines == [
-        "trace check in golden: 0 violations in 36 runs",
+        "trace check in golden: 0 violations in 72 runs",
         "trace check in matrix: 1 violations in 1 runs",
         f"  {new / 'matrix' / 'A_seed1.csv'}: no trace",
     ]

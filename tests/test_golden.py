@@ -2,9 +2,9 @@
 summary.json under tests/golden/.
 
 The matrix (tests/golden/golden.cfg) is ARWHEAD, TRIDIA and QUAD(16,1,1e3)
-x all six methods x xi_g {0, 1e-1}, seed 1, at most 25 iterations,
-diagnostics on.  Its traces contain updated, lengthened and skipped pairs
-and alpha = 0 rows.
+x all six methods x xi_f {0, 1e-3} x xi_g {0, 1e-1}, seed 1, at most 25
+iterations, diagnostics on.  Its traces contain updated, lengthened and
+skipped pairs and alpha = 0 rows, and draw f noise as well as g noise.
 
 Counters, flags, pair actions and every non-float summary field must match
 exactly.  Float fields must match to 1e-9 relative (absolute below 1): BLAS
@@ -76,7 +76,7 @@ def test_sweep_reproduces_goldens(tmp_path):
     assert code == 0
     want_files = sorted(p.name for p in GOLDEN.iterdir() if p.name != "golden.cfg")
     assert sorted(p.name for p in tmp_path.iterdir()) == want_files
-    assert len(want_files) == 37
+    assert len(want_files) == 73
     for name in want_files:
         if name.endswith(".csv"):
             assert_csv_matches(tmp_path / name, GOLDEN / name)
