@@ -439,16 +439,3 @@ def two_phase_search(
         memory.observe(search.beta, p, search.g_beta, g_x, wolfe)
     return search
 
-
-def armijo_wolfe_search(
-    oracle: NoisyOracle,
-    x: np.ndarray,
-    p: np.ndarray,
-    params: LineSearchParams,
-    memory: SearchMemory,
-    f_x: float,
-    g_x: np.ndarray,
-) -> LineSearchOutcome:
-    """``two_phase_search`` at zero bounds, unexported and uncalled: kept
-    only under the name that ``perfbench/tracing.py`` patches in ``solver``."""
-    return initial_phase(oracle, params, memory, LineSearchOutcome(x, p, f_x, g_x, 0.0, 0.0))

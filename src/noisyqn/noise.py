@@ -6,22 +6,23 @@ stream.  Replaying the same seed and call sequence therefore reproduces the
 exact same values regardless of wall clock, thread, or process — which is
 what makes parallel sweeps bit-identical to serial ones.
 
-The gradient streams of consecutive evaluations overlap, a known defect: a
-draw starts at Philox counter [index, 1, 0, 0] and each 4 coordinates take
-the next counter value, so draw k + 1 repeats draw k's coordinates 4, 5, ...
-in positions 0, 1, ...  At d = 100 the gradient noise of up to 25
-consecutive evaluations is correlated this way.  Function draws take one
-counter value each and do not overlap.
+Draw ``index`` of the stream tagged ``tag`` (0 for f, 1 for g) is read from
+Philox counter [index, tag, 0, 0], one noise value per word and four words
+per counter value; ``NoisyOracle._draw`` is the only place that applies
+this layout.  So the stream at [index, tag, 0, 0] holds every later draw of
+that tag too, draw index + j starting at its word 4 j.  Function draws take
+one word and do not overlap.  Gradient draws overlap, a known defect: draw
+k + 1 repeats draw k's coordinates 4, 5, ... in positions 0, 1, ..., so at
+d = 100 the gradient noise of up to 25 consecutive evaluations is
+correlated.
 
-Draws are made ahead, in chunks.  A stream read from counter [index, tag,
-0, 0] holds every later draw of that tag too: draw index + j starts at its
-word 4 j, since each counter value gives four words.  So each tag keeps one
-chunk of ``4 * 256 + width`` noise values, drawn with a single
+Draws are made ahead, in chunks.  Each stream keeps one chunk of
+``4 * 256 + width`` noise values, drawn with a single
 ``uniform(-xi, xi, size)`` call from a generator built for the first index
 it covers, and draw j of the chunk is ``chunk[4 j : 4 j + width]``: numpy
 computes every value as ``low + (high - low) * u`` from one word, alone or
-in an array, so these are the bits of a fresh generator per draw.  An
-index outside the chunk (the next 256, or a jump over a clean block of the
+in an array, so these are the bits of a fresh generator per draw.  An index
+outside the chunk (the next 256, or a jump over a clean block of the
 intermittent schedule) draws a new chunk from a new generator at its own
 counter.  No generator state lives between chunks.
 """
@@ -43,16 +44,22 @@ __all__ = ["NoiseSpec", "NoisyOracle"]
 Schedule = Literal["constant", "intermittent"]
 NoisePhase = Literal["noisy", "clean"]
 
-# Stream tags keep function and gradient draws on disjoint counters.
-_TAG_F = 0
-_TAG_G = 1
-
 # Draws covered by one chunk of a stream (see the module docstring).
 _CHUNK_DRAWS = 256
 
-# Gradient evaluations remembered for ``true_g``: the tolerant variants'
-# beta loop evaluates g after the accepted point, which four cover.
-_G_HISTORY = 4
+# Evaluations of each stream remembered for ``true_f`` and ``true_g``: the
+# tolerant variants' beta loop evaluates g after the accepted point, which
+# four cover.
+_RECALL_DEPTH = 4
+
+
+class _Stream:
+    """One stream's chunk of draws and the first index it covers."""
+
+    __slots__ = ("tag", "base", "chunk")
+
+    def __init__(self, tag: int):
+        self.tag, self.base, self.chunk = tag, -_CHUNK_DRAWS, np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,8 @@ class NoisyOracle:
 
     ``true_f`` and ``true_g`` give the noiseless values at a point for the
     solver's trace.  The oracle remembers the point and noiseless value of
-    its latest ``noisy_f`` call and of its last four ``noisy_g`` calls, and
-    answers from them when a point has exactly the bits asked for.  It keeps
+    its last four ``noisy_f`` and last four ``noisy_g`` calls, and answers
+    from them when a point has exactly the bits asked for.  It keeps
     references, not copies, to the arrays it is handed and returns: neither
     the caller nor the problem may change them in place afterwards.
     """
@@ -112,20 +119,22 @@ class NoisyOracle:
     def __init__(self, problem: Problem, spec: NoiseSpec):
         self.problem = problem
         self.spec = spec
-        self.iteration = 0
+        self.set_iteration(0)
         self.f_evals = 0
         self.g_evals = 0
         self.max_f_noise = 0.0
         self.max_g_noise_norm = 0.0
-        self._last_f: tuple[np.ndarray, float] | None = None
-        self._recent_g: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=_G_HISTORY)
-        # Per tag, the first index its chunk covers and the chunk; the f
-        # chunk keeps only its draws' values, as Python floats.
-        self._f_base, self._f_chunk = -_CHUNK_DRAWS, []
-        self._g_base, self._g_chunk = -_CHUNK_DRAWS, np.empty(0)
+        self._recent_f: deque[tuple[np.ndarray, float]] = deque(maxlen=_RECALL_DEPTH)
+        self._recent_g: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=_RECALL_DEPTH)
+        # Tags 0 and 1 keep f and g draws on disjoint counters.
+        self._f_stream, self._g_stream = _Stream(0), _Stream(1)
 
     def set_iteration(self, k: int) -> None:
         self.iteration = k
+        # The levels drawn from iteration k on: zero in a clean block.
+        active = self.noise_active()
+        self._xi_f = self.spec.xi_f if active else 0.0
+        self._xi_g = self.spec.xi_g if active else 0.0
 
     def noise_active(self) -> bool:
         spec = self.spec
@@ -134,11 +143,17 @@ class NoisyOracle:
         block = self.iteration // spec.n_noise
         return (block % 2 == 0) == (spec.noise_phase == "noisy")
 
-    def _chunk(self, index: int, tag: int, xi: float, width: int) -> np.ndarray:
-        """The noise of draws index, index + 1, ... (see the module
-        docstring), from a fresh stream at counter [index, tag, 0, 0]."""
-        bits = np.random.Philox(key=self.spec.seed, counter=[index, tag, 0, 0])
-        return np.random.Generator(bits).uniform(-xi, xi, 4 * _CHUNK_DRAWS + width)
+    def _draw(self, stream: _Stream, index: int, xi: float, width: int) -> tuple[np.ndarray, int]:
+        """``stream``'s chunk and the offset in it of draw ``index``, whose
+        ``width`` values start there (see the module docstring).  A chunk
+        that does not cover index is first replaced by one drawn from a
+        fresh generator at counter [index, tag, 0, 0]."""
+        j = index - stream.base
+        if not 0 <= j < _CHUNK_DRAWS:
+            bits = np.random.Philox(key=self.spec.seed, counter=[index, stream.tag, 0, 0])
+            stream.chunk = np.random.Generator(bits).uniform(-xi, xi, 4 * _CHUNK_DRAWS + width)
+            stream.base, j = index, 0
+        return stream.chunk, 4 * j
 
     def noisy_f(self, x: np.ndarray, value: float | None = None) -> float:
         """One counted function evaluation at x, with its own noise draw.
@@ -151,16 +166,13 @@ class NoisyOracle:
         """
         if value is None:
             value = self.problem.eval_f(x)
-        self._last_f = (x, value)
+        self._recent_f.append((x, value))
         index = self.f_evals
         self.f_evals += 1
-        xi = self.spec.xi_f
-        if xi > 0.0 and self.noise_active():
-            j = index - self._f_base
-            if not 0 <= j < _CHUNK_DRAWS:
-                self._f_base, j = index, 0
-                self._f_chunk = self._chunk(index, _TAG_F, xi, 1)[::4].tolist()
-            eps = self._f_chunk[j]
+        xi = self._xi_f
+        if xi > 0.0:
+            chunk, at = self._draw(self._f_stream, index, xi, 1)
+            eps = chunk.item(at)
             if abs(eps) > self.max_f_noise:
                 self.max_f_noise = abs(eps)
             return value + eps
@@ -171,38 +183,35 @@ class NoisyOracle:
         self._recent_g.append((x, grad))
         index = self.g_evals
         self.g_evals += 1
-        xi = self.spec.xi_g
-        if xi > 0.0 and self.noise_active():
+        xi = self._xi_g
+        if xi > 0.0:
             width = grad.shape[0]
-            j = index - self._g_base
-            if not 0 <= j < _CHUNK_DRAWS:
-                self._g_base, j = index, 0
-                self._g_chunk = self._chunk(index, _TAG_G, xi, width)
-            err = self._g_chunk[4 * j : 4 * j + width]
+            chunk, at = self._draw(self._g_stream, index, xi, width)
+            err = chunk[at : at + width]
             err_norm = norm(err)
             if err_norm > self.max_g_noise_norm:
                 self.max_g_noise_norm = err_norm
             return grad + err
         return grad
 
+    @staticmethod
+    def _recall(recent: deque, x: np.ndarray, evaluate):
+        """The noiseless value at x, uncounted: that of the newest of the
+        ``recent`` (point, value) pairs whose point has x's bits (a zero's
+        sign included), else ``evaluate(x)``."""
+        key = x.tobytes()
+        for point, value in reversed(recent):
+            if point.tobytes() == key:
+                return value
+        return evaluate(x)
+
     def true_f(self, x: np.ndarray) -> float:
-        """The noiseless f at x, uncounted: the latest ``noisy_f`` call's
-        value when its point has x's bits (a zero's sign included), else
-        the problem's ``eval_f``."""
-        last = self._last_f
-        if last is not None and last[0].tobytes() == x.tobytes():
-            return last[1]
-        return self.problem.eval_f(x)
+        """The noiseless f at x, uncounted (see ``_recall``)."""
+        return self._recall(self._recent_f, x, self.problem.eval_f)
 
     def true_g(self, x: np.ndarray) -> np.ndarray:
-        """The noiseless gradient at x, uncounted: that of the newest of the
-        last four ``noisy_g`` calls whose point has x's bits, else the
-        problem's ``eval_g``."""
-        key = x.tobytes()
-        for point, grad in reversed(self._recent_g):
-            if point.tobytes() == key:
-                return grad
-        return self.problem.eval_g(x)
+        """The noiseless gradient at x, uncounted (see ``_recall``)."""
+        return self._recall(self._recent_g, x, self.problem.eval_g)
 
     def reported_bounds(self) -> tuple[float, float]:
         """(eps_f, eps_g) bounds handed to noise-aware methods.

@@ -35,7 +35,6 @@ from .linesearch import (
     LineSearchOutcome,
     LineSearchParams,
     SearchMemory,
-    armijo_wolfe_search,  # noqa: F401  uncalled; perfbench/tracing.py patches it here
     two_phase_search,
 )
 from .noise import NoiseSpec, NoisyOracle
@@ -50,6 +49,9 @@ __all__ = [
     "skip_condition",
     "run",
 ]
+
+# Uncalled: the plain search's old name, which perfbench/tracing.py patches.
+armijo_wolfe_search = two_phase_search
 
 # Every variant drops a pair whose s.y is not above this share of ||s|| ||y||,
 # or whose ||y|| is 0, to protect the update.

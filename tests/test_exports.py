@@ -35,7 +35,7 @@ def test_exported_names_are_pinned_and_resolve():
 
 def test_plain_search_is_unexported_but_patchable_in_solver():
     """``armijo_wolfe_search`` left the API; perfbench's tracer still patches
-    it under ``solver``."""
+    it under ``solver``, where it is only another name of the one search."""
     assert "armijo_wolfe_search" not in noisyqn.__all__
     assert not hasattr(noisyqn, "armijo_wolfe_search")
-    assert callable(solver.armijo_wolfe_search)
+    assert solver.armijo_wolfe_search is solver.two_phase_search

@@ -416,8 +416,9 @@ def counted_problem(problem, calls):
 
 
 class TestTrueValues:
-    """``true_f``/``true_g`` answer from the latest noisy call when its point
-    has exactly the bits asked for, and from the problem otherwise."""
+    """``true_f``/``true_g`` answer from the newest of the last four noisy
+    calls whose point has exactly the bits asked for, and from the problem
+    otherwise."""
 
     def test_same_bits_reuse_the_latest_evaluation(self):
         calls = []
@@ -488,3 +489,18 @@ class TestTrueValues:
         assert calls == ["g"] * 4  # the reference evaluations only
         oracle.true_g(points[0])
         assert calls == ["g"] * 5
+
+    def test_function_lookup_keeps_the_last_four_points(self):
+        """``true_f`` answers from any of the last four ``noisy_f`` points,
+        the newest first, and forgets the fifth-newest."""
+        calls = []
+        oracle = make_oracle(counted_problem(registry_lookup("ARWHEAD"), calls), xi_f=1e-3)
+        points = [oracle.problem.x0 + 0.1 * i for i in range(5)]
+        for i, point in enumerate(points):
+            oracle.noisy_f(point, float(i))
+        oracle.noisy_f(points[4].copy(), 9.0)
+        del calls[:]
+        assert [oracle.true_f(point.copy()) for point in points[2:]] == [2.0, 3.0, 9.0]
+        assert calls == []
+        oracle.true_f(points[1])
+        assert calls == ["f"]
