@@ -14,12 +14,13 @@ the two at once:
 
 The inputs (both config files and the workload plans) are the working
 tree's on both sides, so only the program differs.  The report lists
-identical, changed, added and removed files; every change in a
-``summary.json``'s ``errors``; for each changed CSV column the largest
-relative change; and per output set, how many runs ended with each
-termination reason, and how many f and g evaluations the runs took in all
-(``f_evals`` and ``g_evals`` of each ``summary.json`` run), at the base and
-now.  Each output set of the working tree is also checked with
+identical, changed, added and removed files; for each changed
+``summary.json``, every change in its ``errors``, the ``config`` keys added,
+removed or changed, and how many run entries differ; for each changed CSV
+column the largest relative change; and per output set, how many runs ended
+with each termination reason, and how many f and g evaluations the runs
+took in all (``f_evals`` and ``g_evals`` of each ``summary.json`` run), at
+the base and now.  Each output set of the working tree is also checked with
 ``scripts/check_traces.py``, and its violations are listed.  The last line
 gives the total lines of the ``*.py`` files of ``src/noisyqn`` at the base
 and now.  Exit code 0 when every file is identical and no trace violates an
@@ -147,6 +148,29 @@ def error_changes(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def summary_changes(old: dict, new: dict) -> list[str]:
+    """How a summary.json changed: every change in its per-run errors, each
+    ``config`` key added, removed or changed, and how many run entries
+    differ."""
+    lines = error_changes(old["errors"], new["errors"])
+    old_config, new_config = old.get("config", {}), new.get("config", {})
+    for key in sorted(old_config.keys() | new_config.keys()):
+        if key not in new_config:
+            lines.append(f"config removed: {key} = {json.dumps(old_config[key])}")
+        elif key not in old_config:
+            lines.append(f"config added: {key} = {json.dumps(new_config[key])}")
+        elif old_config[key] != new_config[key]:
+            lines.append(
+                f"config changed: {key}: "
+                f"{json.dumps(old_config[key])} -> {json.dumps(new_config[key])}"
+            )
+    old_runs, new_runs = old["runs"], new["runs"]
+    keys = old_runs.keys() | new_runs.keys()
+    differ = sum(old_runs.get(key) != new_runs.get(key) for key in keys)
+    lines.append(f"run entries differ: {differ} of {len(keys)}")
+    return lines
+
+
 def summary_errors(path: Path) -> dict:
     return json.loads(path.read_text())["errors"]
 
@@ -185,7 +209,9 @@ def compare(base: Path, new: Path) -> tuple[list[str], bool]:
         if name.endswith(".csv"):
             details = csv_changes((base / name).read_text(), (new / name).read_text())
         elif Path(name).name == "summary.json":
-            details = error_changes(summary_errors(base / name), summary_errors(new / name))
+            details = summary_changes(
+                json.loads((base / name).read_text()), json.loads((new / name).read_text())
+            )
         else:
             details = []
         lines += [f"    {line}" for line in details]

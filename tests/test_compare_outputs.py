@@ -77,12 +77,47 @@ def test_changes_are_reported(tool, tmp_path):
         "  golden/summary.json",
         "    error changed: A_seed1: ValueError: bad -> ValueError: worse",
         "    error new: B_seed1: TypeError: new",
+        "    run entries differ: 0 of 0",
         "added: 1 files",
         "  matrix/new.csv",
         "removed: 1 files",
         "  matrix/gone.csv",
         "per-run errors: 1 at base, 2 now",
         "outputs differ",
+    ]
+
+
+def test_summary_config_and_run_changes_are_reported(tool, tmp_path):
+    """A changed summary.json lists each config key added, removed or
+    changed, and how many run entries differ, added and removed ones too."""
+    def summary_with(config, f_evals):
+        runs = {
+            key: {"termination_reason": "max_iterations", "f_evals": f, "g_evals": 1}
+            for key, f in f_evals.items()
+        }
+        return json.dumps({"config": config, "runs": runs, "errors": {}})
+
+    base_files = {"golden/summary.json": summary_with(
+        {"max_iters": 25, "seeds": [1], "old": True}, {"A": 3, "B": 4, "C": 5}
+    )}
+    new_files = {"golden/summary.json": summary_with(
+        {"max_iters": 30, "seeds": [1], "c1": 0.001, "memory": 5}, {"A": 3, "B": 6, "D": 5}
+    )}
+    lines, identical = tool.compare(
+        write_tree(tmp_path / "base", base_files), write_tree(tmp_path / "new", new_files)
+    )
+    assert not identical
+    assert lines[:10] == [
+        "identical: 0 files",
+        "changed: 1 files",
+        "  golden/summary.json",
+        "    config added: c1 = 0.001",
+        "    config changed: max_iters: 25 -> 30",
+        "    config added: memory = 5",
+        "    config removed: old = true",
+        "    run entries differ: 3 of 4",
+        "added: 0 files",
+        "removed: 0 files",
     ]
 
 
