@@ -219,12 +219,6 @@ RUN_AXES = tuple(name for name, hint in SETTING_TYPES.items() if get_origin(hint
 _CELL_KEYS = tuple(map(setting_name, RUN_AXES))
 _NOISE_LEVELS = ("xi_f", "xi_g", "omega", "seed")  # the cell keys NoiseSpec takes
 
-# The settings that summary.json records.
-_SUMMARY_SETTINGS = (
-    "problems", "methods", "xi_f", "xi_g", "omega", "schedule", "n_noise",
-    "noise_phase", "seeds", "max_iters", "g_eval_budget",
-)
-
 
 def _group_key(cell: dict) -> str:
     """A cell's key without its seed: the cells that one median spans."""
@@ -350,7 +344,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     medians = _group_medians(results)
     summary = {
-        "config": {name: getattr(config, name) for name in _SUMMARY_SETTINGS},
+        "config": {name: getattr(config, name) for name in SETTING_TYPES if name != "out"},
         "runs": {key: results[key] for key in sorted(results)},
         "medians": medians,
         "errors": {key: errors[key] for key in sorted(errors)},

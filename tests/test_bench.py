@@ -376,6 +376,20 @@ class TestRunExperiment:
         assert on_disk["runs"] == summary["runs"]
         assert on_disk["medians"] == summary["medians"]
 
+    def test_summary_records_every_setting_but_out(self, tmp_path):
+        """Two sweeps that differ only in a solver or search setting write
+        different ``config`` entries."""
+        summary = run_experiment(
+            tiny_config(tmp_path, c1=1e-3, memory=3, diagnostics=True, seeds=[1])
+        )
+        on_disk = json.loads((tmp_path / "summary.json").read_text())
+        assert on_disk["config"] == summary["config"]
+        assert set(summary["config"]) == set(bench.SETTING_TYPES) - {"out"}
+        assert summary["config"]["c1"] == 1e-3
+        assert summary["config"]["memory"] == 3
+        assert summary["config"]["diagnostics"] is True
+        assert summary["config"]["n_split"] == ExperimentConfig.n_split
+
     def test_runs_sorted_by_key(self, tmp_path):
         config = tiny_config(tmp_path, seeds=[5, 1, 3])
         summary = run_experiment(config)
