@@ -145,7 +145,7 @@ class ExperimentConfig:
                 problem = registry_lookup(name)
             except UnknownProblemError as exc:
                 raise ConfigError(str(exc)) from exc
-            except ValueError as exc:
+            except (ValueError, MemoryError) as exc:
                 raise ConfigError(f"problem {name!r}: {exc}") from exc
             first = spelled.setdefault(problem.name, name)
             if first != name:

@@ -758,6 +758,24 @@ class TestCli:
         assert capsys.readouterr().err == f"error: problem {spec!r}: {message}\n"
         assert not out.exists()
 
+    def test_quadratic_too_large_for_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """numpy's failed allocation once ended the run in a traceback with
+        exit 1; the lookup is stubbed, so this test allocates nothing."""
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+        def lookup(name):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(bench, "registry_lookup", lookup)
+        out = tmp_path / "out"
+        code = main([
+            "run", "--problem", "QUAD(1000000,1,2)", "--method", "bfgs",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: problem 'QUAD(1000000,1,2)': {message}\n"
+        assert not out.exists()
+
     def test_unknown_method_is_config_error(self, tmp_path, capsys):
         code = main([
             "run", "--problem", "TRIDIA", "--method", "adam",
