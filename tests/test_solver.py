@@ -126,6 +126,22 @@ class TestOneSearch:
         [memory] = memories
         assert (memory.estimate is not None) is variant.noise_tolerant
 
+    @pytest.mark.parametrize("omega", [0.1, 10.0])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_tolerant_searches_take_the_reported_bounds(self, variant, omega):
+        """bfgs-e and lbfgs-e search at eps_f = xi_f and at the reported
+        eps_g = omega sqrt(d) xi_g, not the true bound; the others at zero."""
+        prob = registry_lookup("TRIDIA")
+        spec = NoiseSpec(xi_f=1e-3, xi_g=1e-1, omega=omega, seed=3)
+        bounds = []
+        run(prob, spec, quick_config(variant, max_iters=10),
+            lambda ctx: bounds.append((ctx.search.eps_f, ctx.search.eps_g)))
+        if variant.noise_tolerant:
+            want = (spec.xi_f, omega * math.sqrt(prob.dim) * spec.xi_g)
+        else:
+            want = (0.0, 0.0)
+        assert bounds == [want] * 10
+
 
 class TestSkipCondition:
     def test_below_threshold_skips(self):
