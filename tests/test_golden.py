@@ -34,10 +34,7 @@ def openblas_core() -> str:
     ``linalg._openblas_thread_controls`` finds that library."""
     package = Path(np.__file__).parent
     for path in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
-        try:
-            library = ctypes.CDLL(str(path))
-        except OSError:
-            continue
+        library = ctypes.CDLL(str(path))
         for prefix, suffix in _OPENBLAS_NAMES:
             corename = getattr(library, f"{prefix}get_corename{suffix}", None)
             if corename is not None:
