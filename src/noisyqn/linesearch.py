@@ -434,7 +434,7 @@ def two_phase_search(
         split_phase(oracle, params, memory, search)
     if search.beta is not None and (eps_f > 0.0 or eps_g > 0.0):
         wolfe = search.phase is Phase.INITIAL_ACCEPTED or (
-            float(search.g_beta @ p) >= params.c2 * search.g_dot_p
+            not float(search.g_beta @ p) < params.c2 * search.g_dot_p
         )
         memory.observe(search.beta, p, search.g_beta, g_x, wolfe)
     return search
