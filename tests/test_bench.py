@@ -4,7 +4,6 @@ profiles, and the command-line front end."""
 import argparse
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -398,15 +397,6 @@ class TestRunExperiment:
         for key, entry in summary["runs"].items():
             assert entry["key"] == key
 
-    def test_rerun_byte_identical(self, tmp_path):
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        run_experiment(tiny_config(out1))
-        run_experiment(tiny_config(out2))
-        for p1 in sorted(out1.glob("*.csv")):
-            p2 = out2 / p1.name
-            assert p1.read_bytes() == p2.read_bytes()
-
     def test_numpy_settings_write_the_bytes_of_python_ones(self, tmp_path):
         """summary.json once failed to serialise an np.int64 after every run,
         and was left truncated."""
@@ -441,16 +431,6 @@ class TestRunExperiment:
         assert summary["config"]["xi_g"] == [float(level)]
         keys = [f"TRIDIA_bfgs_xif0_xig0.001_om1_seed{seed}" for seed in (1, 2)]
         assert list(summary["runs"]) == keys
-
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "serial"
-        out2 = tmp_path / "parallel"
-        monkeypatch.setenv("QN_NOISE_THREADS", "1")
-        run_experiment(tiny_config(out1, seeds=[1, 2, 3, 4]))
-        monkeypatch.setenv("QN_NOISE_THREADS", "8")
-        run_experiment(tiny_config(out2, seeds=[1, 2, 3, 4]))
-        for p1 in sorted(out1.glob("*.csv")):
-            assert p1.read_bytes() == (out2 / p1.name).read_bytes()
 
     def test_process_pool_matches_serial_with_failing_cell(self, tmp_path, monkeypatch):
         """A run that raises inside a worker process is reported exactly as

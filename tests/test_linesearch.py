@@ -384,6 +384,19 @@ class TestSplitPhase:
         assert out.beta == pytest.approx(0.5)
         assert out.g_trials == 1
 
+    def test_tracker_floor_beyond_doubling(self):
+        """mu = 0.25 gives beta-bar = 2(1.5)(0.1)/(0.25*1) = 1.2, above
+        2*0.25 = 0.5: the first lengthening trial is at beta-bar, and holds."""
+        oracle = half_square_oracle()
+        memory = SearchMemory(10)
+        memory.observe(1.0, np.array([1.0]), np.array([0.25]), np.array([0.0]), True)
+        out = split_phase(
+            oracle, LineSearchParams(), memory,
+            handoff(oracle, 0.0, 1.0, eps_g=0.1, alpha=0.25, alpha_best=0.25),
+        )
+        assert out.beta == pytest.approx(1.2)
+        assert out.g_trials == 1
+
     def test_alpha_best_reused_without_function_trials(self):
         oracle = half_square_oracle()
         before = oracle.f_evals
@@ -607,6 +620,24 @@ class TestTwoPhaseSearch:
         assert out.split
         assert (out.phase, out.alpha, out.beta, out.g_beta) == (Phase.BETA_FAILED, 4.0, None, None)
         assert (out.f_trials, out.g_trials) == (3, 3 + 4)
+
+    def test_lengthening_that_fails_wolfe_is_not_observed(self):
+        """On f = -v + 0.025 v^2 along p = 1 with eps_g = 0.01, alpha = 1
+        passes Armijo and the symmetric noise control, 0.05 >= 0.03, and
+        fails Wolfe, g.p = -0.95 < -0.9; with ``n_split`` = 1 the split phase
+        takes it as the best trial and its gradient as the lengthening step.
+        The search ends SPLIT_COMPLETED at beta = 1, where Wolfe fails, so the
+        memory keeps no curvature estimate."""
+        prob = scalar_problem(lambda v: -v + 0.025 * v * v, lambda v: -1.0 + 0.05 * v)
+        memory = SearchMemory(10)
+        out = two_phase_search(
+            NoisyOracle(prob, NoiseSpec()), np.zeros(1), np.ones(1),
+            LineSearchParams(n_split=1), memory,
+            f_x=0.0, g_x=np.array([-1.0]), eps_f=0.0, eps_g=0.01,
+        )
+        assert (out.phase, out.alpha, out.beta) == (Phase.SPLIT_COMPLETED, 1.0, 1.0)
+        assert float(out.g_beta @ out.p) == -0.95
+        assert memory.estimate is None
 
     def test_trial_counters_match_oracle_deltas(self):
         prob = make_quadratic(10, 1.0, 20.0, seed=1)

@@ -10,24 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisyqn import solver
-from noisyqn.linalg import (
-    CurvaturePair,
-    LimitedMemory,
-    SymmetricMatrix,
-    bfgs_inverse_update,
-    two_loop_direction,
-)
-from noisyqn.linesearch import LineSearchOutcome, LineSearchParams, Phase, SearchMemory
-from noisyqn.noise import NoiseSpec, NoisyOracle
+from noisyqn.linesearch import LineSearchOutcome, Phase, SearchMemory
+from noisyqn.noise import NoiseSpec
 from noisyqn.problems import Problem, make_quadratic, registry_lookup
-from noisyqn.solver import (
-    RunTrace,
-    SolverConfig,
-    SolverState,
-    Variant,
-    run,
-    skip_condition,
-)
+from noisyqn.solver import SolverConfig, Variant, run
 
 NOISELESS = NoiseSpec()
 
@@ -49,13 +35,6 @@ def threshold_evals(trace, eps_f, eps_g):
     return None
 
 
-def operator_state(inverse, direction, update):
-    return SolverState(
-        x=np.zeros(5), f_x=0.0, g_x=np.zeros(5), inverse=inverse,
-        direction=direction, update=update, search=SearchMemory(10),
-    )
-
-
 class TestSearchDirection:
     def test_identity_gives_negated_gradient(self):
         """H starts as the identity, dense or as an empty limited memory, so
@@ -66,33 +45,6 @@ class TestSearchDirection:
                 quick_config(variant, max_iters=1), seen.append)
             [ctx] = seen
             np.testing.assert_array_equal(ctx.search.p, -ctx.search.g_x)
-
-    def test_limited_memory_matches_dense_with_full_history(self):
-        """d = 5, every pair kept, H0 matched via gamma: the two-loop
-        direction agrees with the dense update chain to 1e-10, each state
-        updated and applied through its own two functions."""
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((5, 5))
-        a = a @ a.T + 0.5 * np.eye(5)
-        pairs = []
-        for _ in range(5):
-            s = rng.standard_normal(5)
-            pairs.append(CurvaturePair(s, a @ s))
-
-        lm = operator_state(LimitedMemory(10), two_loop_direction, LimitedMemory.push)
-        for pair in pairs:
-            lm.update(lm.inverse, pair)
-        dense = operator_state(
-            SymmetricMatrix(lm.inverse.gamma * np.eye(5)),
-            SymmetricMatrix.matvec, bfgs_inverse_update,
-        )
-        for pair in pairs:
-            dense.update(dense.inverse, pair)
-
-        g = rng.standard_normal(5)
-        p_lm = lm.direction(lm.inverse, g)
-        p_dense = dense.direction(dense.inverse, g)
-        assert np.linalg.norm(p_lm - p_dense) / np.linalg.norm(p_dense) <= 1e-10
 
 
 class TestOneSearch:
@@ -143,25 +95,6 @@ class TestOneSearch:
         assert bounds == [want] * 10
 
 
-class TestSkipCondition:
-    def test_below_threshold_skips(self):
-        """dg.p = 1 against 2 eps_g ||p|| = 2: skip."""
-        assert skip_condition(
-            np.array([1.0]), np.array([0.0]), np.array([1.0]), eps_g=1.0
-        )
-
-    def test_zero_eps_never_skips(self):
-        assert not skip_condition(
-            np.array([1e-300]), np.array([0.0]), np.array([1.0]), eps_g=0.0
-        )
-
-    def test_boundary_keeps_update(self):
-        """dg.p equal to the threshold exactly: strict inequality, no skip."""
-        assert not skip_condition(
-            np.array([2.0]), np.array([0.0]), np.array([1.0]), eps_g=1.0
-        )
-
-
 class TestSingleIteration:
     def test_newton_step_on_identity_quadratic(self):
         """QUAD(2,1,1) from (3,4) with H = I: alpha = 1 is the exact Newton
@@ -205,24 +138,6 @@ class TestNoiselessConvergence:
         assert t1.termination_reason == t2.termination_reason
 
 
-class TestNoiselessEquivalence:
-    @pytest.mark.parametrize(
-        "plain,tolerant",
-        [(Variant.BFGS, Variant.BFGS_E), (Variant.LBFGS, Variant.LBFGS_E)],
-    )
-    def test_e_variant_tracks_standard_exactly(self, plain, tolerant):
-        """Zero noise: the noise-tolerant run retraces the standard one
-        iterate for iterate, bit for bit."""
-        prob = registry_lookup("TRIDIA")
-        t_plain = run(prob, NOISELESS, SolverConfig(variant=plain, max_iters=40))
-        t_tol = run(prob, NOISELESS, SolverConfig(variant=tolerant, max_iters=40))
-        assert len(t_plain.records) == len(t_tol.records)
-        for r1, r2 in zip(t_plain.records, t_tol.records):
-            assert r1.phi_true == r2.phi_true
-            assert r1.alpha == r2.alpha
-        np.testing.assert_array_equal(t_plain.final_x, t_tol.final_x)
-
-
 class TestSkippingVariant:
     def test_skip_leaves_matrix_unchanged(self):
         """Force the skip rule on every iteration (huge reported eps_g) and
@@ -238,20 +153,6 @@ class TestSkippingVariant:
         trace = run(prob, spec, quick_config(Variant.BFGS_SKIP, max_iters=5), observer)
         assert "skipped" in seen
         assert all(action in ("skipped", None) for action in seen)
-
-    def test_skip_never_updates_when_rule_holds(self):
-        """Whenever the skip rule held, the applied action is 'skipped'."""
-        prob = make_quadratic(10, 1.0, 50.0, seed=4)
-        spec = NoiseSpec(xi_g=1e-2, seed=5)
-        records = []
-
-        def observer(ctx):
-            records.append((ctx.skip_rule_held, ctx.record.pair_action))
-
-        run(prob, spec, quick_config(Variant.BFGS_SKIP, max_iters=80), observer)
-        held = [action for held, action in records if held]
-        assert held, "expected the skip rule to fire at least once"
-        assert all(action == "skipped" for action in held)
 
     def test_plain_bfgs_updates_despite_rule(self):
         """Plain BFGS applies updates even on pairs the skip rule would have
@@ -399,26 +300,8 @@ class TestDiagnostics:
         assert len(trace.records) == 1
         assert seen == [True]
 
-    def test_limited_memory_has_no_dense_diagnostics(self):
-        prob = make_quadratic(4, 1.0, 5.0, seed=8)
-        config = quick_config(Variant.LBFGS, max_iters=10, diagnostics=True)
-        trace = run(prob, NOISELESS, config)
-        assert all(r.kappa_H is None for r in trace.records)
-
 
 class TestSplitTracking:
-    def test_first_split_iteration_matches_records(self):
-        prob = registry_lookup("ARWHEAD")
-        spec = NoiseSpec(xi_f=1e-3, xi_g=1e-3, seed=11)
-        trace = run(prob, spec, SolverConfig(variant=Variant.BFGS_E, max_iters=150))
-        first = trace.first_split_iteration
-        assert first is not None
-        for record in trace.records:
-            if record.k < first:
-                assert not record.split_active
-        split_ks = [r.k for r in trace.records if r.split_active]
-        assert split_ks and min(split_ks) == first
-
     def test_split_iteration_gradient_cost(self):
         """Gradient evaluations consumed by a split-phase iteration stay in
         the observed 2-6 band on ARWHEAD at xi_g = 1e-3."""
@@ -431,11 +314,6 @@ class TestSplitTracking:
                 deltas.append(cur.cum_g_evals - prev.cum_g_evals)
         assert deltas, "expected split-phase iterations in this run"
         assert all(2 <= d <= 6 for d in deltas)
-
-    def test_noiseless_run_never_splits(self):
-        prob = registry_lookup("TRIDIA")
-        trace = run(prob, NOISELESS, quick_config(Variant.BFGS_E, max_iters=30))
-        assert trace.first_split_iteration is None
 
     def test_split_iteration_without_a_row_is_not_the_first_split(self, monkeypatch):
         """A split iteration whose step overflows the iterate ends the run
@@ -564,22 +442,6 @@ class TestTermination:
 
 
 class TestTraceShape:
-    def test_record_count_and_indices(self):
-        """One record per executed iteration, indexed from zero."""
-        prob = registry_lookup("TRIDIA")
-        trace = run(prob, NOISELESS, SolverConfig(variant=Variant.BFGS, max_iters=12))
-        assert [r.k for r in trace.records] == list(range(12))
-
-    def test_cumulative_counters_non_decreasing(self):
-        prob = registry_lookup("ARWHEAD")
-        spec = NoiseSpec(xi_f=1e-3, xi_g=1e-3, seed=14)
-        trace = run(prob, spec, quick_config(Variant.BFGS_E))
-        for prev, cur in zip(trace.records, trace.records[1:]):
-            assert cur.cum_f_evals >= prev.cum_f_evals
-            assert cur.cum_g_evals >= prev.cum_g_evals
-        assert trace.records[-1].cum_f_evals <= trace.f_evals
-        assert trace.records[-1].cum_g_evals <= trace.g_evals
-
     def test_gap_is_true_objective_offset(self):
         prob = registry_lookup("TRIDIA")
         trace = run(prob, NOISELESS, quick_config(Variant.BFGS, max_iters=15))
@@ -587,14 +449,6 @@ class TestTraceShape:
             assert record.gap == pytest.approx(
                 record.phi_true - prob.phi_star, abs=1e-14
             )
-
-    def test_pair_action_vocabulary(self):
-        prob = registry_lookup("ARWHEAD")
-        spec = NoiseSpec(xi_f=1e-3, xi_g=1e-3, seed=15)
-        for variant in Variant:
-            trace = run(prob, spec, quick_config(variant, max_iters=40))
-            for record in trace.records:
-                assert record.pair_action in (None, "updated", "skipped", "lengthened")
 
     def test_noise_extremes_within_bounds(self):
         prob = registry_lookup("ARWHEAD")
